@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/app_registry.hh"
 #include "apps/motion_runner.hh"
 #include "apps/pipeline_runner.hh"
 #include "apps/stereo_runner.hh"
@@ -63,8 +64,10 @@ main(int argc, char **argv)
 
     std::printf("building DVFS app hooks (plan + lower + verifier "
                 "gate, once per app)...\n");
+    const AppRegistry &reg = AppRegistry::instance();
     const std::vector<power::DvfsAppHooks> apps = {
-        dvfsDdc(dp), dvfsWifi(wp), dvfsStereo(sp), dvfsMotion(mp)};
+        reg.at("ddc").dvfs(dp), reg.at("wifi").dvfs(wp),
+        reg.at("stereo").dvfs(sp), reg.at("motion").dvfs(mp)};
 
     bench::JsonReport report("BENCH_dvfs.json");
     bool all_ok = true;

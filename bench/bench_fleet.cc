@@ -4,13 +4,14 @@
  * the work-stealing FleetExecutor at basestation scale (64 / 256 /
  * 1024 concurrent user streams), every item golden-verified, plus
  * the snapshot/clone warm-start comparison against a from-scratch
- * codegen + program load. At the 256-stream scale every served item
+ * plan + codegen + program load. At the 256-stream scale every served item
  * is additionally re-run solo through SimSession::admit on a clone
  * of the same template and compared byte for byte. Appends
  * chips/sec, aggregate ticks/sec and the warm-start speedup to
  * BENCH_fleet.json so the trajectory is tracked across PRs.
  */
 
+#include <any>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -126,8 +127,11 @@ main(int argc, char **argv)
     std::printf("building fleet workloads (plan + lower + verifier "
                 "gate, once per app)...\n");
     const AppRegistry &reg = AppRegistry::instance();
-    std::vector<sim::FleetWorkload> workloads = {
-        reg.at("ddc").fleet(dp), reg.at("wifi").fleet(wp)};
+    const std::pair<const char *, std::any> apps[] = {{"ddc", dp},
+                                                      {"wifi", wp}};
+    std::vector<sim::FleetWorkload> workloads;
+    for (const auto &[name, params] : apps)
+        workloads.push_back(reg.at(name).fleet(params));
 
     bench::JsonReport report("BENCH_fleet.json");
 
@@ -174,14 +178,19 @@ main(int argc, char **argv)
     }
 
     // --- snapshot/clone warm start vs cold build ----------------
-    std::printf("warm start (Chip::clone) vs cold build (codegen + "
-                "verifier + load):\n");
-    for (const sim::FleetWorkload &wl : workloads) {
+    // The cold path is the whole fleet(params) hook (plan, codegen,
+    // verifier gate) plus build (chip construction and load).
+    std::printf("warm start (Chip::clone) vs cold build (plan + "
+                "codegen + verifier + load):\n");
+    for (const auto &[name, params] : apps) {
         constexpr int Reps = 5;
         auto t0 = std::chrono::steady_clock::now();
+        sim::FleetWorkload wl;
         std::unique_ptr<arch::Chip> tmpl;
-        for (int r = 0; r < Reps; ++r)
+        for (int r = 0; r < Reps; ++r) {
+            wl = reg.at(name).fleet(params);
             tmpl = wl.build(backend);
+        }
         double cold_ms = secondsSince(t0) * 1e3 / Reps;
 
         t0 = std::chrono::steady_clock::now();

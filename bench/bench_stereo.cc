@@ -2,20 +2,17 @@
  * @file
  * End-to-end mapped stereo vision bench: the prefilter ->
  * fork(SAD x4) -> min-SAD join DAG planned by the AutoMapper and
- * executed cycle-accurately, producing (1) the FastEdge vs
- * EventQueue throughput comparison on the five-lane fan-out workload
- * and (2) the measured-activity multi-V vs single-V power comparison
- * next to the paper's Table 4 SV row. Appends its numbers to
+ * executed cycle-accurately, producing (1) the per-backend
+ * throughput comparison on the five-lane fan-out workload and (2)
+ * the measured-activity multi-V vs single-V power comparison next to
+ * the paper's Table 4 SV row. Appends its numbers to
  * BENCH_stereo.json so the trajectory is tracked across PRs
  * (tools/bench_check.py gates regressions in CI).
  */
 
-#include <cstdio>
-
-#include "apps/paper_workloads.hh"
 #include "apps/stereo_runner.hh"
-#include "bench_json.hh"
-#include "sim/scheduler.hh"
+#include "common/log.hh"
+#include "mapped_app_bench.hh"
 
 using namespace synchro;
 using namespace synchro::apps;
@@ -23,100 +20,17 @@ using namespace synchro::apps;
 int
 main(int argc, char **argv)
 {
-    // --backend picks which run's power/throughput is reported as
-    // "this run"; all three backends are always measured.
-    const SchedulerKind primary =
-        backendFromArgs(argc, argv, SchedulerKind::FastEdge);
-    StereoPipelineParams params;
-
     std::printf("mapped stereo vision, %ux%u, %u disparities over "
                 "%u SAD columns, every backend:\n",
                 StereoWidth, StereoHeight, StereoMaxDisp,
                 StereoSadColumns);
-    MappedStereoRun runs[3];
-    double wall[3] = {0, 0, 0};
-    SchedulerKind kinds[3] = {SchedulerKind::FastEdge,
-                              SchedulerKind::EventQueue,
-                              SchedulerKind::Compiled};
-    int pidx = 0;
-    for (int i = 0; i < 3; ++i) {
-        if (kinds[i] == primary)
-            pidx = i;
-        params.scheduler = kinds[i];
-        runs[i] = runMappedStereo(params);
-        wall[i] = runs[i].sim_seconds;
-        std::printf("  %-10s %8llu ticks in %6.1f ms = %6.2f "
-                    "Mticks/s  (%s, %llu overruns, %llu "
-                    "deferrals)\n",
-                    schedulerName(kinds[i]),
-                    (unsigned long long)runs[i].ticks, wall[i] * 1e3,
-                    double(runs[i].ticks) / wall[i] / 1e6,
-                    runs[i].bit_exact ? "bit-exact" : "MISMATCH",
-                    (unsigned long long)runs[i].overruns,
-                    (unsigned long long)runs[i].deferrals);
-    }
-    bool identical = true;
-    for (int i = 0; i < 3; ++i)
-        identical = identical && runs[i].ticks == runs[1].ticks &&
-                    runs[i].output == runs[1].output &&
-                    runs[i].stats == runs[1].stats;
-    double speedup = wall[1] > 0 ? wall[1] / wall[0] : 0.0;
-    double compiled_speedup = wall[2] > 0 ? wall[1] / wall[2] : 0.0;
-    std::printf("  fast-path speedup %.2fx, compiled %.2fx, "
-                "backends %s, truth hit "
-                "rate %.0f%%\n",
-                speedup, compiled_speedup,
-                identical ? "identical" : "MISMATCH",
-                100.0 * runs[pidx].truth_hit_rate);
-
-    // --- measured power next to the paper's Table 4 row ----------
-    const auto &pw = runs[pidx].power;
-    int paper_pct = 0;
-    for (const auto &row : paperAppTotals()) {
-        if (row.app == "SV")
-            paper_pct = row.savings_pct;
-    }
-    std::printf("\nmulti-V vs single-V (measured activity, %.1f "
-                "kblocks/s sustained): %.2f mW vs %.2f mW = %.1f%% "
-                "saved (paper: %d%%)\n",
-                runs[pidx].achieved_block_rate_hz / 1e3,
-                pw.multi_v.total(), pw.single_v.total(),
-                pw.savingsPct(), paper_pct);
-
-    bench::JsonReport report("BENCH_stereo.json");
-    report.set("stereo_dag", "ticks", double(runs[0].ticks));
-    report.set("stereo_dag", "fast_mticks_per_s",
-               double(runs[0].ticks) / wall[0] / 1e6);
-    report.set("stereo_dag", "eventq_mticks_per_s",
-               double(runs[1].ticks) / wall[1] / 1e6);
-    report.set("stereo_dag", "fast_speedup", speedup);
-    report.set("stereo_dag", "compiled_mticks_per_s",
-               double(runs[2].ticks) / wall[2] / 1e6);
-    report.set("stereo_dag", "compiled_speedup", compiled_speedup);
-    report.set("stereo_dag", "bit_exact",
-               runs[0].bit_exact && runs[1].bit_exact &&
-                       runs[2].bit_exact && identical
-                   ? 1.0
-                   : 0.0);
-    report.set("stereo_dag", "sustained_kblocks_s",
-               runs[pidx].achieved_block_rate_hz / 1e3);
-    report.set("stereo_power_measured", "multi_v_mw",
-               pw.multi_v.total());
-    report.set("stereo_power_measured", "single_v_mw",
-               pw.single_v.total());
-    report.set("stereo_power_measured", "savings_pct",
-               pw.savingsPct());
-    report.set("stereo_power_measured", "paper_savings_pct",
-               double(paper_pct));
-    if (!report.write())
-        std::printf("(could not write BENCH_stereo.json)\n");
-    else
-        std::printf("\nwrote BENCH_stereo.json\n");
-
-    return runs[0].bit_exact && runs[1].bit_exact &&
-                   runs[2].bit_exact && identical &&
-                   runs[pidx].overruns == 0 &&
-                   runs[pidx].conflicts == 0
-               ? 0
-               : 1;
+    return bench::runMappedAppBench(
+        {"BENCH_stereo.json", "stereo_dag", "stereo_power_measured",
+         "SV", "sustained_kblocks_s", "kblocks/s", 1e-3},
+        argc, argv, StereoPipelineParams{}, runMappedStereo,
+        [](const MappedStereoRun &r) { return r.output; },
+        [](const MappedStereoRun &r) {
+            return strprintf(", truth hit rate %.0f%%",
+                             100.0 * r.truth_hit_rate);
+        });
 }

@@ -1,31 +1,23 @@
 /**
  * @file
- * The unified per-app capability registry.
+ * The per-app capability registry.
  *
- * Every mapped application used to export one free function per
- * capability — explorableX (design-space exploration), verifiableX
- * (static re-verification), fleetX (streaming fleet serving) — four
- * apps x three hooks scattered over four headers, and each new
- * capability meant touching all of them again. AppRegistry collapses
- * that into ONE registration per app: an AppDescriptor owns the
- * app's typed parameter struct (behind std::any, so the registry
- * stays app-agnostic) and exposes every capability as a view —
- * explorable() / verifiable() / fleet() / dvfs() — with the legacy
- * free functions reduced to one-line wrappers over the registry.
+ * Every mapped application describes itself once, as an AppSpec
+ * built from its own params struct (app_harness.hh). The registry
+ * maps each app's name to that spec factory, and an AppDescriptor
+ * exposes every capability as a view derived from the spec —
+ * explorable() / verifiable() / fleet() / dvfs() — so callers can
+ * iterate "for every registered app" without naming any runner.
  *
- * Capability views take the app's own params struct (DdcPipelineParams,
- * WifiPipelineParams, ...) wrapped in std::any; an empty any means
- * the app's defaults. Callers that only need the common knobs
- * (backend, team size, seed) can build params generically from an
- * AppTuning via AppDescriptor::params() without naming the app's
- * type at all — that's what lets the explorer/fleet tests and
- * benches iterate "for every registered app".
+ * The views take the app's own params struct (DdcPipelineParams,
+ * WifiPipelineParams, ...) wrapped in std::any, so the registry stays
+ * app-agnostic; an empty any means the app's defaults, and a payload
+ * of any other type is fatal.
  *
  * Registration is lazy and centralized: AppRegistry::instance()
- * registers all four apps on first use (detail::registerXApp, each
- * defined next to its runner), so there is no static-initialization
- * order to worry about and no registration object for the linker to
- * dead-strip.
+ * registers all four apps on first use, so there is no
+ * static-initialization order to worry about and no registration
+ * object for the linker to dead-strip.
  */
 
 #ifndef SYNC_APPS_APP_REGISTRY_HH
@@ -34,70 +26,56 @@
 #include <any>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
-#include "mapping/explorer.hh"
-#include "mapping/verifier.hh"
-#include "power/dvfs.hh"
-#include "sim/fleet.hh"
+#include "apps/app_harness.hh"
 
 namespace synchro::apps
 {
 
-/**
- * The app-agnostic tuning knobs every runner's params struct shares.
- * AppDescriptor::params() folds these into the app's own defaults so
- * generic callers (tests sweeping backends, fleets sweeping seeds)
- * never need the concrete params type.
- */
-struct AppTuning
-{
-    std::optional<SchedulerKind> scheduler;
-    std::optional<unsigned> parallel_team;
-    std::optional<uint32_t> seed;
-};
-
-/** One registered application: its name plus every capability. */
+/** One registered application: its name and its spec factory. */
 class AppDescriptor
 {
   public:
     std::string name;
 
-    /** The app's params struct with @p tuning folded in. */
-    std::function<std::any(const AppTuning &)> make_params;
-
-    std::function<mapping::ExplorableApp(const std::any &)>
-        explorable_hook;
-    std::function<mapping::LoweredArtifact(const std::any &)>
-        verifiable_hook;
-    std::function<sim::FleetWorkload(const std::any &)> fleet_hook;
-    std::function<power::DvfsAppHooks(const std::any &)> dvfs_hook;
+    /**
+     * The app's AppSpec for @p params (the app's own params struct;
+     * empty = defaults). fatal() on a payload of any other type.
+     */
+    std::function<AppSpec(const std::any &params)> spec;
 
     /// @name Capability views (empty any = the app's defaults)
     /// @{
-    mapping::ExplorableApp explorable(const std::any &params = {})
-        const;
-    mapping::LoweredArtifact verifiable(const std::any &params = {})
-        const;
-    sim::FleetWorkload fleet(const std::any &params = {}) const;
-    power::DvfsAppHooks dvfs(const std::any &params = {}) const;
+    mapping::ExplorableApp
+    explorable(const std::any &params = {}) const
+    {
+        return explorableApp(spec(params));
+    }
+    mapping::LoweredArtifact
+    verifiable(const std::any &params = {}) const
+    {
+        return lowerApp(spec(params));
+    }
+    sim::FleetWorkload
+    fleet(const std::any &params = {}) const
+    {
+        return fleetWorkload(spec(params));
+    }
+    power::DvfsAppHooks
+    dvfs(const std::any &params = {}) const
+    {
+        return dvfsHooks(spec(params));
+    }
     /// @}
-
-    /** Typed params (wrapped in any) with @p tuning applied. */
-    std::any params(const AppTuning &tuning = {}) const;
 };
 
 class AppRegistry
 {
   public:
     /** The registry with all four mapped apps registered. */
-    static AppRegistry &instance();
-
-    /** Register (or replace) one app. */
-    void add(AppDescriptor desc);
+    static const AppRegistry &instance();
 
     /** The descriptor of @p name; fatal() when unregistered. */
     const AppDescriptor &at(const std::string &name) const;
@@ -114,38 +92,6 @@ class AppRegistry
   private:
     std::map<std::string, AppDescriptor> apps_;
 };
-
-/**
- * Adapt a typed hook (taking the app's params struct) to the
- * registry's std::any calling convention: an empty any becomes
- * default-constructed params; a mismatched payload type is fatal.
- */
-template <typename Params, typename Result>
-std::function<Result(const std::any &)>
-appHook(std::string app, Result (*fn)(const Params &))
-{
-    return [app = std::move(app), fn](const std::any &a) -> Result {
-        if (!a.has_value())
-            return fn(Params{});
-        const Params *p = std::any_cast<Params>(&a);
-        if (!p) {
-            fatal("AppRegistry: '%s' hook was handed params of the "
-                  "wrong type (expected the app's own params struct)",
-                  app.c_str());
-        }
-        return fn(*p);
-    };
-}
-
-namespace detail
-{
-/** Per-runner registration entry points (defined in each runner's
- *  .cc, called once by AppRegistry::instance()). */
-void registerDdcApp(AppRegistry &reg);
-void registerWifiApp(AppRegistry &reg);
-void registerStereoApp(AppRegistry &reg);
-void registerMotionApp(AppRegistry &reg);
-} // namespace detail
 
 } // namespace synchro::apps
 

@@ -41,10 +41,6 @@
 #include "apps/app_harness.hh"
 #include "dsp/image.hh"
 #include "dsp/motion.hh"
-#include "mapping/explorer.hh"
-#include "mapping/verifier.hh"
-#include "power/dvfs.hh"
-#include "sim/fleet.hh"
 
 namespace synchro::apps
 {
@@ -116,7 +112,6 @@ struct MappedMotionRun : MappedAppRun
 
     /** The chip's keys decoded back to vectors. */
     std::vector<dsp::MotionVector> vectors;
-    bool bit_exact = false;
 
     /** Macroblocks searched per second, as actually sustained. */
     double achieved_mb_rate_hz = 0;
@@ -161,43 +156,15 @@ mapping::DagSpec motionDag(const MotionPipelineParams &p,
  */
 MappedMotionRun runMappedMotion(const MotionPipelineParams &p);
 
-/*
- * The capability hooks below are legacy wrappers: the estimator
- * registers once with apps::AppRegistry (app_registry.hh) and these
- * forward to AppRegistry::instance().at("motion")'s views.
- */
-
 /**
- * Package the pipeline for mapping::explorePlans — the plan-variant
- * hook: lowers, budgets, and golden-verifies an arbitrary candidate
- * ChipPlan, and offers the alternative search-farm widths as shard
- * variants. fatal() if no feasible baseline mapping exists.
+ * The estimator described once for the harness views (app_harness.hh)
+ * and the registry: each work item is one frame pair's macroblock
+ * search, and outputs and goldens are the packed search-key words as
+ * bytes. The DAG and tick budget size the search farm from the plan
+ * they are lowered onto, and the alternative farm widths are offered
+ * as shard variants. fatal() if no feasible mapping exists.
  */
-mapping::ExplorableApp explorableMotion(const MotionPipelineParams &p);
-
-/**
- * The committed lowering bundled for mapping::verifyLowered — the
- * report hook the verify_plan example and the verifier regression
- * tests use to re-verify exactly what runMappedMotion() runs.
- */
-mapping::LoweredArtifact
-verifiableMotion(const MotionPipelineParams &p);
-
-/**
- * Package the estimator for sim::FleetExecutor — the per-work-item
- * hook set: one cold build, then a restart/refeed per item with a
- * scene seeded by sim::fleetItemSeed(p.seed, item). Each item is one
- * frame pair's macroblock search; outputs and goldens are the packed
- * search-key words as bytes. fatal() if no feasible mapping exists.
- */
-sim::FleetWorkload fleetMotion(const MotionPipelineParams &p);
-
-/**
- * Package the estimator for the online DVFS governor (power/dvfs.hh):
- * the verifier-gated artifact, the fleet hooks, the canonical bursty
- * traffic shape, and the item <-> iteration exchange rate.
- */
-power::DvfsAppHooks dvfsMotion(const MotionPipelineParams &p);
+AppSpec motionSpec(const MotionPipelineParams &p);
 
 } // namespace synchro::apps
 

@@ -1,8 +1,7 @@
 #include "apps/stereo_runner.hh"
 
-#include <memory>
+#include <utility>
 
-#include "apps/app_registry.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "dsp/stereo.hh"
@@ -316,17 +315,6 @@ selectStage()
     return s;
 }
 
-/**
- * Tick budget for one run: generous — the delivery grid paces
- * RowWords tokens per row lane per slot_spacing ticks, H rows, plus
- * fill and drain.
- */
-Tick
-stereoTickLimit(const mapping::PipelineProgram &prog)
-{
-    return Tick(H) * RowWords * prog.slot_spacing * 4 + 1'000'000;
-}
-
 /** The per-block disparity map, read back from a finished chip. */
 std::vector<uint8_t>
 readStereoOutput(arch::Chip &chip,
@@ -456,6 +444,50 @@ stereoDag(const StereoPipelineParams &p, const dsp::Image &left,
     return spec;
 }
 
+AppSpec
+stereoSpec(const StereoPipelineParams &p)
+{
+    auto plan = planStereo(p);
+    if (!plan)
+        fatal("stereo: no feasible mapping at %.0f frames/s",
+              p.frame_rate_hz);
+
+    AppSpec s;
+    s.name = "stereo";
+    s.seed = p.seed;
+    s.plan = *plan;
+    s.iterations_per_sec = p.frame_rate_hz;
+    s.slack = p.slack;
+    s.priced_items = StereoBlocks;
+    // One SDF iteration correlates one whole frame pair, and one
+    // item is one frame pair.
+    s.iterations_per_item = 1;
+    s.output_label = "stereo disparity map";
+
+    using Pair = std::pair<dsp::Image, dsp::Image>; //!< (left, right)
+    auto scene = ownSeedCached(p.seed, [p](uint32_t seed) {
+        Pair sc{dsp::Image(W, H), dsp::Image(W, H)};
+        stereoScene(withSeed(p, seed), sc.first, sc.second);
+        return sc;
+    });
+    s.dag = [p, scene](uint32_t seed, const mapping::ChipPlan &) {
+        Pair sc = scene(seed);
+        return stereoDag(p, sc.first, sc.second);
+    };
+    // Generous: the delivery grid paces RowWords tokens per row lane
+    // per slot_spacing ticks, H rows, plus fill and drain.
+    s.tick_limit = [](const mapping::ChipPlan &,
+                      const mapping::PipelineProgram &prog) {
+        return Tick(H) * RowWords * prog.slot_spacing * 4 + 1'000'000;
+    };
+    s.read_output = readStereoOutput;
+    s.golden = [scene](uint32_t seed) {
+        Pair sc = scene(seed);
+        return dsp::stereoBlockDisparities(sc.first, sc.second, B, D);
+    };
+    return s;
+}
+
 MappedStereoRun
 runMappedStereo(const StereoPipelineParams &p)
 {
@@ -466,31 +498,11 @@ runMappedStereo(const StereoPipelineParams &p)
     stereoScene(p, left, right, &truth);
     run.golden = dsp::stereoBlockDisparities(left, right, B, D);
 
-    auto plan = planStereo(p);
-    if (!plan)
-        fatal("stereo: no feasible mapping at %.0f frames/s",
-              p.frame_rate_hz);
-
-    auto prog = mapping::lowerDag(stereoDag(p, left, right), *plan,
-                                  p.frame_rate_hz, p.slack);
-
-    MappedAppParams hp;
-    hp.app = "stereo";
-    hp.scheduler = p.scheduler;
-    hp.parallel_team = p.parallel_team;
-    hp.tick_limit = stereoTickLimit(prog);
-    hp.priced_items = StereoBlocks;
-    MappedApp app(hp, *plan, prog);
+    MappedApp app(stereoSpec(p), p.scheduler, p.parallel_team);
     static_cast<MappedAppRun &>(run) = app.run();
     run.achieved_block_rate_hz = run.achieved_items_per_sec;
 
-    run.output = readStereoOutput(app.chip(), prog);
-    run.bit_exact = run.output == run.golden;
-    if (!run.bit_exact)
-        warn("%s",
-             describeMismatch("stereo disparity map", run.output,
-                              run.golden)
-                 .c_str());
+    run.output = readStereoOutput(app.chip(), app.program());
 
     unsigned scored = 0, hits = 0;
     for (unsigned b = 0; b < StereoBlocks; ++b) {
@@ -501,180 +513,6 @@ runMappedStereo(const StereoPipelineParams &p)
     }
     run.truth_hit_rate = scored ? double(hits) / scored : 0.0;
     return run;
-}
-
-static mapping::ExplorableApp
-explorableStereoImpl(const StereoPipelineParams &p)
-{
-    checkParams(p);
-    auto left = std::make_shared<dsp::Image>(W, H);
-    auto right = std::make_shared<dsp::Image>(W, H);
-    stereoScene(p, *left, *right);
-    auto golden = std::make_shared<std::vector<uint8_t>>(
-        dsp::stereoBlockDisparities(*left, *right, B, D));
-    auto plan = planStereo(p);
-    if (!plan)
-        fatal("stereo: no feasible mapping at %.0f frames/s",
-              p.frame_rate_hz);
-
-    mapping::ExplorableApp app;
-    app.name = "stereo";
-    app.iterations_per_sec = p.frame_rate_hz;
-    app.priced_items = StereoBlocks;
-    app.baseline = *plan;
-    app.lower = [p, left, right](const mapping::ChipPlan &candidate,
-                                 double rate) {
-        return mapping::lowerDag(stereoDag(p, *left, *right),
-                                 candidate, rate, p.slack);
-    };
-    app.tick_limit = [](const mapping::ChipPlan &,
-                        const mapping::PipelineProgram &prog) {
-        return stereoTickLimit(prog);
-    };
-    app.verify = [golden](arch::Chip &chip,
-                          const mapping::PipelineProgram &prog) {
-        return describeMismatch("stereo disparity map",
-                                readStereoOutput(chip, prog),
-                                *golden);
-    };
-    return app;
-}
-
-static mapping::LoweredArtifact
-verifiableStereoImpl(const StereoPipelineParams &p)
-{
-    checkParams(p);
-    dsp::Image left(W, H), right(W, H);
-    stereoScene(p, left, right);
-    auto plan = planStereo(p);
-    if (!plan)
-        fatal("stereo: no feasible mapping at %.0f frames/s",
-              p.frame_rate_hz);
-
-    mapping::LoweredArtifact art;
-    art.name = "stereo";
-    art.spec = stereoDag(p, left, right);
-    art.plan = *plan;
-    art.iterations_per_sec = p.frame_rate_hz;
-    art.slack = p.slack;
-    art.prog = mapping::lowerDag(art.spec, art.plan,
-                                 art.iterations_per_sec, art.slack);
-    return art;
-}
-
-static sim::FleetWorkload
-fleetStereoImpl(const StereoPipelineParams &p)
-{
-    checkParams(p);
-    auto base_plan = planStereo(p);
-    if (!base_plan)
-        fatal("stereo: no feasible mapping at %.0f frames/s",
-              p.frame_rate_hz);
-    auto plan =
-        std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
-
-    // The canonical program for the warm-path hooks: the lowering
-    // depends only on the app parameters (its images are replaced
-    // per item), so one program serves every stream and item.
-    auto canon = [&] {
-        dsp::Image left(W, H), right(W, H);
-        stereoScene(p, left, right);
-        return mapping::lowerDag(stereoDag(p, left, right), *plan,
-                                 p.frame_rate_hz, p.slack);
-    };
-    auto prog =
-        std::make_shared<mapping::PipelineProgram>(canon());
-
-    sim::FleetWorkload wl;
-    wl.name = "stereo";
-    wl.tick_limit = stereoTickLimit(*prog);
-    wl.build = [p, plan](SchedulerKind kind) {
-        dsp::Image left(W, H), right(W, H);
-        stereoScene(p, left, right);
-        auto built = mapping::lowerDag(stereoDag(p, left, right),
-                                       *plan, p.frame_rate_hz,
-                                       p.slack);
-        return buildFleetChip(*plan, built, kind);
-    };
-    wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
-        StereoPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        dsp::Image left(W, H), right(W, H);
-        stereoScene(q, left, right);
-        refeedImages(chip, *prog, stereoDag(q, left, right));
-    };
-    wl.read_output = [prog](arch::Chip &chip) {
-        return readStereoOutput(chip, *prog);
-    };
-    wl.golden = [p](uint64_t item) {
-        StereoPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        dsp::Image left(W, H), right(W, H);
-        stereoScene(q, left, right);
-        return dsp::stereoBlockDisparities(left, right, B, D);
-    };
-    return wl;
-}
-
-static power::DvfsAppHooks
-dvfsStereoImpl(const StereoPipelineParams &p)
-{
-    power::DvfsAppHooks h;
-    h.name = "stereo";
-    h.artifact = verifiableStereoImpl(p);
-    h.workload = fleetStereoImpl(p);
-    h.traffic = sim::TrafficSpec::bursty(p.seed);
-    // One SDF iteration correlates one whole frame pair, and one
-    // item is one frame pair.
-    h.iterations_per_item = 1;
-    return h;
-}
-
-void
-detail::registerStereoApp(AppRegistry &reg)
-{
-    AppDescriptor desc;
-    desc.name = "stereo";
-    desc.make_params = [](const AppTuning &t) {
-        StereoPipelineParams p;
-        if (t.scheduler)
-            p.scheduler = *t.scheduler;
-        if (t.parallel_team)
-            p.parallel_team = *t.parallel_team;
-        if (t.seed)
-            p.seed = *t.seed;
-        return std::any(p);
-    };
-    desc.explorable_hook = appHook("stereo", &explorableStereoImpl);
-    desc.verifiable_hook = appHook("stereo", &verifiableStereoImpl);
-    desc.fleet_hook = appHook("stereo", &fleetStereoImpl);
-    desc.dvfs_hook = appHook("stereo", &dvfsStereoImpl);
-    reg.add(std::move(desc));
-}
-
-// Legacy free functions, reduced to registry wrappers.
-mapping::ExplorableApp
-explorableStereo(const StereoPipelineParams &p)
-{
-    return AppRegistry::instance().at("stereo").explorable(p);
-}
-
-mapping::LoweredArtifact
-verifiableStereo(const StereoPipelineParams &p)
-{
-    return AppRegistry::instance().at("stereo").verifiable(p);
-}
-
-sim::FleetWorkload
-fleetStereo(const StereoPipelineParams &p)
-{
-    return AppRegistry::instance().at("stereo").fleet(p);
-}
-
-power::DvfsAppHooks
-dvfsStereo(const StereoPipelineParams &p)
-{
-    return AppRegistry::instance().at("stereo").dvfs(p);
 }
 
 } // namespace synchro::apps

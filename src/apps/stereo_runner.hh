@@ -50,10 +50,6 @@
 
 #include "apps/app_harness.hh"
 #include "dsp/image.hh"
-#include "mapping/explorer.hh"
-#include "mapping/verifier.hh"
-#include "power/dvfs.hh"
-#include "sim/fleet.hh"
 
 namespace synchro::apps
 {
@@ -105,7 +101,6 @@ struct MappedStereoRun : MappedAppRun
 {
     std::vector<uint8_t> output; //!< per-block disparity from the chip
     std::vector<uint8_t> golden; //!< dsp::stereoBlockDisparities
-    bool bit_exact = false;
 
     /** Blocks correlated per second, as actually sustained. */
     double achieved_block_rate_hz = 0;
@@ -150,42 +145,13 @@ mapping::DagSpec stereoDag(const StereoPipelineParams &p,
  */
 MappedStereoRun runMappedStereo(const StereoPipelineParams &p);
 
-/*
- * The capability hooks below are legacy wrappers: the pipeline
- * registers once with apps::AppRegistry (app_registry.hh) and these
- * forward to AppRegistry::instance().at("stereo")'s views.
- */
-
 /**
- * Package the pipeline for mapping::explorePlans — the plan-variant
- * hook: lowers, budgets, and golden-verifies an arbitrary candidate
- * ChipPlan. fatal() if no feasible baseline mapping exists.
+ * The pipeline described once for the harness views (app_harness.hh)
+ * and the registry: each work item is one stereo frame pair, and
+ * outputs and goldens are the per-block disparity bytes. fatal() if
+ * no feasible mapping exists.
  */
-mapping::ExplorableApp explorableStereo(const StereoPipelineParams &p);
-
-/**
- * The committed lowering bundled for mapping::verifyLowered — the
- * report hook the verify_plan example and the verifier regression
- * tests use to re-verify exactly what runMappedStereo() runs.
- */
-mapping::LoweredArtifact
-verifiableStereo(const StereoPipelineParams &p);
-
-/**
- * Package the pipeline for sim::FleetExecutor — the per-work-item
- * hook set: one cold build, then a restart/refeed per item with a
- * scene seeded by sim::fleetItemSeed(p.seed, item). Each item is one
- * stereo frame pair; outputs and goldens are the per-block disparity
- * bytes. fatal() if no feasible mapping exists.
- */
-sim::FleetWorkload fleetStereo(const StereoPipelineParams &p);
-
-/**
- * Package the pipeline for the online DVFS governor (power/dvfs.hh):
- * the verifier-gated artifact, the fleet hooks, the canonical bursty
- * traffic shape, and the item <-> iteration exchange rate.
- */
-power::DvfsAppHooks dvfsStereo(const StereoPipelineParams &p);
+AppSpec stereoSpec(const StereoPipelineParams &p);
 
 } // namespace synchro::apps
 

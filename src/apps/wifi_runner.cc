@@ -1,9 +1,5 @@
 #include "apps/wifi_runner.hh"
 
-#include <cstring>
-#include <memory>
-
-#include "apps/app_registry.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "dsp/fft.hh"
@@ -66,14 +62,6 @@ constexpr uint64_t TbCost = (3 + 96 * 4) + 2 * (3 + 48 * 14 + 1);
  */
 constexpr unsigned LightColumnMargin = 3;
 
-std::vector<uint8_t>
-halvesToBytes(const std::vector<int16_t> &h)
-{
-    std::vector<uint8_t> bytes(h.size() * 2);
-    std::memcpy(bytes.data(), h.data(), bytes.size());
-    return bytes;
-}
-
 void
 checkParams(const WifiPipelineParams &p)
 {
@@ -89,19 +77,6 @@ frameSlice(const std::vector<T> &v, unsigned f, unsigned n)
 {
     return std::vector<T>(v.begin() + size_t(f) * n,
                           v.begin() + size_t(f + 1) * n);
-}
-
-/**
- * Tick budget for one run: generous — the delivery grid paces one
- * token per lane per slot_spacing ticks, 96 tokens per iteration on
- * the widest lane, plus pipeline fill and drain.
- */
-Tick
-wifiTickLimit(const WifiPipelineParams &p,
-              const mapping::PipelineProgram &prog)
-{
-    return Tick(p.symbols / 2) * prog.slot_spacing * 96 * 6 +
-           2'000'000;
 }
 
 /**
@@ -286,7 +261,7 @@ demapStage(const WifiPipelineParams &p,
         iq.push_back(c.re);
         iq.push_back(c.im);
     }
-    s.images.push_back({DemapIqBase, halvesToBytes(iq)});
+    s.images.push_back({DemapIqBase, bytesOfHalves(iq)});
     return s;
 }
 
@@ -350,7 +325,7 @@ deintStage(const WifiPipelineParams &p)
             idx.push_back(int16_t(base + perm[2 * i + 1]));
         }
     }
-    s.images.push_back({DeintIdx, halvesToBytes(idx)});
+    s.images.push_back({DeintIdx, bytesOfHalves(idx)});
     return s;
 }
 
@@ -447,7 +422,7 @@ acsStage(const WifiPipelineParams &p, unsigned which)
             etab.push_back(int16_t(dsp::convCodePair(pred, b)));
         }
     }
-    s.images.push_back({AcsEtab, halvesToBytes(etab)});
+    s.images.push_back({AcsEtab, bytesOfHalves(etab)});
     return s;
 }
 
@@ -541,6 +516,51 @@ wifiDag(const WifiPipelineParams &p,
     return spec;
 }
 
+AppSpec
+wifiSpec(const WifiPipelineParams &p)
+{
+    auto plan = planWifi(p);
+    if (!plan)
+        fatal("wifi: no feasible mapping at %.1f kbit/s",
+              p.bit_rate_hz / 1e3);
+
+    AppSpec s;
+    s.name = "wifi";
+    s.seed = p.seed;
+    s.plan = *plan;
+    s.iterations_per_sec = p.bit_rate_hz / (2 * WifiFrameBits);
+    s.slack = p.slack;
+    s.priced_items = uint64_t(p.symbols) * WifiFrameBits;
+    // One SDF iteration decodes two frames; one item is p.symbols
+    // frames.
+    s.iterations_per_item = p.symbols / 2;
+    s.output_label = "wifi decoded bits";
+
+    auto carriers = ownSeedCached(p.seed, [p](uint32_t seed) {
+        WifiPipelineParams q = withSeed(p, seed);
+        return wifiCarriers(q, wifiPayload(q));
+    });
+    s.dag = [p, carriers](uint32_t seed, const mapping::ChipPlan &) {
+        return wifiDag(p, carriers(seed));
+    };
+    // Generous: the delivery grid paces one token per lane per
+    // slot_spacing ticks, 96 tokens per iteration on the widest lane,
+    // plus pipeline fill and drain.
+    s.tick_limit = [p](const mapping::ChipPlan &,
+                       const mapping::PipelineProgram &prog) {
+        return Tick(p.symbols / 2) * prog.slot_spacing * 96 * 6 +
+               2'000'000;
+    };
+    s.read_output = [p](arch::Chip &chip,
+                        const mapping::PipelineProgram &prog) {
+        return readWifiOutput(chip, prog, p.symbols);
+    };
+    s.golden = [p, carriers](uint32_t seed) {
+        return wifiGolden(p, carriers(seed));
+    };
+    return s;
+}
+
 MappedWifiRun
 runMappedWifi(const WifiPipelineParams &p)
 {
@@ -565,200 +585,12 @@ runMappedWifi(const WifiPipelineParams &p)
             dsp::qamDemapHardQ15(carriers, Mod);
     }
 
-    auto plan = planWifi(p);
-    if (!plan)
-        fatal("wifi: no feasible mapping at %.1f kbit/s",
-              p.bit_rate_hz / 1e3);
-
-    auto prog =
-        mapping::lowerDag(wifiDag(p, carriers), *plan,
-                          p.bit_rate_hz / (2 * WifiFrameBits),
-                          p.slack);
-
-    MappedAppParams hp;
-    hp.app = "wifi";
-    hp.scheduler = p.scheduler;
-    hp.parallel_team = p.parallel_team;
-    hp.tick_limit = wifiTickLimit(p, prog);
-    hp.priced_items = uint64_t(p.symbols) * WifiFrameBits;
-    MappedApp app(hp, *plan, prog);
+    MappedApp app(wifiSpec(p), p.scheduler, p.parallel_team);
     static_cast<MappedAppRun &>(run) = app.run();
     run.achieved_bit_rate_hz = run.achieved_items_per_sec;
 
-    run.output = readWifiOutput(app.chip(), prog, p.symbols);
-    run.bit_exact = run.output == run.golden;
-    if (!run.bit_exact)
-        warn("%s",
-             describeMismatch("wifi decoded bits", run.output,
-                              run.golden)
-                 .c_str());
+    run.output = readWifiOutput(app.chip(), app.program(), p.symbols);
     return run;
-}
-
-static mapping::ExplorableApp
-explorableWifiImpl(const WifiPipelineParams &p)
-{
-    checkParams(p);
-    auto bits =
-        std::make_shared<std::vector<uint8_t>>(wifiPayload(p));
-    auto carriers = std::make_shared<std::vector<CplxQ15>>(
-        wifiCarriers(p, *bits));
-    auto golden = std::make_shared<std::vector<uint8_t>>(
-        wifiGolden(p, *carriers));
-    auto plan = planWifi(p);
-    if (!plan)
-        fatal("wifi: no feasible mapping at %.1f kbit/s",
-              p.bit_rate_hz / 1e3);
-
-    mapping::ExplorableApp app;
-    app.name = "wifi";
-    app.iterations_per_sec = p.bit_rate_hz / (2 * WifiFrameBits);
-    app.priced_items = uint64_t(p.symbols) * WifiFrameBits;
-    app.baseline = *plan;
-    app.lower = [p, carriers](const mapping::ChipPlan &candidate,
-                              double rate) {
-        return mapping::lowerDag(wifiDag(p, *carriers), candidate,
-                                 rate, p.slack);
-    };
-    app.tick_limit = [p](const mapping::ChipPlan &,
-                         const mapping::PipelineProgram &prog) {
-        return wifiTickLimit(p, prog);
-    };
-    app.verify = [p, golden](arch::Chip &chip,
-                             const mapping::PipelineProgram &prog) {
-        return describeMismatch("wifi decoded bits",
-                                readWifiOutput(chip, prog, p.symbols),
-                                *golden);
-    };
-    return app;
-}
-
-static mapping::LoweredArtifact
-verifiableWifiImpl(const WifiPipelineParams &p)
-{
-    checkParams(p);
-    std::vector<uint8_t> bits = wifiPayload(p);
-    std::vector<CplxQ15> carriers = wifiCarriers(p, bits);
-    auto plan = planWifi(p);
-    if (!plan)
-        fatal("wifi: no feasible mapping at %.1f kbit/s",
-              p.bit_rate_hz / 1e3);
-
-    mapping::LoweredArtifact art;
-    art.name = "wifi";
-    art.spec = wifiDag(p, carriers);
-    art.plan = *plan;
-    art.iterations_per_sec = p.bit_rate_hz / (2 * WifiFrameBits);
-    art.slack = p.slack;
-    art.prog = mapping::lowerDag(art.spec, art.plan,
-                                 art.iterations_per_sec, art.slack);
-    return art;
-}
-
-static sim::FleetWorkload
-fleetWifiImpl(const WifiPipelineParams &p)
-{
-    checkParams(p);
-    auto base_plan = planWifi(p);
-    if (!base_plan)
-        fatal("wifi: no feasible mapping at %.1f kbit/s",
-              p.bit_rate_hz / 1e3);
-    auto plan =
-        std::make_shared<mapping::ChipPlan>(std::move(*base_plan));
-
-    // The canonical program for the warm-path hooks: the lowering
-    // depends only on the app parameters (its images are replaced
-    // per item), so one program serves every stream and item.
-    const double rate = p.bit_rate_hz / (2 * WifiFrameBits);
-    auto prog = std::make_shared<mapping::PipelineProgram>(
-        mapping::lowerDag(wifiDag(p, wifiCarriers(p, wifiPayload(p))),
-                          *plan, rate, p.slack));
-
-    sim::FleetWorkload wl;
-    wl.name = "wifi";
-    wl.tick_limit = wifiTickLimit(p, *prog);
-    wl.build = [p, plan, rate](SchedulerKind kind) {
-        auto built = mapping::lowerDag(
-            wifiDag(p, wifiCarriers(p, wifiPayload(p))), *plan, rate,
-            p.slack);
-        return buildFleetChip(*plan, built, kind);
-    };
-    wl.feed = [p, prog](arch::Chip &chip, uint64_t item) {
-        WifiPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        refeedImages(chip, *prog,
-                     wifiDag(q, wifiCarriers(q, wifiPayload(q))));
-    };
-    wl.read_output = [p, prog](arch::Chip &chip) {
-        return readWifiOutput(chip, *prog, p.symbols);
-    };
-    wl.golden = [p](uint64_t item) {
-        WifiPipelineParams q = p;
-        q.seed = sim::fleetItemSeed(p.seed, item);
-        return wifiGolden(q, wifiCarriers(q, wifiPayload(q)));
-    };
-    return wl;
-}
-
-static power::DvfsAppHooks
-dvfsWifiImpl(const WifiPipelineParams &p)
-{
-    power::DvfsAppHooks h;
-    h.name = "wifi";
-    h.artifact = verifiableWifiImpl(p);
-    h.workload = fleetWifiImpl(p);
-    h.traffic = sim::TrafficSpec::bursty(p.seed);
-    // One SDF iteration decodes two frames; one item is p.symbols
-    // frames.
-    h.iterations_per_item = p.symbols / 2;
-    return h;
-}
-
-void
-detail::registerWifiApp(AppRegistry &reg)
-{
-    AppDescriptor desc;
-    desc.name = "wifi";
-    desc.make_params = [](const AppTuning &t) {
-        WifiPipelineParams p;
-        if (t.scheduler)
-            p.scheduler = *t.scheduler;
-        if (t.parallel_team)
-            p.parallel_team = *t.parallel_team;
-        if (t.seed)
-            p.seed = *t.seed;
-        return std::any(p);
-    };
-    desc.explorable_hook = appHook("wifi", &explorableWifiImpl);
-    desc.verifiable_hook = appHook("wifi", &verifiableWifiImpl);
-    desc.fleet_hook = appHook("wifi", &fleetWifiImpl);
-    desc.dvfs_hook = appHook("wifi", &dvfsWifiImpl);
-    reg.add(std::move(desc));
-}
-
-// Legacy free functions, reduced to registry wrappers.
-mapping::ExplorableApp
-explorableWifi(const WifiPipelineParams &p)
-{
-    return AppRegistry::instance().at("wifi").explorable(p);
-}
-
-mapping::LoweredArtifact
-verifiableWifi(const WifiPipelineParams &p)
-{
-    return AppRegistry::instance().at("wifi").verifiable(p);
-}
-
-sim::FleetWorkload
-fleetWifi(const WifiPipelineParams &p)
-{
-    return AppRegistry::instance().at("wifi").fleet(p);
-}
-
-power::DvfsAppHooks
-dvfsWifi(const WifiPipelineParams &p)
-{
-    return AppRegistry::instance().at("wifi").dvfs(p);
 }
 
 } // namespace synchro::apps

@@ -49,10 +49,6 @@
 
 #include "apps/app_harness.hh"
 #include "common/fixed.hh"
-#include "mapping/explorer.hh"
-#include "mapping/verifier.hh"
-#include "power/dvfs.hh"
-#include "sim/fleet.hh"
 
 namespace synchro::apps
 {
@@ -107,7 +103,6 @@ struct MappedWifiRun : MappedAppRun
     std::vector<uint8_t> tx_bits; //!< transmitted payload bits
     std::vector<uint8_t> output;  //!< decoded bits read from the chip
     std::vector<uint8_t> golden;  //!< dsp:: reference chain
-    bool bit_exact = false;       //!< output == golden
 
     /** Integer demap agreed with the floating-point dsp::qamDemap. */
     bool demap_matches_float = false;
@@ -162,41 +157,13 @@ mapping::DagSpec wifiDag(const WifiPipelineParams &p,
  */
 MappedWifiRun runMappedWifi(const WifiPipelineParams &p);
 
-/*
- * The capability hooks below are legacy wrappers: the receiver
- * registers once with apps::AppRegistry (app_registry.hh) and these
- * forward to AppRegistry::instance().at("wifi")'s views.
- */
-
 /**
- * Package the receiver for mapping::explorePlans — the plan-variant
- * hook: lowers, budgets, and golden-verifies an arbitrary candidate
- * ChipPlan. fatal() if no feasible baseline mapping exists.
+ * The receiver described once for the harness views (app_harness.hh)
+ * and the registry: each work item is one p.symbols-long burst, and
+ * outputs and goldens are the decoded bit bytes. fatal() if no
+ * feasible mapping exists.
  */
-mapping::ExplorableApp explorableWifi(const WifiPipelineParams &p);
-
-/**
- * The committed lowering bundled for mapping::verifyLowered — the
- * report hook the verify_plan example and the verifier regression
- * tests use to re-verify exactly what runMappedWifi() runs.
- */
-mapping::LoweredArtifact verifiableWifi(const WifiPipelineParams &p);
-
-/**
- * Package the receiver for sim::FleetExecutor — the per-work-item
- * hook set: one cold build, then a restart/refeed per item with a
- * payload seeded by sim::fleetItemSeed(p.seed, item). Each item is
- * one p.symbols-long burst; outputs and goldens are the decoded
- * bit bytes. fatal() if no feasible mapping exists.
- */
-sim::FleetWorkload fleetWifi(const WifiPipelineParams &p);
-
-/**
- * Package the receiver for the online DVFS governor (power/dvfs.hh):
- * the verifier-gated artifact, the fleet hooks, the canonical bursty
- * traffic shape, and the item <-> iteration exchange rate.
- */
-power::DvfsAppHooks dvfsWifi(const WifiPipelineParams &p);
+AppSpec wifiSpec(const WifiPipelineParams &p);
 
 } // namespace synchro::apps
 

@@ -51,6 +51,7 @@
 #define SYNC_MAPPING_CODEGEN_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +61,7 @@
 #include "mapping/auto_mapper.hh"
 #include "mapping/comm_schedule.hh"
 #include "mapping/rate_match.hh"
+#include "sim/scheduler.hh"
 
 namespace synchro::arch
 {
@@ -179,6 +181,18 @@ struct PipelineProgram
     /** The programmed column running @p actor; fatal() if absent. */
     const ColumnProgram &columnFor(const std::string &actor) const;
 };
+
+/**
+ * The chip @p plan and @p prog ask for — the plan's reference clock
+ * and dividers, the bus semantics the program was lowered for,
+ * @p scheduler with a ParallelColumns team of @p parallel_team (see
+ * arch::ChipConfig::parallel_columns) — with @p prog loaded, ready
+ * to run from tick 0.
+ */
+std::unique_ptr<arch::Chip> buildChip(const ChipPlan &plan,
+                                      const PipelineProgram &prog,
+                                      SchedulerKind scheduler,
+                                      unsigned parallel_team = 0);
 
 /**
  * Lower the DAG @p spec onto the columns @p plan assigned its actors.

@@ -38,20 +38,6 @@ refreshPlacement(ActorPlacement &p, double ref_mhz, unsigned divider,
 namespace
 {
 
-std::unique_ptr<arch::Chip>
-buildChip(const ChipPlan &plan, const PipelineProgram &prog,
-          SchedulerKind kind)
-{
-    arch::ChipConfig cfg;
-    cfg.ref_freq_mhz = plan.ref_freq_mhz;
-    cfg.dividers = plan.dividers();
-    cfg.scheduler = kind;
-    cfg.self_timed_bus = prog.self_timed;
-    auto chip = std::make_unique<arch::Chip>(cfg);
-    prog.load(*chip);
-    return chip;
-}
-
 std::map<std::string, uint64_t>
 chipStats(const arch::Chip &chip)
 {

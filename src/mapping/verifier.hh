@@ -120,10 +120,10 @@ VerifyReport verifyLowered(const DagSpec &spec, const ChipPlan &plan,
 
 /**
  * One app's lowered artifact bundled with everything verifyLowered()
- * needs — the report hook each apps/ runner exposes (verifiableDdc,
- * verifiableWifi, verifiableStereo, verifiableMotion) so the
- * verify_plan example and the regression tests can re-verify every
- * committed lowering without duplicating the app setup.
+ * needs — the report hook apps::AppRegistry's verifiable() view
+ * derives from each mapped app's AppSpec, so the verify_plan example
+ * and the regression tests can re-verify every committed lowering
+ * without duplicating the app setup.
  */
 struct LoweredArtifact
 {

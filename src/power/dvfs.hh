@@ -66,7 +66,7 @@ namespace synchro::power
  * workload hooks (build / feed / read_output / golden), the app's
  * canonical traffic shape, and the item <-> SDF-iteration exchange
  * rate every window computation needs. Exposed per app through
- * apps::AppRegistry::dvfs().
+ * apps::AppDescriptor::dvfs().
  */
 struct DvfsAppHooks
 {

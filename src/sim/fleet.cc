@@ -71,9 +71,9 @@ FleetExecutor::addWorkload(FleetWorkload wl)
               "verifies every item",
               wl.name.c_str());
 
-    // The one cold build of this workload: codegen + verifier gate +
-    // chip construction + program load, timed as the warm-start
-    // baseline. Every stream's chip is a clone of this template.
+    // The one cold build of this workload: chip construction and
+    // program load (the workload arrives lowered and verifier-gated).
+    // Every stream's chip is a clone of this template.
     auto t0 = std::chrono::steady_clock::now();
     std::unique_ptr<arch::Chip> tmpl = wl.build(cfg_.scheduler);
     auto t1 = std::chrono::steady_clock::now();

@@ -11,8 +11,8 @@
  * draining. FleetExecutor serves that shape:
  *
  *  - a *workload* packages an app's plan/program hooks once
- *    (FleetWorkload; apps/ provides fleetDdc / fleetWifi /
- *    fleetStereo / fleetMotion mirroring the explorableX pattern),
+ *    (FleetWorkload; apps::AppRegistry's fleet() view derives one
+ *    from each mapped app's AppSpec),
  *  - a *stream* is one user: one chip, fed a sequence of work items.
  *    Its chip is NOT rebuilt per stream — the workload's template
  *    chip (built, programmed and verifier-gated exactly once) is
@@ -86,11 +86,9 @@ struct FleetWorkload
     Tick tick_limit = 0;
 
     /**
-     * The COLD path: plan-derived chip construction end to end —
-     * lower (through the verifier gate), build the chip, load the
-     * program. Runs once per workload to build the template; the
-     * benches also time it against Chip::clone() for the
-     * warm-start-speedup headline.
+     * The COLD path: build the chip the workload's plan and
+     * already-lowered (verifier-gated) program ask for, and load the
+     * program. Runs once per workload to build the template.
      */
     std::function<std::unique_ptr<arch::Chip>(SchedulerKind)> build;
 

@@ -43,42 +43,6 @@ SimSession::admit(ChipSpec &&spec)
     return unsigned(chips_.size() - 1);
 }
 
-unsigned
-SimSession::addChip(const arch::ChipConfig &cfg)
-{
-    return admit(ChipSpec(cfg));
-}
-
-unsigned
-SimSession::adoptChip(std::unique_ptr<arch::Chip> chip,
-                      Tick tick_limit)
-{
-    return admit(ChipSpec(std::move(chip)).tickLimit(tick_limit));
-}
-
-unsigned
-SimSession::adoptChip(std::unique_ptr<arch::Chip> chip,
-                      Tick tick_limit, SchedulerKind scheduler)
-{
-    return admit(ChipSpec(std::move(chip))
-                     .tickLimit(tick_limit)
-                     .backend(scheduler));
-}
-
-unsigned
-SimSession::attachChip(arch::Chip &chip, Tick tick_limit)
-{
-    return admit(ChipSpec(chip).tickLimit(tick_limit));
-}
-
-unsigned
-SimSession::attachChip(arch::Chip &chip, Tick tick_limit,
-                       SchedulerKind scheduler)
-{
-    return admit(
-        ChipSpec(chip).tickLimit(tick_limit).backend(scheduler));
-}
-
 void
 SimSession::setTickLimit(unsigned i, Tick tick_limit)
 {

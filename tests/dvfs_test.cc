@@ -14,6 +14,7 @@
 
 #include "apps/app_registry.hh"
 #include "apps/pipeline_runner.hh"
+#include "common/log.hh"
 #include "power/dvfs.hh"
 #include "sim/fleet.hh"
 #include "sim/traffic.hh"
@@ -25,7 +26,6 @@ namespace
 {
 
 using apps::DdcPipelineParams;
-using apps::dvfsDdc;
 
 /** The small DDC shape every test here governs. */
 DdcPipelineParams
@@ -34,6 +34,13 @@ testParams()
     DdcPipelineParams p;
     p.samples = 128;
     return p;
+}
+
+/** The registry's DVFS view of the small DDC shape. */
+DvfsAppHooks
+ddcHooks()
+{
+    return apps::AppRegistry::instance().at("ddc").dvfs(testParams());
 }
 
 GovernedRunResult
@@ -61,10 +68,9 @@ TEST(AppRegistry, AllFourAppsExposeEveryCapability)
                                         "wifi"}));
     for (const auto &kv : reg.apps()) {
         const apps::AppDescriptor &d = kv.second;
-        EXPECT_TRUE(d.explorable_hook) << d.name;
-        EXPECT_TRUE(d.verifiable_hook) << d.name;
-        EXPECT_TRUE(d.fleet_hook) << d.name;
-        EXPECT_TRUE(d.dvfs_hook) << d.name;
+        EXPECT_EQ(d.explorable().name, d.name);
+        EXPECT_EQ(d.verifiable().name, d.name);
+        EXPECT_EQ(d.fleet().name, d.name);
         DvfsAppHooks h = d.dvfs();
         EXPECT_EQ(h.name, d.name);
         EXPECT_GT(h.iterations_per_item, 0u) << d.name;
@@ -72,28 +78,22 @@ TEST(AppRegistry, AllFourAppsExposeEveryCapability)
     }
 }
 
-TEST(AppRegistry, TuningFoldsIntoTypedParamsAndLegacyWrappersAgree)
+TEST(AppRegistry, WrongTypedParamsAreFatalInEveryView)
 {
-    const apps::AppDescriptor &ddc =
-        apps::AppRegistry::instance().at("ddc");
-
-    apps::AppTuning tuning;
-    tuning.scheduler = SchedulerKind::EventQueue;
-    tuning.seed = 77;
-    std::any any = ddc.params(tuning);
-    const auto *p = std::any_cast<DdcPipelineParams>(&any);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(int(p->scheduler), int(SchedulerKind::EventQueue));
-    EXPECT_EQ(p->seed, 77u);
-
-    // The legacy free function is a wrapper over the same view.
-    DdcPipelineParams q = testParams();
-    mapping::LoweredArtifact via_fn = apps::verifiableDdc(q);
-    mapping::LoweredArtifact via_reg = ddc.verifiable(q);
-    EXPECT_EQ(via_fn.name, via_reg.name);
-    EXPECT_EQ(via_fn.plan.dividers(), via_reg.plan.dividers());
-    EXPECT_DOUBLE_EQ(via_fn.iterations_per_sec,
-                     via_reg.iterations_per_sec);
+    // The registry's one std::any boundary: every view of every app
+    // rejects a payload that is not the app's own params struct.
+    const std::any wrong = 42;
+    for (const auto &kv : apps::AppRegistry::instance().apps()) {
+        const apps::AppDescriptor &d = kv.second;
+        EXPECT_THROW(d.explorable(wrong), FatalError) << d.name;
+        EXPECT_THROW(d.verifiable(wrong), FatalError) << d.name;
+        EXPECT_THROW(d.fleet(wrong), FatalError) << d.name;
+        EXPECT_THROW(d.dvfs(wrong), FatalError) << d.name;
+    }
+    // Another app's params are just as wrong.
+    EXPECT_THROW(apps::AppRegistry::instance().at("wifi").fleet(
+                     testParams()),
+                 FatalError);
 }
 
 // ---------------------------------------------------------------
@@ -123,7 +123,7 @@ TEST(Traffic, ScenarioIsAPureFunctionOfItsSpec)
 
 TEST(SafeTransitionTable, EveryPointCarriesItsOwnStaticProof)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     VfModel vf;
     SupplyLevels levels(vf);
     DvfsGovernorConfig cfg;
@@ -149,7 +149,7 @@ TEST(SafeTransitionTable, EveryPointCarriesItsOwnStaticProof)
 
 TEST(SafeTransitionTable, PlantedUnsafeCandidateFailsItsProof)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     VfModel vf;
     SupplyLevels levels(vf);
     SafeTransitionTable table = SafeTransitionTable::build(
@@ -178,7 +178,7 @@ TEST(SafeTransitionTable, PlantedUnsafeCandidateFailsItsProof)
 
 TEST(DvfsGovernor, UnprovenDividerVectorIsRejectedNotApplied)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     VfModel vf;
     SupplyLevels levels(vf);
     SafeTransitionTable table = SafeTransitionTable::build(
@@ -209,7 +209,7 @@ TEST(DvfsGovernor, UnprovenDividerVectorIsRejectedNotApplied)
 
 TEST(DvfsGovernor, ConvergesToTheOracleOnASteadySlowPhase)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     // A steady trickle at a tenth of the mapped rate: windows are so
     // wide that even the headroom-inflated estimate of the slowest
     // point fits, so the governor must settle exactly where the
@@ -239,7 +239,7 @@ TEST(DvfsGovernor, ConvergesToTheOracleOnASteadySlowPhase)
 
 TEST(DvfsGovernor, BurstyRunIsDeterministicAcrossBackends)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     sim::TrafficScenario sc(sim::TrafficSpec::bursty(2004, 2));
 
     const SchedulerKind backends[] = {
@@ -266,7 +266,7 @@ TEST(DvfsGovernor, BurstyRunIsDeterministicAcrossBackends)
 
 TEST(DvfsGovernor, GovernedBeatsStaticAtEqualOutputOnBurstyTraffic)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     sim::TrafficScenario sc(sim::TrafficSpec::bursty(2004));
 
     GovernedRunResult st = runPolicy(app, sc, DvfsPolicy::Static);
@@ -288,7 +288,7 @@ TEST(DvfsGovernor, GovernedBeatsStaticAtEqualOutputOnBurstyTraffic)
 
 TEST(ActivityEpochs, IdenticalEpochsPriceLikeOneEpoch)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     sim::TrafficScenario sc(sim::TrafficSpec::steady(3, 1.0, 2));
     GovernedRunResult st = runPolicy(app, sc, DvfsPolicy::Static);
     ASSERT_EQ(st.epochs.size(), 1u);
@@ -326,7 +326,7 @@ TEST(ActivityEpochs, IdenticalEpochsPriceLikeOneEpoch)
 
 TEST(ActivityEpochs, MidRunRateStepIsPricedPerEpochNotAggregated)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     // Full-rate burst, then a long slow trickle: the governed run
     // retunes mid-stream, so its activity spans two very different
     // V/f regimes.
@@ -383,7 +383,7 @@ TEST(ActivityEpochs, MidRunRateStepIsPricedPerEpochNotAggregated)
 
 TEST(GovernedFleet, DecisionsAreIdenticalUnderAnyWorkerCount)
 {
-    DvfsAppHooks app = dvfsDdc(testParams());
+    DvfsAppHooks app = ddcHooks();
     sim::TrafficSpec traffic = sim::TrafficSpec::bursty(2004, 2);
 
     std::map<uint64_t, size_t> ref_decisions;

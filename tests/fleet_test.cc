@@ -461,7 +461,7 @@ TEST(Fleet, MappedDdcStreamsMatchSoloSessionRuns)
 TEST(Fleet, CloneMatchesFreshBuildOnEveryBackend)
 {
     // Chip::clone of a programmed chip must be indistinguishable
-    // from re-running codegen + program load, on all three
+    // from a fresh chip build + program load, on all three
     // scheduler backends: same outputs, same final tick, same
     // statistics — both straight from the template images and after
     // a per-item refeed.

@@ -109,8 +109,8 @@ TEST(SimSession, AggregateCountsExitsAndSumsCounters)
     ChipConfig cfg;
     cfg.dividers = {1};
     cfg.tiles_per_column = 1;
-    session.addChip(cfg);
-    session.addChip(cfg);
+    session.admit(sim::ChipSpec(cfg));
+    session.admit(sim::ChipSpec(cfg));
     session.chip(0).column(0).controller().loadProgram(assemble(R"(
         movi r0, 7
         halt
@@ -146,7 +146,7 @@ TEST(SimSession, RepeatedRunAllAccumulatesTime)
     ChipConfig cfg;
     cfg.dividers = {1};
     cfg.tiles_per_column = 1;
-    session.addChip(cfg);
+    session.admit(sim::ChipSpec(cfg));
     session.chip(0).column(0).controller().loadProgram(assemble(R"(
     spin:
         jump spin
@@ -167,7 +167,7 @@ TEST(SimSession, MixedSchedulerBackendsAgree)
         ChipConfig cfg;
         cfg.dividers = {8, 8, 4, 2};
         cfg.scheduler = kind;
-        unsigned id = session.addChip(cfg);
+        unsigned id = session.admit(sim::ChipSpec(cfg));
         for (unsigned c = 0; c < 4; ++c) {
             session.chip(id).column(c).controller().loadProgram(
                 assemble(R"(
@@ -194,7 +194,7 @@ TEST(SimSession, HeterogeneousBatchMixesAddAdoptAttach)
     ChipConfig built;
     built.dividers = {2};
     built.tiles_per_column = 1;
-    unsigned a = session.addChip(built);
+    unsigned a = session.admit(sim::ChipSpec(built));
     session.chip(a).column(0).controller().loadProgram(assemble(R"(
         movi r0, 11
         halt
@@ -211,7 +211,7 @@ TEST(SimSession, HeterogeneousBatchMixesAddAdoptAttach)
             halt
         )"));
     }
-    unsigned b = session.adoptChip(std::move(adopted));
+    unsigned b = session.admit(sim::ChipSpec(std::move(adopted)));
 
     ChipConfig attached_cfg;
     attached_cfg.dividers = {4};
@@ -221,7 +221,7 @@ TEST(SimSession, HeterogeneousBatchMixesAddAdoptAttach)
         movi r0, 33
         halt
     )"));
-    unsigned c = session.attachChip(attached);
+    unsigned c = session.admit(sim::ChipSpec(attached));
 
     auto results = session.runAll(1'000'000);
     ASSERT_EQ(results.size(), 3u);
@@ -262,9 +262,10 @@ TEST(SimSession, PerChipTickLimitsGovern)
         )"));
         return chip;
     };
-    session.adoptChip(spinner(), 100);
-    session.adoptChip(spinner()); // 0 = use runAll's budget
-    unsigned third = session.adoptChip(spinner(), 1000);
+    session.admit(sim::ChipSpec(spinner()).tickLimit(100));
+    session.admit(sim::ChipSpec(spinner())); // 0 = use runAll's budget
+    unsigned third =
+        session.admit(sim::ChipSpec(spinner()).tickLimit(1000));
     session.setTickLimit(third, 50);
 
     auto results = session.runAll(500);
@@ -299,8 +300,9 @@ TEST(SimSession, HeterogeneousBatchDeterministicAcrossThreadCounts)
                     halt
                 )", 40 + 17 * i)));
             }
-            session->adoptChip(std::move(chip),
-                               i % 3 == 0 ? 200 + 100 * i : 0);
+            session->admit(sim::ChipSpec(std::move(chip))
+                               .tickLimit(i % 3 == 0 ? 200 + 100 * i
+                                                     : 0));
         }
         return session;
     };

@@ -24,7 +24,11 @@ Scans ``README.md`` and ``docs/*.md`` for
     contains ``N.Nx`` speedup cells is cross-checked — every quoted
     speedup must match one of the cited file's ``*speedup`` values
     (to the quoted precision), so the compiled-backend headline
-    ratio cannot drift from ``BENCH_core.json``.
+    ratio cannot drift from ``BENCH_core.json``;
+  * stale symbols: every ``apps::``, ``sim::``, ``mapping::`` or
+    ``power::`` name inside a backticked code span must appear as an
+    identifier in the code (comments stripped) of some header under
+    ``src/``, so a deleted or renamed API cannot linger in the docs.
 
 Docs rot silently when code moves; CI runs this so a renamed source
 file or a dropped bench JSON fails the build instead of leaving a
@@ -36,7 +40,7 @@ Usage:
 
 ``--self-test`` builds a scratch repo with planted rot (broken link,
 stale reference, brace group, root-absolute link, stale table
-number) and fails unless the checker flags every one of them and
+number, stale symbol) and fails unless the checker flags every one of them and
 passes the clean version — CI runs it before the real check so a
 regressed regex cannot make the docs gate pass vacuously.
 """
@@ -51,6 +55,9 @@ import sys
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PCT_RE = re.compile(r"(-?\d+(?:\.\d+)?)%")
 SPEEDUP_RE = re.compile(r"(\d+(?:\.\d+)?)[x\u00d7](?![\w(])")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+SYMBOL_RE = re.compile(r"\b((?:apps|sim|mapping|power)::\w+(?:::\w+)*)")
+COMMENT_RE = re.compile(r"/\*.*?\*/|//[^\n]*", re.S)
 PATH_RE = re.compile(
     r"(?<![\w/-])((?:src|docs|tests|tools|bench|examples)/"
     r"[A-Za-z0-9_.{},/-]+|BENCH_[A-Za-z0-9_*]+\.json)")
@@ -139,10 +146,35 @@ def check_table_row(md_path, repo_root, lineno, line, failures):
                 f"{cited[0]} ({have})")
 
 
-def check_file(md_path, repo_root, failures):
+def header_identifiers(repo_root):
+    """Every identifier in the code of the headers under src/."""
+    ids = set()
+    for header in (repo_root / "src").rglob("*.hh"):
+        code = COMMENT_RE.sub("", header.read_text(encoding="utf-8"))
+        ids.update(re.findall(r"\w+", code))
+    return ids
+
+
+def check_symbols(md_path, repo_root, lineno, line, identifiers,
+                  failures):
+    """Flag backticked namespace-qualified names no header declares."""
+    for span in CODE_SPAN_RE.findall(line):
+        for symbol in SYMBOL_RE.findall(span):
+            missing = [name for name in symbol.split("::")[1:]
+                       if name not in identifiers]
+            if missing:
+                failures.append(
+                    f"{md_path.relative_to(repo_root)}:{lineno}: "
+                    f"stale symbol '{symbol}' ('{missing[0]}' is in "
+                    f"no src/ header)")
+
+
+def check_file(md_path, repo_root, identifiers, failures):
     text = md_path.read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), 1):
         check_table_row(md_path, repo_root, lineno, line, failures)
+        check_symbols(md_path, repo_root, lineno, line, identifiers,
+                      failures)
         for m in LINK_RE.finditer(line):
             target = m.group(1)
             if re.match(r"^[a-z][a-z0-9+.-]*:", target):
@@ -184,8 +216,9 @@ def run_checks(root):
     if not docs:
         return None
     failures = []
+    identifiers = header_identifiers(root)
     for md in docs:
-        check_file(md, root, failures)
+        check_file(md, root, identifiers, failures)
     return failures
 
 
@@ -200,7 +233,9 @@ def self_test():
         (root / "docs").mkdir()
         (root / "docs" / "GOOD.md").write_text("fine\n")
         (root / "src").mkdir()
-        (root / "src" / "real.hh").write_text("")
+        (root / "src" / "real.hh").write_text(
+            "// fleetGone is only named in a comment\n"
+            "struct RealThing { void run(); };\n")
         (root / "src" / "real.cc").write_text("")
         (root / "BENCH_x.json").write_text(json_mod.dumps(
             {"x_power_measured": {"savings_pct": 37.3005}}))
@@ -212,11 +247,13 @@ def self_test():
 
         clean = ("[good](docs/GOOD.md) [abs](/docs/GOOD.md) "
                  "`src/real.{hh,cc}` see BENCH_*.json\n"
+                 "`apps::RealThing::run()` and `sim::RealThing`\n"
                  "| app | 32% | 37.3% | `BENCH_x.json` |\n"
                  "| explorer | gap 0.0% | `BENCH_y.json` |\n"
                  "| compiled | 11.0x | `BENCH_z.json` |\n")
         rotten = ("[gone](docs/NOPE.md) [abs](/docs/NOPE.md) "
                   "`src/gone.{hh,cc}`\n"
+                  "`apps::fleetGone(p)` and `apps::RealThing`\n"
                   "| app | 32% | 12.0% | `BENCH_x.json` |\n"
                   "| explorer | gap 7.0% | `BENCH_y.json` |\n"
                   "| compiled | 15.0x | `BENCH_z.json` |\n")
@@ -231,7 +268,8 @@ def self_test():
         (root / "README.md").write_text(rotten)
         failures = run_checks(root)
         wanted = ["docs/NOPE.md", "/docs/NOPE.md", "src/gone.hh",
-                  "src/gone.cc", "12.0%", "7.0%", "15.0x"]
+                  "src/gone.cc", "12.0%", "7.0%", "15.0x",
+                  "apps::fleetGone"]
         text = "\n".join(failures)
         missed = [w for w in wanted if w not in text]
         if missed:
@@ -269,8 +307,8 @@ def main():
         for f in failures:
             print(f"  FAIL {f}")
         return 1
-    print("check_docs: OK (links, repo file references and quoted "
-          "bench numbers all resolve)")
+    print("check_docs: OK (links, repo file references, quoted "
+          "bench numbers and namespace symbols all resolve)")
     return 0
 
 

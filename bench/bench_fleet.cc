@@ -11,6 +11,7 @@
  * BENCH_fleet.json so the trajectory is tracked across PRs.
  */
 
+#include <algorithm>
 #include <any>
 #include <chrono>
 #include <cstdio>
@@ -37,6 +38,21 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** Median wall time of @p reps calls of @p fn, in milliseconds. */
+template <typename Fn>
+double
+medianMs(int reps, Fn &&fn)
+{
+    std::vector<double> ms;
+    for (int r = 0; r < reps; ++r) {
+        auto t0 = std::chrono::steady_clock::now();
+        fn();
+        ms.push_back(secondsSince(t0) * 1e3);
+    }
+    std::nth_element(ms.begin(), ms.begin() + reps / 2, ms.end());
+    return ms[reps / 2];
 }
 
 /**
@@ -182,24 +198,21 @@ main(int argc, char **argv)
     // verifier gate) plus build (chip construction and load).
     std::printf("warm start (Chip::clone) vs cold build (plan + "
                 "codegen + verifier + load):\n");
+    // Both paths are sub-millisecond, so one descheduled rep would
+    // swing a mean: each path is timed per rep and reported as the
+    // median over the reps.
     for (const auto &[name, params] : apps) {
-        constexpr int Reps = 5;
-        auto t0 = std::chrono::steady_clock::now();
+        constexpr int Reps = 41;
         sim::FleetWorkload wl;
         std::unique_ptr<arch::Chip> tmpl;
-        for (int r = 0; r < Reps; ++r) {
+        const double cold_ms = medianMs(Reps, [&] {
             wl = reg.at(name).fleet(params);
             tmpl = wl.build(backend);
-        }
-        double cold_ms = secondsSince(t0) * 1e3 / Reps;
-
-        t0 = std::chrono::steady_clock::now();
+        });
         std::unique_ptr<arch::Chip> copy;
-        for (int r = 0; r < Reps; ++r)
-            copy = tmpl->clone();
-        double clone_ms = secondsSince(t0) * 1e3 / Reps;
-
-        double speedup = clone_ms > 0 ? cold_ms / clone_ms : 0;
+        const double clone_ms =
+            medianMs(Reps, [&] { copy = tmpl->clone(); });
+        const double speedup = clone_ms > 0 ? cold_ms / clone_ms : 0;
         std::printf("  %-6s cold %8.3f ms, clone %8.3f ms -> "
                     "%.1fx warm-start speedup\n",
                     wl.name.c_str(), cold_ms, clone_ms, speedup);

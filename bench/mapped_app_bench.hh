@@ -35,8 +35,8 @@ struct MappedAppBench
     double rate_scale = 1;     //!< items/s -> rate_key units
 
     /**
-     * Also measure ParallelColumns; its speedup is against FastEdge,
-     * the backend it parallelizes.
+     * Also measure ParallelColumns; its speedup is against Compiled,
+     * the best serial backend.
      */
     bool parallel = false;
 };
@@ -91,11 +91,11 @@ runMappedAppBench(const MappedAppBench &b, int argc, char **argv,
     double speedup = wall[1] > 0 ? wall[1] / wall[0] : 0.0;
     double compiled_speedup = wall[2] > 0 ? wall[1] / wall[2] : 0.0;
     double parallel_speedup =
-        b.parallel && wall[3] > 0 ? wall[0] / wall[3] : 0.0;
+        b.parallel && wall[3] > 0 ? wall[2] / wall[3] : 0.0;
     std::printf("  fast-path speedup %.2fx, compiled %.2fx, ", speedup,
                 compiled_speedup);
     if (b.parallel)
-        std::printf("parallel %.2fx of fast-path, ", parallel_speedup);
+        std::printf("parallel %.2fx of compiled, ", parallel_speedup);
     std::printf("backends %s%s\n", identical ? "identical" : "MISMATCH",
                 note(runs[pidx]).c_str());
 

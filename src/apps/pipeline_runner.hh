@@ -10,8 +10,8 @@
  *   3. codegen lowers the kernels + transfer schedule onto the plan
  *   4. the chip streams N samples cycle-accurately
  *   5. outputs are checked bit-exactly against the dsp:: goldens
- *   6. priceSimulation turns measured activity into the multi-V vs
- *      single-V comparison of Table 4
+ *   6. priceSimulationComparison turns measured activity into the
+ *      multi-V vs single-V comparison of Table 4
  *
  * The fixed-point contract: samples travel the bus as one 32-bit
  * word per token, I in the low half and Q in the high half, with the

@@ -200,8 +200,6 @@ class Chip : private SchedModel
     bool domainHalted(unsigned d) const override;
     void domainEdge(unsigned d) override;
     void refPhase() override;
-    bool refPhaseInert() const override;
-    void skipRefPhases(Tick n) override;
     Tick domainEdgeBlock(unsigned d, Tick max_slots) override;
     Tick commFreeAdvance(Tick max) override;
     Tick commQuiet(Tick max) const override;

@@ -115,46 +115,6 @@ Dou::copyStateFrom(const Dou &other)
     cf_end_ctrs_ = {};
 }
 
-bool
-Dou::inertSelfLoop() const
-{
-    const DouState &s = prog_.states[state_];
-    if (s.nxt0 != state_ || s.nxt1 != state_)
-        return false;
-    for (uint8_t b : s.buf) {
-        if (b != 0)
-            return false;
-    }
-    return true;
-}
-
-void
-Dou::skipSteps(uint64_t n)
-{
-    if (n == 0)
-        return;
-    sync_assert(inertSelfLoop(),
-                "DOU %u: skipSteps through a non-inert state %u",
-                column_, state_);
-    const DouState &s = prog_.states[state_];
-    uint32_t &ctr = counters_[s.cntr];
-    const uint32_t reload = prog_.counter_init[s.cntr];
-    // step() maps v -> (v == 0 ? reload : v - 1); starting from
-    // v <= reload the value descends to 0 then cycles with period
-    // reload + 1, so n steps land at a closed-form position.
-    uint64_t v = ctr;
-    if (n <= v) {
-        v -= n;
-    } else {
-        uint64_t period = uint64_t(reload) + 1;
-        uint64_t rem = (n - v - 1) % period;
-        v = reload - rem;
-    }
-    ctr = uint32_t(v);
-    steps_ += n;
-    cf_run_ = cf_cap_ = 0;
-}
-
 uint64_t
 Dou::walkCommFree(uint64_t max, unsigned &st,
                   std::array<uint32_t, DouNumCounters> &ctrs) const
@@ -173,8 +133,11 @@ Dou::walkCommFree(uint64_t max, unsigned &st,
         const uint64_t rem = max - taken;
 
         if (s.nxt0 == st && s.nxt1 == st) {
-            // Inert self-loop: only the tested counter cycles. Same
-            // closed form as skipSteps().
+            // Inert self-loop: only the tested counter cycles.
+            // step() maps v -> (v == 0 ? reload : v - 1); starting
+            // from v <= reload the value descends to 0 then cycles
+            // with period reload + 1, so the landing position is in
+            // closed form.
             uint64_t v = ctr;
             if (rem <= v) {
                 v -= rem;

@@ -147,31 +147,15 @@ class Dou
     const DouState &current() const { return prog_.states[state_]; }
 
     /**
-     * True if the current state is an inert self-loop: both successors
-     * point back at it and no tile drives or captures, so step() can
-     * only cycle the tested counter. This is the state an idle DOU (or
-     * a finished schedule's parking state) sits in.
-     */
-    bool inertSelfLoop() const;
-
-    /**
-     * Fast-forward @p n cycles through the current inert self-loop in
-     * O(1): the tested counter is advanced modulo its reload period
-     * and the step statistic is credited, exactly as n step() calls
-     * would have. panic() if the current state is not an inert
-     * self-loop.
-     */
-    void skipSteps(uint64_t n);
-
-    /**
      * How many of the next @p max step() calls are *comm-free*: every
      * state visited (including the current one) has all-zero buffer
      * controls, so no tile drives or captures and a bus cycle against
-     * it is a guaranteed no-op. Unlike inertSelfLoop() this walks
-     * through state transitions — wait states (nxt1 == self) and
-     * inert self-loops are consumed in O(1), other comm-free states
-     * one at a time — so a schedule that parks between its active
-     * slots reports the whole gap.
+     * it is a guaranteed no-op. The walk goes through state
+     * transitions — wait states (nxt1 == self) and inert self-loops
+     * (both successors back to the state: the idle DOU, or a finished
+     * schedule's parking state) are consumed in O(1), other comm-free
+     * states one at a time — so a schedule that parks between its
+     * active slots reports the whole gap.
      */
     uint64_t commFreeRun(uint64_t max) const;
 

@@ -37,6 +37,11 @@ collectActivity(const arch::Chip &chip)
     return report;
 }
 
+namespace
+{
+
+/** Measured bus power of one activity report over @p seconds at
+ *  supply @p v. */
 double
 measuredBusMw(const ActivityReport &act, unsigned columns,
               double seconds, double v,
@@ -51,9 +56,6 @@ measuredBusMw(const ActivityReport &act, unsigned columns,
                                     v > 0 ? v : 1.0,
                                     std::max(span, 1e-9));
 }
-
-namespace
-{
 
 /** Per-column loads of a measured run (f from slots/sample). */
 std::vector<DomainLoad>
@@ -75,16 +77,6 @@ measuredLoads(const ActivityReport &act, double seconds,
 
 } // namespace
 
-PowerBreakdown
-priceSimulation(const arch::Chip &chip, uint64_t samples,
-                double sample_rate_hz, const SupplyLevels &levels,
-                const SystemPowerModel &model)
-{
-    return priceSimulationComparison(chip, samples, sample_rate_hz,
-                                     levels, model)
-        .multi_v;
-}
-
 MeasuredComparison
 priceSimulationComparison(const arch::Chip &chip, uint64_t samples,
                           double sample_rate_hz,
@@ -93,38 +85,11 @@ priceSimulationComparison(const arch::Chip &chip, uint64_t samples,
 {
     if (samples == 0)
         fatal("priceSimulation: zero samples");
-    ActivityReport act = collectActivity(chip);
-
-    // Simulated time the run represents.
-    double seconds = double(samples) / sample_rate_hz;
-
-    MeasuredComparison cmp;
-    cmp.loads = measuredLoads(act, seconds, levels);
-    for (const auto &load : cmp.loads) {
-        cmp.vmax = std::max(cmp.vmax, load.v);
-        PowerBreakdown p = model.loadPower(load);
-        cmp.multi_v.tile_mw += p.tile_mw;
-        cmp.multi_v.leak_mw += p.leak_mw;
-    }
-
-    // Single-voltage baseline: same frequencies, every column at the
-    // run's maximum supply (Table 4's "Single Voltage" column).
-    for (const auto &load : cmp.loads) {
-        PowerBreakdown p =
-            model.loadPower(model.atVoltage(load, cmp.vmax));
-        cmp.single_v.tile_mw += p.tile_mw;
-        cmp.single_v.leak_mw += p.leak_mw;
-    }
-
-    // Bus power from measured transfers, at the highest domain
-    // voltage (the buffers adapt tile voltages to the bus), with the
-    // measured mean segment span. Identical in both columns, as in
-    // the paper: the bus always runs at the top supply.
-    double bus = measuredBusMw(act, chip.numColumns(), seconds,
-                               cmp.vmax, model);
-    cmp.multi_v.bus_mw = bus;
-    cmp.single_v.bus_mw = bus;
-    return cmp;
+    // The whole run is one epoch: its weight is exactly 1.0, so the
+    // time-weighted sums reduce to the plain per-column sums.
+    return priceActivityEpochs(
+        {{collectActivity(chip), double(samples) / sample_rate_hz}},
+        chip.numColumns(), levels, model);
 }
 
 MeasuredComparison
@@ -165,6 +130,10 @@ priceActivityEpochs(const std::vector<ActivityEpoch> &epochs,
             single.tile_mw += s.tile_mw;
             single.leak_mw += s.leak_mw;
         }
+        // Bus power from measured transfers and spans at the global
+        // vmax (the buffers adapt tile voltages to the bus), the
+        // same in both columns: the bus always runs at the top
+        // supply, as in the paper.
         double bus = measuredBusMw(epochs[e].activity, columns,
                                    epochs[e].seconds, cmp.vmax,
                                    model);

@@ -66,29 +66,14 @@ struct ActivityReport
 ActivityReport collectActivity(const arch::Chip &chip);
 
 /**
- * Price a simulated run with the Section 4.1 equations.
- *
- * @param chip             the finished simulation
- * @param samples          input samples the run processed
- * @param sample_rate_hz   the real-time rate those samples represent
- * @param levels           quantized supply levels for voltage lookup
- *
- * Each column's frequency requirement is derived from its measured
- * slots/sample; bus power uses the measured transfer count and spans.
- */
-PowerBreakdown priceSimulation(const arch::Chip &chip,
-                               uint64_t samples,
-                               double sample_rate_hz,
-                               const SupplyLevels &levels,
-                               const SystemPowerModel &model);
-
-/**
  * Measured multi-V vs single-V comparison — Table 4's two power
  * columns, but produced from simulated activity instead of the
- * paper's calibrated estimates. The multi-V breakdown is exactly
- * priceSimulation()'s; the single-voltage baseline re-prices every
- * column at the run's maximum supply with unchanged frequencies
- * (paper Section 4.4).
+ * paper's calibrated estimates. The multi-V breakdown prices each
+ * column with the Section 4.1 equations at the frequency derived
+ * from its measured slots/sample, bus power from the measured
+ * transfer count and spans; the single-voltage baseline re-prices
+ * every column at the run's maximum supply with unchanged
+ * frequencies (paper Section 4.4).
  */
 struct MeasuredComparison
 {
@@ -106,6 +91,12 @@ struct MeasuredComparison
     }
 };
 
+/**
+ * Price a finished run at one operating point: priceActivityEpochs()
+ * over the single epoch {collectActivity(chip), samples / rate},
+ * where @p samples input samples stand for @p sample_rate_hz of
+ * real-time traffic.
+ */
 MeasuredComparison priceSimulationComparison(
     const arch::Chip &chip, uint64_t samples, double sample_rate_hz,
     const SupplyLevels &levels, const SystemPowerModel &model);
@@ -126,26 +117,17 @@ struct ActivityEpoch
  * DVFS-governed run — by pricing each inter-reconfiguration epoch at
  * its *own* derived V/f point and time-weighting the breakdowns.
  *
- * Aggregating the whole run into one priceSimulationComparison()
- * call silently attributes every epoch's activity to one averaged
- * frequency (and the final voltage), which mis-prices any run with a
- * mid-stream rate step; this is the epoch-faithful replacement. The
- * single-V baseline re-prices every epoch's loads at the *global*
- * maximum supply across all epochs, matching Table 4's "one supply
- * for the whole run" semantics.
+ * Pricing the whole run as one epoch (priceSimulationComparison()
+ * on the final chip) silently attributes every epoch's activity to
+ * one averaged frequency (and the final voltage), which mis-prices
+ * any run with a mid-stream rate step; this is the epoch-faithful
+ * replacement. The single-V baseline re-prices every epoch's loads at
+ * the *global* maximum supply across all epochs, matching Table 4's
+ * "one supply for the whole run" semantics.
  */
 MeasuredComparison priceActivityEpochs(
     const std::vector<ActivityEpoch> &epochs, unsigned columns,
     const SupplyLevels &levels, const SystemPowerModel &model);
-
-/**
- * Per-epoch bus power helper shared with priceActivityEpochs: the
- * measured bus power of one activity report over @p seconds at
- * supply @p v.
- */
-double measuredBusMw(const ActivityReport &act, unsigned columns,
-                     double seconds, double v,
-                     const SystemPowerModel &model);
 
 } // namespace synchro::power
 

@@ -42,27 +42,7 @@ planZorms(const mapping::ChipPlan &plan,
     return {cols, zorms};
 }
 
-/** Accumulate (after - before) counter deltas into @p acc. */
-void
-addActivityDelta(ActivityReport &acc, const ActivityReport &before,
-                 const ActivityReport &after)
-{
-    for (size_t c = 0; c < acc.columns.size(); ++c) {
-        ColumnActivity &a = acc.columns[c];
-        const ColumnActivity &b0 = before.columns[c];
-        const ColumnActivity &b1 = after.columns[c];
-        a.compute_slots += b1.compute_slots - b0.compute_slots;
-        a.branch_stalls += b1.branch_stalls - b0.branch_stalls;
-        a.comm_stall_slots +=
-            b1.comm_stall_slots - b0.comm_stall_slots;
-        a.zorm_nops += b1.zorm_nops - b0.zorm_nops;
-        a.issue_slots += b1.issue_slots - b0.issue_slots;
-    }
-    acc.bus_transfers += after.bus_transfers - before.bus_transfers;
-    acc.wire_span_sum += after.wire_span_sum - before.wire_span_sum;
-}
-
-/** One item's activity delta, standalone. */
+/** One item's activity: the counter deltas (after - before). */
 ActivityReport
 activityDelta(const ActivityReport &before,
               const ActivityReport &after)
@@ -546,8 +526,9 @@ runGoverned(const DvfsAppHooks &app,
             if (opt.policy == DvfsPolicy::Governed)
                 gov.noteDeadlineMiss();
         }
+        const ActivityReport delta = activityDelta(before, after);
         if (opt.policy == DvfsPolicy::Governed) {
-            gov.observe(cur, busy, activityDelta(before, after),
+            gov.observe(cur, busy, delta,
                         busDeferrals(*chip) - def_before);
         }
 
@@ -556,7 +537,17 @@ runGoverned(const DvfsAppHooks &app,
         // active idle at the current point's clocks.
         double ev_sec =
             std::max(ev.windows * window_sec, double(busy) / ref_hz);
-        addActivityDelta(acc, before, after);
+        for (size_t c = 0; c < acc.columns.size(); ++c) {
+            ColumnActivity &a = acc.columns[c];
+            const ColumnActivity &d = delta.columns[c];
+            a.compute_slots += d.compute_slots;
+            a.branch_stalls += d.branch_stalls;
+            a.comm_stall_slots += d.comm_stall_slots;
+            a.zorm_nops += d.zorm_nops;
+            a.issue_slots += d.issue_slots;
+        }
+        acc.bus_transfers += delta.bus_transfers;
+        acc.wire_span_sum += delta.wire_span_sum;
         if (!missed)
             padIdle(ev_window_ticks - double(busy));
         acc_seconds += ev_sec;
@@ -614,16 +605,6 @@ governedFleetWorkload(const DvfsAppHooks &app,
     // (points are sorted ascending by rate scale, so front() is it).
     wl.tick_limit = itemBudget(app.workload.tick_limit,
                                state->table.points().front());
-
-    // Grid-period sampling: serve each item in slices so the
-    // governor's sampling points exist even mid-item (retunes still
-    // only happen at item boundaries — the reconfiguration points).
-    wl.run_chunk = Tick(app.artifact.prog.slot_spacing) *
-                   std::max(1u, state->cfg.sample_periods);
-    wl.on_slice = [state](arch::Chip &, uint64_t, Tick) {
-        std::lock_guard<std::mutex> lk(state->mu);
-        ++state->slices;
-    };
 
     auto inner_feed = app.workload.feed;
     wl.feed = [state, inner_feed](arch::Chip &chip, uint64_t item) {

@@ -19,8 +19,7 @@
  *    become operating points; the rest are counted as rejected.
  *
  *  - The DvfsGovernor is a per-chip feedback controller sampled at
- *    item boundaries (and, in fleet serving, at grid-period slices
- *    via FleetWorkload::on_slice): it reads per-column occupancy
+ *    item boundaries: it reads per-column occupancy
  *    (comm-stall slots), bus deferral and ZORM-idle counters plus
  *    the drain time of every served item, calibrates a per-point
  *    busy-tick estimate, and retunes toward a rate setpoint —
@@ -188,9 +187,6 @@ struct DvfsGovernorConfig
 
     /** Safety factor on predicted busy ticks at unvisited points. */
     double headroom = 1.15;
-
-    /** Grid periods per mid-item sampling slice (fleet serving). */
-    unsigned sample_periods = 8;
 };
 
 /**
@@ -403,9 +399,6 @@ struct GovernedFleetState
 
     /** decide() outcome per served work item (determinism probe). */
     std::map<uint64_t, size_t> decision_by_item;
-
-    /** on_slice grid-period samples taken across the fleet. */
-    uint64_t slices = 0;
 };
 
 /** Build the shared state (table + per-item rates) for @p app. */
@@ -416,10 +409,9 @@ std::shared_ptr<GovernedFleetState> makeGovernedFleetState(
 /**
  * Wrap @p app's fleet workload with the governor: feed() observes
  * the previous item, decides from the item's declared rate, and
- * applies the point at tick 0 right after the inner feed; items run
- * in grid-period slices (FleetWorkload::run_chunk) so the governor's
- * sampling points exist even mid-item. Outputs are unchanged —
- * every operating point is bit-exact by construction.
+ * applies the point at tick 0 right after the inner feed. Outputs
+ * are unchanged — every operating point is bit-exact by
+ * construction.
  */
 sim::FleetWorkload governedFleetWorkload(
     const DvfsAppHooks &app,

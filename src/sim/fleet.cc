@@ -240,29 +240,7 @@ FleetExecutor::serveOneItem(Stream &s, Worker &shard)
             ++shard.clones;
         }
         wl.feed(*s.chip, item);
-        arch::RunResult r{};
-        if (wl.run_chunk > 0) {
-            // Sliced serving: pause at every run_chunk boundary so
-            // the workload's sampling hook sees the chip mid-item.
-            // run() budgets are per call and pending work carries
-            // across calls, so the slices reach exactly the state
-            // one run(tick_limit) call would have.
-            Tick done = 0;
-            for (;;) {
-                Tick step =
-                    std::min<Tick>(wl.run_chunk,
-                                   wl.tick_limit - done);
-                r = s.chip->run(step);
-                if (wl.on_slice)
-                    wl.on_slice(*s.chip, item, r.ticks);
-                done = r.ticks;
-                if (r.exit != arch::RunExit::TickLimit ||
-                    done >= wl.tick_limit)
-                    break;
-            }
-        } else {
-            r = s.chip->run(wl.tick_limit);
-        }
+        const arch::RunResult r = s.chip->run(wl.tick_limit);
         shard.ticks += r.ticks;
         s.res.ticks += r.ticks;
         shard.max_ticks_reached =

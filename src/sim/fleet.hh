@@ -105,21 +105,6 @@ struct FleetWorkload
 
     /** The item's golden reference (dsp:: chain), as bytes. */
     std::function<std::vector<uint8_t>(uint64_t item)> golden;
-
-    /**
-     * When non-zero, each item is served as repeated
-     * Chip::run(run_chunk) slices instead of one run(tick_limit)
-     * call, with on_slice invoked at every pause — the DVFS
-     * governor's grid-period sampling hook (power/dvfs.hh). Slicing
-     * never changes results: every backend resumes pending work
-     * across run() calls bit-identically.
-     */
-    Tick run_chunk = 0;
-
-    /** Called after each slice with the item and the tick reached.
-     *  Must tolerate concurrent calls for different streams. */
-    std::function<void(arch::Chip &, uint64_t item, Tick now)>
-        on_slice;
 };
 
 struct FleetConfig

@@ -225,247 +225,217 @@ class EventQueueScheduler : public Scheduler
 };
 
 /**
- * Edge-skipping fast path. Instead of a heap of events it keeps one
- * pending tick per domain plus one for the reference phase — the
- * whole "queue" is a handful of integers recomputed with the static
- * (divider, phase) arithmetic of ClockDomain. Between domain edges it
- * either executes reference phases directly or, when the model says
- * they are inert, fast-forwards them in one skipRefPhases() call.
+ * The static edge walk every fast backend shares. Instead of a heap of
+ * events it keeps one pending tick per domain plus one for the
+ * reference phase — the whole "queue" is a handful of integers
+ * recomputed with the static (divider, phase) arithmetic of
+ * ClockDomain. MaxTick marks "not pending", mirroring an unscheduled
+ * event.
  *
- * MaxTick marks "not pending", mirroring an unscheduled event.
+ * run() takes every tick with pending work in order and runs it
+ * serially — all domain edges, then the reference phase, the
+ * ClockEdgePri-before-BusPri ordering of the event queue — and then
+ * hands the reference phases up to the next domain edge to the
+ * backend's betweenEdges().
+ *
+ * With @p blocks set, an edge first tries the two issue-slot batch
+ * hooks: domainEdgeBlock() may consume many slots at once (slot i
+ * standing for the edge at t + i * divider; the block holds only
+ * work that commutes with everything else in the window — for the
+ * chip, compute ops on tile-private state), and a domain stalled on
+ * a comm hazard consumes its stall slots inside the upcoming
+ * comm-quiet window through domainStallBlock(). Without it every
+ * edge is one slot-exact domainEdge().
+ *
+ * Every batch caps at the tick budget, so run(1) in a loop still
+ * matches one big run() bit-for-bit.
  */
-class FastEdgeScheduler : public Scheduler
+class EdgeWalk : public Scheduler
 {
   public:
     SchedStop
     run(SchedModel &model, Tick max_ticks) override
     {
-        const unsigned n = model.numDomains();
-        if (domain_next_.empty())
-            domain_next_.assign(n, MaxTick);
-        sync_assert(domain_next_.size() == n,
-                    "model domain count changed between runs");
-
-        // Arm pending work exactly like the event-queue backend.
-        for (unsigned d = 0; d < n; ++d) {
-            if (model.domainHalted(d) || domain_next_[d] != MaxTick)
-                continue;
-            const ClockDomain &clk = model.domainClock(d);
-            domain_next_[d] = clk.onEdge(cur_)
-                                  ? cur_
-                                  : clk.nextEdgeAfter(cur_);
-        }
-        if (ref_next_ == MaxTick)
-            ref_next_ = cur_;
-
+        arm(model);
         const Tick limit = cur_ + max_ticks;
-
         while (true) {
-            Tick t = ref_next_;
-            for (Tick dn : domain_next_)
-                t = std::min(t, dn);
+            const Tick t = std::min(ref_next_, nextEdge());
             if (t == MaxTick)
                 return model.allHalted() ? SchedStop::AllHalted
                                          : SchedStop::Idle;
             if (t > limit)
                 return SchedStop::TickLimit;
-
-            // All domain edges of this tick, then the reference phase
-            // — the ClockEdgePri-before-BusPri ordering of the event
-            // queue. Domains are mutually independent within the edge
-            // phase, so index order is as good as event-seq order.
-            for (unsigned d = 0; d < n; ++d) {
-                if (domain_next_[d] != t)
-                    continue;
-                model.domainEdge(d);
-                domain_next_[d] =
-                    model.domainHalted(d)
-                        ? MaxTick
-                        : t + model.domainClock(d).divider();
-            }
-            bool halted;
-            if (ref_next_ == t) {
-                model.refPhase();
-                halted = model.allHalted();
-                ref_next_ = halted ? MaxTick : t + 1;
-            } else {
-                halted = model.allHalted();
-            }
-            cur_ = t;
-
-            if (halted)
+            if (serialTick(model, t, limit) ||
+                (ref_next_ == t + 1 && betweenEdges(model, t, limit)))
                 return SchedStop::AllHalted;
-
-            // Edge skipping: if no domain has an edge before the next
-            // interesting tick and the reference phases in between are
-            // inert, fast-forward them in one O(1) call.
-            if (ref_next_ == t + 1) {
-                Tick next_edge = MaxTick;
-                for (Tick dn : domain_next_)
-                    next_edge = std::min(next_edge, dn);
-                Tick target = std::min(next_edge, limit);
-                if (target > t + 1 && model.refPhaseInert()) {
-                    model.skipRefPhases(target - (t + 1));
-                    ref_next_ = target;
-                    cur_ = target - 1;
-                }
-            }
         }
     }
 
     Tick curTick() const override { return cur_; }
 
-    SchedulerKind kind() const override
+  protected:
+    explicit EdgeWalk(bool blocks) : blocks_(blocks) {}
+
+    /**
+     * The stretch after the serial tick @p t, whose reference phase
+     * is pending at t + 1. Advances cur_/ref_next_/domain_next_ over
+     * whatever it proves safe to batch; returns true once the model
+     * halted.
+     */
+    virtual bool betweenEdges(SchedModel &model, Tick t,
+                              Tick limit) = 0;
+
+    /** Earliest pending domain edge (MaxTick = none pending). */
+    Tick
+    nextEdge() const
     {
-        return SchedulerKind::FastEdge;
+        Tick e = MaxTick;
+        for (Tick dn : domain_next_)
+            e = std::min(e, dn);
+        return e;
     }
 
-  private:
+    /** The reference phase of tick @p t; true if the model halted. */
+    bool
+    refPhaseAt(SchedModel &model, Tick t)
+    {
+        model.refPhase();
+        cur_ = t;
+        const bool halted = model.allHalted();
+        ref_next_ = halted ? MaxTick : t + 1;
+        return halted;
+    }
+
+    /**
+     * One issue step of domain @p d: a compiled block of up to
+     * @p max_slots, else (comm-stalled) a stall block of up to
+     * stall_cap() slots, else one slot-exact edge. Returns the slots
+     * consumed.
+     */
+    template <typename StallCap>
+    static Tick
+    issueBlock(SchedModel &model, unsigned d, Tick max_slots,
+               StallCap stall_cap)
+    {
+        Tick k = model.domainEdgeBlock(d, max_slots);
+        if (k == 0 && max_slots > 1) {
+            const Tick sl = stall_cap();
+            if (sl > 1)
+                k = model.domainStallBlock(d, sl);
+        }
+        if (k == 0) {
+            model.domainEdge(d);
+            k = 1;
+        }
+        return k;
+    }
+
+    const bool blocks_;                 //!< try issue-slot blocks
     Tick cur_ = 0;
     Tick ref_next_ = MaxTick;           //!< MaxTick = not pending
     std::vector<Tick> domain_next_;     //!< per-domain pending edge
-};
 
-/**
- * The compiled backend: FastEdge's integer edge walk, plus the two
- * SchedModel batch hooks.
- *
- *  - At a domain edge, domainEdgeBlock() may consume many issue
- *    slots at once (slot i standing for the edge at t + i * divider).
- *    The blocks contain only work that commutes with everything else
- *    in the window — for the chip, compute ops on tile-private state
- *    — so executing them ahead of the interleaved reference phases
- *    is bit-identical to slot-at-a-time execution. The domain's next
- *    pending edge simply advances by (slots * divider).
- *
- *  - Between edges, commFreeAdvance() fast-forwards reference phases
- *    that provably move no data (every DOU sits in all-zero buffer
- *    states), walking through state transitions where FastEdge's
- *    inert-self-loop test would give up. Phases that may move data
- *    run one at a time via refPhase(), exactly in order.
- *
- * Both hooks cap at the tick budget, so run(1) in a loop still
- * matches one big run() bit-for-bit.
- */
-class CompiledScheduler : public Scheduler
-{
-  public:
-    SchedStop
-    run(SchedModel &model, Tick max_ticks) override
+  private:
+    /** Arm pending work exactly like the event-queue backend. */
+    void
+    arm(SchedModel &model)
     {
         const unsigned n = model.numDomains();
         if (domain_next_.empty())
             domain_next_.assign(n, MaxTick);
         sync_assert(domain_next_.size() == n,
                     "model domain count changed between runs");
-
         for (unsigned d = 0; d < n; ++d) {
             if (model.domainHalted(d) || domain_next_[d] != MaxTick)
                 continue;
             const ClockDomain &clk = model.domainClock(d);
-            domain_next_[d] = clk.onEdge(cur_)
-                                  ? cur_
-                                  : clk.nextEdgeAfter(cur_);
+            domain_next_[d] =
+                clk.onEdge(cur_) ? cur_ : clk.nextEdgeAfter(cur_);
         }
         if (ref_next_ == MaxTick)
             ref_next_ = cur_;
+    }
 
-        const Tick limit = cur_ + max_ticks;
-
-        while (true) {
-            Tick t = ref_next_;
-            for (Tick dn : domain_next_)
-                t = std::min(t, dn);
-            if (t == MaxTick)
-                return model.allHalted() ? SchedStop::AllHalted
-                                         : SchedStop::Idle;
-            if (t > limit)
-                return SchedStop::TickLimit;
-
-            bool quiet_known = false;
-            Tick quiet = 0;
-            for (unsigned d = 0; d < n; ++d) {
-                if (domain_next_[d] != t)
-                    continue;
-                const Tick div = model.domainClock(d).divider();
+    /**
+     * All domain edges of tick @p t, then its reference phase when
+     * one is pending. Domains are mutually independent within the
+     * edge phase, so index order is as good as event-seq order.
+     * Returns true if the model halted.
+     */
+    bool
+    serialTick(SchedModel &model, Tick t, Tick limit)
+    {
+        bool quiet_known = false;
+        Tick quiet = 0;
+        for (unsigned d = 0; d < domain_next_.size(); ++d) {
+            if (domain_next_[d] != t)
+                continue;
+            const Tick div = model.domainClock(d).divider();
+            Tick k = 1;
+            if (blocks_) {
                 // Slots at t, t+div, ... while the tick stays in
                 // budget — so stepped runs consume identical slots.
+                // A domain stalled on a comm hazard stays stalled
+                // for every edge inside the upcoming bus-quiet
+                // window: the edge at t + j*div only needs phases
+                // [t, t + j*div) quiet. Probe the window once per
+                // tick, on demand.
                 const Tick max_slots = (limit - t) / div + 1;
-                Tick k = model.domainEdgeBlock(d, max_slots);
-                if (k == 0 && max_slots > 1) {
-                    // A domain stalled on a comm hazard stays
-                    // stalled for every edge inside the upcoming
-                    // bus-quiet window: the edge at t + j*div only
-                    // needs phases [t, t + j*div) quiet. Probe the
-                    // window once per round, on demand.
+                k = issueBlock(model, d, max_slots, [&] {
                     if (!quiet_known) {
                         quiet = model.commQuiet(limit - t + 1);
                         quiet_known = true;
                     }
-                    const Tick sl =
-                        std::min(max_slots, quiet / div + 1);
-                    if (sl > 1)
-                        k = model.domainStallBlock(d, sl);
-                }
-                if (k == 0) {
-                    model.domainEdge(d);
-                    k = 1;
-                }
-                domain_next_[d] = model.domainHalted(d)
-                                      ? MaxTick
-                                      : t + k * div;
-            }
-            bool halted;
-            if (ref_next_ == t) {
-                model.refPhase();
-                halted = model.allHalted();
-                ref_next_ = halted ? MaxTick : t + 1;
+                    return std::min(max_slots, quiet / div + 1);
+                });
             } else {
-                halted = model.allHalted();
+                model.domainEdge(d);
             }
-            cur_ = t;
-
-            if (halted)
-                return SchedStop::AllHalted;
-
-            // Batch the reference phases up to the next domain edge:
-            // comm-free stretches fast-forward wholesale, phases that
-            // may move data run individually and in order.
-            if (ref_next_ == t + 1) {
-                Tick next_edge = MaxTick;
-                for (Tick dn : domain_next_)
-                    next_edge = std::min(next_edge, dn);
-                const Tick target = std::min(next_edge, limit + 1);
-                while (ref_next_ < target) {
-                    const Tick want = target - ref_next_;
-                    Tick k = model.commFreeAdvance(want);
-                    if (k > 0) {
-                        ref_next_ += k;
-                        cur_ = ref_next_ - 1;
-                    }
-                    if (k == want)
-                        break;
-                    model.refPhase();
-                    cur_ = ref_next_;
-                    if (model.allHalted())
-                        return SchedStop::AllHalted;
-                    ref_next_ = cur_ + 1;
-                }
-            }
+            domain_next_[d] =
+                model.domainHalted(d) ? MaxTick : t + k * div;
         }
+        cur_ = t;
+        return ref_next_ == t ? refPhaseAt(model, t) : model.allHalted();
     }
+};
 
-    Tick curTick() const override { return cur_; }
+/**
+ * The FastEdge and Compiled backends: the edge walk with every
+ * reference phase between edges batched through commFreeAdvance().
+ * Comm-free stretches (every DOU in all-zero buffer states, walking
+ * through state transitions and idle self-loops alike) fast-forward
+ * wholesale; phases that may move data run one at a time via
+ * refPhase(), exactly in order. Compiled also issues slots in
+ * blocks; FastEdge is the slot-exact path.
+ */
+class EdgeScheduler : public EdgeWalk
+{
+  public:
+    explicit EdgeScheduler(bool blocks) : EdgeWalk(blocks) {}
 
-    SchedulerKind kind() const override
+    SchedulerKind
+    kind() const override
     {
-        return SchedulerKind::Compiled;
+        return blocks_ ? SchedulerKind::Compiled : SchedulerKind::FastEdge;
     }
 
   private:
-    Tick cur_ = 0;
-    Tick ref_next_ = MaxTick;           //!< MaxTick = not pending
-    std::vector<Tick> domain_next_;     //!< per-domain pending edge
+    bool
+    betweenEdges(SchedModel &model, Tick, Tick limit) override
+    {
+        const Tick target = std::min(nextEdge(), limit + 1);
+        while (ref_next_ < target) {
+            const Tick want = target - ref_next_;
+            const Tick k = model.commFreeAdvance(want);
+            ref_next_ += k;
+            cur_ = ref_next_ - 1;
+            if (k == want)
+                break;
+            if (refPhaseAt(model, ref_next_))
+                return true;
+        }
+        return false;
+    }
 };
 
 /**
@@ -582,7 +552,7 @@ class ColumnTeam
 };
 
 /**
- * The parallel-columns backend: FastEdge's integer edge walk at every
+ * The parallel-columns backend: the edge walk, slot-exact, at every
  * bus-active tick, with the comm-quiet stretches in between executed
  * by a per-chip column team.
  *
@@ -604,7 +574,7 @@ class ColumnTeam
  * pending edge and the window end — never on the member running it —
  * and every hook credits state and statistics exactly as
  * slot-at-a-time execution would. The active ticks themselves run
- * serially in FastEdge's exact order.
+ * serially in the edge walk's exact order.
  *
  * Halt accounting matches the serial contract (refPhase runs through
  * the tick on which allHalted() becomes true, inclusive): members
@@ -613,134 +583,23 @@ class ColumnTeam
  * max(halt ticks) when the whole model halted inside the window, or
  * to the window end otherwise.
  */
-class ParallelColumnsScheduler : public Scheduler
+class ParallelColumnsScheduler : public EdgeWalk
 {
   public:
     explicit ParallelColumnsScheduler(unsigned team_threads)
-        : requested_(team_threads)
+        : EdgeWalk(false), requested_(team_threads)
     {}
 
     SchedStop
     run(SchedModel &model, Tick max_ticks) override
     {
-        const unsigned n = model.numDomains();
-        if (domain_next_.empty())
-            domain_next_.assign(n, MaxTick);
-        sync_assert(domain_next_.size() == n,
-                    "model domain count changed between runs");
-
-        for (unsigned d = 0; d < n; ++d) {
-            if (model.domainHalted(d) || domain_next_[d] != MaxTick)
-                continue;
-            const ClockDomain &clk = model.domainClock(d);
-            domain_next_[d] = clk.onEdge(cur_)
-                                  ? cur_
-                                  : clk.nextEdgeAfter(cur_);
-        }
-        if (ref_next_ == MaxTick)
-            ref_next_ = cur_;
-
-        const Tick limit = cur_ + max_ticks;
-        const unsigned team =
-            teamSize(n, model.domainsIndependent());
-        if (team > 1 && (!team_ || team_->members() != team))
-            team_ = std::make_unique<ColumnTeam>(team);
-
-        // One closure reused for every window of this run; win_end
-        // is rebound per window. Domains are dealt round-robin — the
-        // per-domain walk is member-independent, so the deal only
-        // balances load, never changes results.
-        Tick win_end = 0;
-        const std::function<void(unsigned)> walk =
-            [&](unsigned member) {
-                for (unsigned d = member; d < n; d += team)
-                    walkDomain(model, d, win_end);
-            };
-
-        while (true) {
-            Tick t = ref_next_;
-            for (Tick dn : domain_next_)
-                t = std::min(t, dn);
-            if (t == MaxTick)
-                return model.allHalted() ? SchedStop::AllHalted
-                                         : SchedStop::Idle;
-            if (t > limit)
-                return SchedStop::TickLimit;
-
-            // The bus-active tick runs serially, exactly as
-            // FastEdge: all domain edges, then the reference phase.
-            for (unsigned d = 0; d < n; ++d) {
-                if (domain_next_[d] != t)
-                    continue;
-                model.domainEdge(d);
-                domain_next_[d] =
-                    model.domainHalted(d)
-                        ? MaxTick
-                        : t + model.domainClock(d).divider();
-            }
-            bool halted;
-            if (ref_next_ == t) {
-                model.refPhase();
-                halted = model.allHalted();
-                ref_next_ = halted ? MaxTick : t + 1;
-            } else {
-                halted = model.allHalted();
-            }
-            cur_ = t;
-            if (halted)
-                return SchedStop::AllHalted;
-            if (ref_next_ != t + 1 || t >= limit)
-                continue;
-
-            // Comm-quiet window: reference phases t+1 .. t+quiet are
-            // proven to move nothing, so until the next delivery
-            // slot every domain's work is domain-private.
-            const Tick quiet = model.commQuiet(limit - t);
-            if (quiet == 0)
-                continue;
-            win_end = t + quiet;
-
-            halt_tick_.assign(n, MaxTick);
-            bool any_edges = false;
-            for (Tick dn : domain_next_)
-                any_edges = any_edges || dn <= win_end;
-            if (any_edges) {
-                if (team > 1 && quiet >= kMinTeamWindow) {
-                    team_->run(walk);
-                } else {
-                    for (unsigned d = 0; d < n; ++d)
-                        walkDomain(model, d, win_end);
-                }
-            }
-
-            // Leader-side halt resolution + the reference-phase
-            // share of the window: through the halting tick
-            // inclusive when everything halted in-window, through
-            // the window end otherwise.
-            const bool all_halted = model.allHalted();
-            Tick steps_end = win_end;
-            if (all_halted) {
-                Tick h = 0;
-                for (unsigned d = 0; d < n; ++d) {
-                    if (halt_tick_[d] != MaxTick)
-                        h = std::max(h, halt_tick_[d]);
-                }
-                steps_end = h;
-            }
-            if (steps_end > t) {
-                for (unsigned d = 0; d < n; ++d)
-                    model.domainRefAdvance(d, steps_end - t);
-            }
-            cur_ = steps_end;
-            if (all_halted) {
-                ref_next_ = MaxTick;
-                return SchedStop::AllHalted;
-            }
-            ref_next_ = win_end + 1;
-        }
+        team_size_ =
+            teamSize(model.numDomains(), model.domainsIndependent());
+        if (team_size_ > 1 &&
+            (!team_ || team_->members() != team_size_))
+            team_ = std::make_unique<ColumnTeam>(team_size_);
+        return EdgeWalk::run(model, max_ticks);
     }
-
-    Tick curTick() const override { return cur_; }
 
     SchedulerKind kind() const override
     {
@@ -753,33 +612,80 @@ class ParallelColumnsScheduler : public Scheduler
     // identical results — only the thread changes).
     static constexpr Tick kMinTeamWindow = 16;
 
+    bool
+    betweenEdges(SchedModel &model, Tick t, Tick limit) override
+    {
+        if (t >= limit)
+            return false;
+        // Comm-quiet window: reference phases t+1 .. t+quiet are
+        // proven to move nothing, so until the next delivery slot
+        // every domain's work is domain-private.
+        const Tick quiet = model.commQuiet(limit - t);
+        if (quiet == 0)
+            return false;
+        win_end_ = t + quiet;
+
+        const unsigned n = model.numDomains();
+        halt_tick_.assign(n, MaxTick);
+        if (nextEdge() <= win_end_) {
+            if (team_size_ > 1 && quiet >= kMinTeamWindow) {
+                // Domains are dealt round-robin — the per-domain
+                // walk is member-independent, so the deal only
+                // balances load, never changes results.
+                team_->run([&](unsigned m) {
+                    for (unsigned d = m; d < n; d += team_size_)
+                        walkDomain(model, d);
+                });
+            } else {
+                for (unsigned d = 0; d < n; ++d)
+                    walkDomain(model, d);
+            }
+        }
+
+        // Leader-side halt resolution + the reference-phase share of
+        // the window: through the halting tick inclusive when
+        // everything halted in-window, through the window end
+        // otherwise.
+        const bool all_halted = model.allHalted();
+        Tick steps_end = win_end_;
+        if (all_halted) {
+            Tick h = 0;
+            for (Tick ht : halt_tick_) {
+                if (ht != MaxTick)
+                    h = std::max(h, ht);
+            }
+            steps_end = h;
+        }
+        if (steps_end > t) {
+            for (unsigned d = 0; d < n; ++d)
+                model.domainRefAdvance(d, steps_end - t);
+        }
+        cur_ = steps_end;
+        ref_next_ = all_halted ? MaxTick : win_end_ + 1;
+        return all_halted;
+    }
+
     /**
      * Walk domain @p d's issue slots through the window (ticks up to
-     * and including @p t_end, all inside the proven comm-quiet
+     * and including win_end_, all inside the proven comm-quiet
      * horizon and the tick budget). Called concurrently for
      * different domains; touches only domain_next_[d], halt_tick_[d]
      * and domain-d model state.
      */
     void
-    walkDomain(SchedModel &model, unsigned d, Tick t_end)
+    walkDomain(SchedModel &model, unsigned d)
     {
         Tick next = domain_next_[d];
-        if (next == MaxTick || next > t_end)
+        if (next == MaxTick || next > win_end_)
             return;
         const Tick div = model.domainClock(d).divider();
-        while (next <= t_end) {
-            const Tick max_slots = (t_end - next) / div + 1;
-            Tick k = model.domainEdgeBlock(d, max_slots);
-            if (k == 0 && max_slots > 1) {
-                // A comm-stalled domain cannot unblock before the
-                // next delivery slot, and every slot offered here
-                // sits inside the proven-quiet window.
-                k = model.domainStallBlock(d, max_slots);
-            }
-            if (k == 0) {
-                model.domainEdge(d);
-                k = 1;
-            }
+        while (next <= win_end_) {
+            // A comm-stalled domain cannot unblock before the next
+            // delivery slot, and every slot offered here sits inside
+            // the proven-quiet window.
+            const Tick max_slots = (win_end_ - next) / div + 1;
+            const Tick k = issueBlock(model, d, max_slots,
+                                      [&] { return max_slots; });
             if (model.domainHalted(d)) {
                 halt_tick_[d] = next + (k - 1) * div;
                 next = MaxTick;
@@ -814,9 +720,8 @@ class ParallelColumnsScheduler : public Scheduler
 
     const unsigned requested_;          //!< team size knob (0 = auto)
     std::unique_ptr<ColumnTeam> team_;
-    Tick cur_ = 0;
-    Tick ref_next_ = MaxTick;           //!< MaxTick = not pending
-    std::vector<Tick> domain_next_;     //!< per-domain pending edge
+    unsigned team_size_ = 1;
+    Tick win_end_ = 0;                  //!< current window's last tick
     std::vector<Tick> halt_tick_;       //!< in-window halting slots
 };
 
@@ -829,9 +734,9 @@ makeScheduler(SchedulerKind kind, unsigned team_threads)
       case SchedulerKind::EventQueue:
         return std::make_unique<EventQueueScheduler>();
       case SchedulerKind::FastEdge:
-        return std::make_unique<FastEdgeScheduler>();
+        return std::make_unique<EdgeScheduler>(false);
       case SchedulerKind::Compiled:
-        return std::make_unique<CompiledScheduler>();
+        return std::make_unique<EdgeScheduler>(true);
       case SchedulerKind::ParallelColumns:
         return std::make_unique<ParallelColumnsScheduler>(
             team_threads);

@@ -6,7 +6,7 @@
  * domain's edge pattern statically computable (paper Section 6), so a
  * simulator does not need a dynamic event queue to find the next thing
  * to do. This header splits the "what happens" (SchedModel — the chip)
- * from the "when" (Scheduler) and provides three interchangeable
+ * from the "when" (Scheduler) and provides four interchangeable
  * backends:
  *
  *  - SchedulerKind::EventQueue — the original gem5-style discrete
@@ -14,19 +14,20 @@
  *    reference-clock event every tick. The reference semantics; keep
  *    it around to cross-check the fast paths bit-for-bit.
  *
- *  - SchedulerKind::FastEdge — precomputes each domain's next edge
- *    from its (divider, phase) pair and jumps straight to the next
- *    edge tick. Reference-clock work on edge-free ticks is either
- *    executed directly or, when the model reports it inert (idle DOUs,
- *    nothing on the bus), fast-forwarded in O(1) via skipRefPhases().
+ *  - SchedulerKind::FastEdge — the static edge walk: precomputes
+ *    each domain's next edge from its (divider, phase) pair and jumps
+ *    straight to the next edge tick, issuing one slot-exact
+ *    domainEdge() per edge. The reference phases between edges are
+ *    fast-forwarded through DOU state transitions wherever no DOU can
+ *    drive or capture (commFreeAdvance); phases that may move data
+ *    run one at a time.
  *
- *  - SchedulerKind::Compiled — FastEdge's edge walk plus two batch
- *    hooks: straight-line runs of a domain's steady-state firing
+ *  - SchedulerKind::Compiled — the same walk, plus issue-slot
+ *    blocks: straight-line runs of a domain's steady-state firing
  *    loops execute as one pre-analyzed block (domainEdgeBlock), and
- *    reference phases between bus slots are fast-forwarded through
- *    DOU state transitions (commFreeAdvance). Any slot with a
- *    branch, halt, lsetup or comm op — and any reference phase that
- *    may move data — still runs slot-exact.
+ *    a comm-stalled domain consumes its stall slots across a
+ *    comm-quiet window at once (domainStallBlock). Any slot with a
+ *    branch, halt, lsetup or comm op still runs slot-exact.
  *
  *  - SchedulerKind::ParallelColumns — intra-chip parallelism via
  *    latency-insensitive sync. Bus delivery is self-timed and every
@@ -116,10 +117,7 @@ void setDefaultSchedulerKind(SchedulerKind kind);
  *    not halted (edges at phase + k * divider);
  *  - refPhase() runs once per reference tick, after all domain edges
  *    of that tick, from the first tick of run() until the tick on
- *    which allHalted() becomes true (inclusive);
- *  - when refPhaseInert() is true, a refPhase() would move no data and
- *    touch no visible statistics other than what skipRefPhases(n)
- *    reproduces; the fast path uses this to jump over idle ticks.
+ *    which allHalted() becomes true (inclusive).
  */
 class SchedModel
 {
@@ -136,12 +134,6 @@ class SchedModel
 
     /** One reference-clock phase (bus resolution + DOU step). */
     virtual void refPhase() = 0;
-
-    /** True if the next refPhase() is guaranteed to move nothing. */
-    virtual bool refPhaseInert() const = 0;
-
-    /** Fast-forward @p n inert reference phases in one call. */
-    virtual void skipRefPhases(Tick n) = 0;
 
     /**
      * Compiled-backend hook: execute up to @p max_slots consecutive
@@ -163,13 +155,13 @@ class SchedModel
     }
 
     /**
-     * Compiled-backend hook: advance up to @p max reference phases
-     * that are provably comm-free (no DOU drives or captures in any
-     * of them), crediting statistics exactly as max refPhase() calls
-     * would. Returns the phases consumed (0 = the next phase may
-     * move data and must run via refPhase()). Unlike refPhaseInert()
-     * / skipRefPhases() this may walk through DOU state transitions,
-     * so it also covers active schedules between their bus slots.
+     * Edge-walk hook: advance up to @p max reference phases that are
+     * provably comm-free (no DOU drives or captures in any of them),
+     * crediting statistics exactly as max refPhase() calls would.
+     * Returns the phases consumed (0 = the next phase may move data
+     * and must run via refPhase()). Walks through DOU state
+     * transitions, so it covers idle chips and active schedules
+     * between their bus slots alike. The default batches nothing.
      */
     virtual Tick
     commFreeAdvance(Tick max)

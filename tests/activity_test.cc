@@ -101,9 +101,11 @@ TEST(Activity, PricedPowerScalesWithDataRate)
     // The same run at 1 MS/s vs 4 MS/s: 4x the frequency demand,
     // so strictly more power (superlinear once voltage steps up).
     PowerBreakdown slow =
-        priceSimulation(*chip, 200, 1e6, levels(), model());
+        priceSimulationComparison(*chip, 200, 1e6, levels(), model())
+            .multi_v;
     PowerBreakdown fast =
-        priceSimulation(*chip, 200, 4e6, levels(), model());
+        priceSimulationComparison(*chip, 200, 4e6, levels(), model())
+            .multi_v;
     EXPECT_GT(fast.tile_mw, 2.0 * slow.tile_mw);
     EXPECT_GT(fast.bus_mw, slow.bus_mw);
     EXPECT_GT(slow.total(), 0.0);
@@ -118,7 +120,8 @@ TEST(Activity, MatchesHandComputation)
     const double rate = 2e6; // samples/s
     double seconds = n / rate;
     PowerBreakdown p =
-        priceSimulation(*chip, n, rate, levels(), model());
+        priceSimulationComparison(*chip, n, rate, levels(), model())
+            .multi_v;
 
     // Hand-evaluate column 0's share.
     double f0_mhz = double(act.columns[0].issue_slots) / seconds /
@@ -189,7 +192,8 @@ TEST(Activity, SegmentedTrafficPricedBelowFullSpan)
     EXPECT_LT(act.meanSpanFraction(nodes), 0.5);
 
     PowerBreakdown p =
-        priceSimulation(chip, 100, 1e6, levels(), model());
+        priceSimulationComparison(chip, 100, 1e6, levels(), model())
+            .multi_v;
     // Same volume at full span for comparison.
     double full = model().busModel().powerMw(
         double(act.bus_transfers) / (100 / 1e6), 32, 0.7, 1.0);

@@ -387,11 +387,9 @@ TEST(GovernedFleet, DecisionsAreIdenticalUnderAnyWorkerCount)
     sim::TrafficSpec traffic = sim::TrafficSpec::bursty(2004, 2);
 
     std::map<uint64_t, size_t> ref_decisions;
-    uint64_t ref_slices = 0;
     for (unsigned workers : {1u, 2u, 4u}) {
         auto state = makeGovernedFleetState(app, traffic);
         sim::FleetWorkload wl = governedFleetWorkload(app, state);
-        ASSERT_GT(wl.run_chunk, 0u);
 
         sim::FleetConfig fc;
         fc.workers = workers;
@@ -405,17 +403,14 @@ TEST(GovernedFleet, DecisionsAreIdenticalUnderAnyWorkerCount)
 
         EXPECT_TRUE(rep.all_verified);
         EXPECT_EQ(rep.items, 16u);
-        EXPECT_GT(state->slices, 0u);
         for (const auto &kv : state->decision_by_item)
             EXPECT_LT(kv.second, state->table.points().size());
 
         if (ref_decisions.empty()) {
             ref_decisions = state->decision_by_item;
-            ref_slices = state->slices;
         } else {
             EXPECT_EQ(state->decision_by_item, ref_decisions)
                 << workers << " workers diverged";
-            EXPECT_EQ(state->slices, ref_slices);
         }
     }
     EXPECT_EQ(ref_decisions.size(), 16u);

@@ -201,15 +201,6 @@ class SkewStressModel : public SchedModel
             ++p;
     }
 
-    bool refPhaseInert() const override { return false; }
-
-    void
-    skipRefPhases(Tick n) override
-    {
-        for (auto &p : phases_)
-            p += n;
-    }
-
     bool domainsIndependent() const override { return true; }
 
     void

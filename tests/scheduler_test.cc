@@ -1,6 +1,7 @@
 /** @file Scheduler-backend seams: ClockDomain edge-iteration
  * equivalence, fast-path vs event-queue bit-identical execution, DOU
- * fast-forward arithmetic, and resume/tick-limit semantics. */
+ * fast-forward arithmetic, which backends take the issue-slot batch
+ * hooks, and resume/tick-limit semantics. */
 
 #include <gtest/gtest.h>
 
@@ -68,7 +69,8 @@ TEST(ClockEdges, NextEdgeIsStrictlyAfterAndOnEdge)
 }
 
 // ---------------------------------------------------------------
-// Dou::skipSteps must be arithmetically identical to n step() calls.
+// Dou::fastForwardCommFree must be arithmetically identical to n
+// step() calls, including through an inert self-loop's counter wrap.
 
 TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
 {
@@ -83,7 +85,7 @@ TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
 
             for (uint64_t i = 0; i < n; ++i)
                 stepped.step();
-            skipped.skipSteps(n);
+            skipped.fastForwardCommFree(n);
 
             EXPECT_EQ(skipped.counter(0), stepped.counter(0))
                 << "init " << init << " n " << n;
@@ -94,17 +96,94 @@ TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
     }
 }
 
-TEST(DouSkip, RefusesNonSelfLoopState)
+TEST(DouSkip, RefusesWalkIntoDrivingState)
 {
+    // One comm-free cycle, then a state that drives tile 0: the walk
+    // reaches the non-zero buffer control and must refuse.
     DouProgram p;
     DouState s0;
-    s0.nxt0 = s0.nxt1 = 1; // not a self-loop
+    s0.nxt0 = s0.nxt1 = 1;
     DouState s1;
+    s1.buf[0] = 1;
     s1.nxt0 = s1.nxt1 = 1;
     p.states = {s0, s1};
     Dou dou(0);
     dou.load(p);
-    EXPECT_THROW(dou.skipSteps(3), PanicError);
+    EXPECT_EQ(dou.commFreeRun(3), 1u);
+    EXPECT_THROW(dou.fastForwardCommFree(3), PanicError);
+}
+
+// ---------------------------------------------------------------
+// FastEdge is the slot-exact walk: it must never take the issue-slot
+// batch hooks that make Compiled what it is.
+
+namespace
+{
+
+/** Counts every batch-hook call; each domain halts after a quota. */
+class HookCountingModel : public SchedModel
+{
+  public:
+    unsigned numDomains() const override { return 2; }
+    const ClockDomain &
+    domainClock(unsigned d) const override
+    {
+        return clocks_[d];
+    }
+    bool domainHalted(unsigned d) const override
+    {
+        return edges_[d] >= kQuota;
+    }
+    bool allHalted() const override
+    {
+        return domainHalted(0) && domainHalted(1);
+    }
+    void domainEdge(unsigned d) override { ++edges_[d]; }
+    void refPhase() override { ++phases; }
+
+    Tick
+    domainEdgeBlock(unsigned, Tick) override
+    {
+        ++edge_blocks;
+        return 0;
+    }
+    Tick
+    domainStallBlock(unsigned, Tick) override
+    {
+        ++stall_blocks;
+        return 0;
+    }
+    Tick commQuiet(Tick max) const override { return max; }
+
+    uint64_t phases = 0;
+    uint64_t edge_blocks = 0;
+    uint64_t stall_blocks = 0;
+
+  private:
+    static constexpr uint64_t kQuota = 50;
+    std::vector<ClockDomain> clocks_ = {ClockDomain(600e6, 2, 0),
+                                        ClockDomain(600e6, 3, 1)};
+    uint64_t edges_[2] = {};
+};
+
+} // namespace
+
+TEST(SchedulerHooks, OnlyCompiledTakesIssueSlotBlocks)
+{
+    HookCountingModel fast, compiled;
+    auto fs = makeScheduler(SchedulerKind::FastEdge);
+    auto cs = makeScheduler(SchedulerKind::Compiled);
+    ASSERT_EQ(int(fs->run(fast, 1'000'000)), int(SchedStop::AllHalted));
+    ASSERT_EQ(int(cs->run(compiled, 1'000'000)),
+              int(SchedStop::AllHalted));
+
+    EXPECT_EQ(fast.edge_blocks, 0u);
+    EXPECT_EQ(fast.stall_blocks, 0u);
+    EXPECT_GT(compiled.edge_blocks, 0u);
+    EXPECT_GT(compiled.stall_blocks, 0u);
+    // Both walks still run the same reference phases.
+    EXPECT_EQ(fast.phases, compiled.phases);
+    EXPECT_EQ(fs->curTick(), cs->curTick());
 }
 
 // ---------------------------------------------------------------
@@ -190,7 +269,8 @@ TEST(SchedulerEquivalence, CrossDomainCommunication)
 {
     // Producer at divider 1 streams into a divider-3 consumer through
     // DOU schedules — exercises bus cycles, backpressure stalls, and
-    // the non-inert DOU path where no edge skipping is possible.
+    // the active DOU path where phases between edges cannot all be
+    // skipped.
     ChipConfig cfg;
     cfg.dividers = {1, 3};
     cfg.tiles_per_column = 1;

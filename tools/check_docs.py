@@ -25,10 +25,13 @@ Scans ``README.md`` and ``docs/*.md`` for
     speedup must match one of the cited file's ``*speedup`` values
     (to the quoted precision), so the compiled-backend headline
     ratio cannot drift from ``BENCH_core.json``;
-  * stale symbols: every ``apps::``, ``sim::``, ``mapping::`` or
-    ``power::`` name inside a backticked code span must appear as an
-    identifier in the code (comments stripped) of some header under
-    ``src/``, so a deleted or renamed API cannot linger in the docs.
+  * stale symbols: every ``apps::``, ``sim::``, ``mapping::``,
+    ``power::``, ``arch::``, ``isa::`` or ``dsp::`` name inside a
+    backticked code span — and every ``Class::member`` span whose
+    ``Class`` is a class, struct or enum declared in a ``src/`` header
+    — must appear as identifiers in the code (comments stripped) of
+    the headers under ``src/``, so a deleted or renamed API cannot
+    linger in the docs.
 
 Docs rot silently when code moves; CI runs this so a renamed source
 file or a dropped bench JSON fails the build instead of leaving a
@@ -56,7 +59,11 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PCT_RE = re.compile(r"(-?\d+(?:\.\d+)?)%")
 SPEEDUP_RE = re.compile(r"(\d+(?:\.\d+)?)[x\u00d7](?![\w(])")
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
-SYMBOL_RE = re.compile(r"\b((?:apps|sim|mapping|power)::\w+(?:::\w+)*)")
+SYMBOL_RE = re.compile(
+    r"\b((?:apps|sim|mapping|power|arch|isa|dsp)::\w+(?:::\w+)*)")
+MEMBER_RE = re.compile(r"(?<!::)\b(\w+(?:::\w+)+)")
+DECL_RE = re.compile(
+    r"\b(?:class|struct|union|enum)\s+(?:class\s+|struct\s+)?(\w+)")
 COMMENT_RE = re.compile(r"/\*.*?\*/|//[^\n]*", re.S)
 PATH_RE = re.compile(
     r"(?<![\w/-])((?:src|docs|tests|tools|bench|examples)/"
@@ -147,19 +154,30 @@ def check_table_row(md_path, repo_root, lineno, line, failures):
 
 
 def header_identifiers(repo_root):
-    """Every identifier in the code of the headers under src/."""
-    ids = set()
+    """(every identifier, every declared class/struct/enum name) in
+    the code of the headers under src/."""
+    ids, types = set(), set()
     for header in (repo_root / "src").rglob("*.hh"):
         code = COMMENT_RE.sub("", header.read_text(encoding="utf-8"))
         ids.update(re.findall(r"\w+", code))
-    return ids
+        types.update(DECL_RE.findall(code))
+    return ids, types
 
 
-def check_symbols(md_path, repo_root, lineno, line, identifiers,
-                  failures):
-    """Flag backticked namespace-qualified names no header declares."""
+def span_symbols(span, types):
+    """The qualified names in one code span the symbol check covers:
+    names in a simulator namespace, and Class::member names whose
+    outermost part is a declared src/ type."""
+    return sorted(set(SYMBOL_RE.findall(span)) |
+                  {name for name in MEMBER_RE.findall(span)
+                   if name.split("::")[0] in types})
+
+
+def check_symbols(md_path, repo_root, lineno, line, headers, failures):
+    """Flag backticked qualified names no header declares."""
+    identifiers, types = headers
     for span in CODE_SPAN_RE.findall(line):
-        for symbol in SYMBOL_RE.findall(span):
+        for symbol in span_symbols(span, types):
             missing = [name for name in symbol.split("::")[1:]
                        if name not in identifiers]
             if missing:
@@ -169,11 +187,11 @@ def check_symbols(md_path, repo_root, lineno, line, identifiers,
                     f"no src/ header)")
 
 
-def check_file(md_path, repo_root, identifiers, failures):
+def check_file(md_path, repo_root, headers, failures):
     text = md_path.read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), 1):
         check_table_row(md_path, repo_root, lineno, line, failures)
-        check_symbols(md_path, repo_root, lineno, line, identifiers,
+        check_symbols(md_path, repo_root, lineno, line, headers,
                       failures)
         for m in LINK_RE.finditer(line):
             target = m.group(1)
@@ -216,9 +234,9 @@ def run_checks(root):
     if not docs:
         return None
     failures = []
-    identifiers = header_identifiers(root)
+    headers = header_identifiers(root)
     for md in docs:
-        check_file(md, root, identifiers, failures)
+        check_file(md, root, headers, failures)
     return failures
 
 
@@ -234,8 +252,10 @@ def self_test():
         (root / "docs" / "GOOD.md").write_text("fine\n")
         (root / "src").mkdir()
         (root / "src" / "real.hh").write_text(
-            "// fleetGone is only named in a comment\n"
-            "struct RealThing { void run(); };\n")
+            "// fleetGone and refPhaseGone are only named in a "
+            "comment\n"
+            "struct RealThing { void run(); };\n"
+            "class Chip { void refPhase(); };\n")
         (root / "src" / "real.cc").write_text("")
         (root / "BENCH_x.json").write_text(json_mod.dumps(
             {"x_power_measured": {"savings_pct": 37.3005}}))
@@ -248,12 +268,15 @@ def self_test():
         clean = ("[good](docs/GOOD.md) [abs](/docs/GOOD.md) "
                  "`src/real.{hh,cc}` see BENCH_*.json\n"
                  "`apps::RealThing::run()` and `sim::RealThing`\n"
+                 "`Chip::refPhase` and `arch::Chip` and "
+                 "`std::vector::size`\n"
                  "| app | 32% | 37.3% | `BENCH_x.json` |\n"
                  "| explorer | gap 0.0% | `BENCH_y.json` |\n"
                  "| compiled | 11.0x | `BENCH_z.json` |\n")
         rotten = ("[gone](docs/NOPE.md) [abs](/docs/NOPE.md) "
                   "`src/gone.{hh,cc}`\n"
                   "`apps::fleetGone(p)` and `apps::RealThing`\n"
+                  "`Chip::refPhaseGone()` and `arch::Chip`\n"
                   "| app | 32% | 12.0% | `BENCH_x.json` |\n"
                   "| explorer | gap 7.0% | `BENCH_y.json` |\n"
                   "| compiled | 15.0x | `BENCH_z.json` |\n")
@@ -269,7 +292,7 @@ def self_test():
         failures = run_checks(root)
         wanted = ["docs/NOPE.md", "/docs/NOPE.md", "src/gone.hh",
                   "src/gone.cc", "12.0%", "7.0%", "15.0x",
-                  "apps::fleetGone"]
+                  "apps::fleetGone", "Chip::refPhaseGone"]
         text = "\n".join(failures)
         missed = [w for w in wanted if w not in text]
         if missed:

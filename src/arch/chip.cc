@@ -66,22 +66,6 @@ Chip::domainEdgeBlock(unsigned d, Tick max_slots)
 Tick
 Chip::commFreeAdvance(Tick max)
 {
-    // One phase — the common gap between the edges of a mapped
-    // pipeline — is comm-free iff every DOU's current outputs are:
-    // the bus cycle is then a no-op and the phase is just the DOU
-    // steps, which is cheaper to run than a lookahead walk.
-    if (max == 1) {
-        for (const auto &col : columns_) {
-            for (uint8_t b : col->dou().current().buf) {
-                if (b != 0)
-                    return 0;
-            }
-        }
-        for (auto &col : columns_)
-            col->dou().step();
-        return 1;
-    }
-
     // A window of reference phases can be skipped iff every column's
     // DOU walk through it touches no drive/capture state. Take the
     // minimum comm-free run across columns, then commit it everywhere

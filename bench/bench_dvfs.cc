@@ -49,8 +49,7 @@ runPolicy(const power::DvfsAppHooks &app,
 int
 main(int argc, char **argv)
 {
-    const SchedulerKind backend =
-        backendFromArgs(argc, argv, SchedulerKind::FastEdge);
+    const SchedulerKind backend = backendFromArgs(argc, argv);
 
     // Small item shapes so the three-policy sweep stays a smoke-size
     // bench; the governor's decisions scale with the traffic shape,

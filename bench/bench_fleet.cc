@@ -132,8 +132,7 @@ soloCrossCheck(sim::FleetExecutor &fleet, const sim::FleetReport &rep)
 int
 main(int argc, char **argv)
 {
-    const SchedulerKind backend =
-        backendFromArgs(argc, argv, SchedulerKind::FastEdge);
+    const SchedulerKind backend = backendFromArgs(argc, argv);
 
     DdcPipelineParams dp;
     dp.samples = 128;

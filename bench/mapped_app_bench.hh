@@ -54,8 +54,7 @@ runMappedAppBench(const MappedAppBench &b, int argc, char **argv,
                   Params params, RunApp run_app, Output output,
                   Note note)
 {
-    const SchedulerKind primary =
-        backendFromArgs(argc, argv, SchedulerKind::FastEdge);
+    const SchedulerKind primary = backendFromArgs(argc, argv);
     std::vector<SchedulerKind> kinds = {SchedulerKind::FastEdge,
                                         SchedulerKind::EventQueue,
                                         SchedulerKind::Compiled};

@@ -13,10 +13,11 @@
  * one bus cycle, plus the capture alignment the DOU schedules.
  *
  * The tick loop itself is delegated to a pluggable Scheduler
- * (sim/scheduler.hh). The default FastEdge backend exploits the
+ * (sim/scheduler.hh). The default Compiled backend exploits the
  * statically-known edge pattern of the rationally-related column
- * clocks to jump from edge to edge; the EventQueue backend keeps the
- * original gem5-style event loop for bit-identical cross-checking.
+ * clocks to jump from edge to edge and runs steady-state firing
+ * loops as blocks; the EventQueue backend keeps the original
+ * gem5-style event loop for bit-identical cross-checking.
  */
 
 #ifndef SYNC_ARCH_CHIP_HH

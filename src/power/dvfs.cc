@@ -610,9 +610,10 @@ governedFleetWorkload(const DvfsAppHooks &app,
     wl.feed = [state, inner_feed](arch::Chip &chip, uint64_t item) {
         std::lock_guard<std::mutex> lk(state->mu);
         GovernedFleetState::PerChip &pc = state->chips[&chip];
-        if (!pc.started || item != pc.expected_next) {
-            // A fresh stream (or a reused chip pointer): reset the
-            // per-stream controller. Decisions depend only on the
+        if (chip.curTick() == 0) {
+            // A chip that has never run is a fresh clone, so a new
+            // stream — even where it reuses a freed chip's address.
+            // Start its own controller: decisions depend only on the
             // stream's own history, so any worker count serves the
             // same trajectory.
             pc = GovernedFleetState::PerChip{};
@@ -620,8 +621,7 @@ governedFleetWorkload(const DvfsAppHooks &app,
                 state->table, state->nominal_window_ticks,
                 state->cfg);
             pc.cur = state->table.baselineIndex();
-            pc.started = true;
-        } else if (pc.have_prev) {
+        } else {
             // Observe the previous item before feed() restarts the
             // chip: curTick() is still its drain time.
             pc.gov->observe(
@@ -641,9 +641,11 @@ governedFleetWorkload(const DvfsAppHooks &app,
         }
         pc.after_feed = collectActivity(chip);
         pc.deferrals = busDeferrals(chip);
-        pc.have_prev = true;
-        pc.expected_next = item + 1;
         state->decision_by_item[item] = target;
+    };
+    wl.release = [state](arch::Chip &chip) {
+        std::lock_guard<std::mutex> lk(state->mu);
+        state->chips.erase(&chip);
     };
     return wl;
 }

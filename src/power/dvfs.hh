@@ -359,9 +359,10 @@ GovernedRunResult runGoverned(const DvfsAppHooks &app,
 
 /**
  * Shared state of a governed fleet: the one safe table plus one
- * governor per live stream chip. Streams are identified by their
- * contiguous item ranges — decisions depend only on the stream's own
- * history, so they are identical under any worker count.
+ * governor per live stream chip. A stream owns its chip from clone to
+ * release, so the chip identifies the stream — decisions depend only
+ * on the stream's own history, so they are identical under any worker
+ * count.
  */
 struct GovernedFleetState
 {
@@ -385,16 +386,14 @@ struct GovernedFleetState
     struct PerChip
     {
         std::unique_ptr<DvfsGovernor> gov;
-        bool started = false;
-        uint64_t expected_next = 0;
         size_t cur = 0;
-        bool have_prev = false;
         ActivityReport after_feed;
         uint64_t deferrals = 0;
     };
 
-    /** Keyed by serving chip; reset when a chip starts a new
-     *  stream (item != expected_next). */
+    /** Keyed by serving chip: reset when a fresh clone (curTick() ==
+     *  0) starts a stream, erased when the fleet releases the chip,
+     *  so it holds only the live streams. */
     std::map<const arch::Chip *, PerChip> chips;
 
     /** decide() outcome per served work item (determinism probe). */
@@ -409,9 +408,9 @@ std::shared_ptr<GovernedFleetState> makeGovernedFleetState(
 /**
  * Wrap @p app's fleet workload with the governor: feed() observes
  * the previous item, decides from the item's declared rate, and
- * applies the point at tick 0 right after the inner feed. Outputs
- * are unchanged — every operating point is bit-exact by
- * construction.
+ * applies the point at tick 0 right after the inner feed; release()
+ * drops the stream's controller. Outputs are unchanged — every
+ * operating point is bit-exact by construction.
  */
 sim::FleetWorkload governedFleetWorkload(
     const DvfsAppHooks &app,

@@ -33,7 +33,10 @@ diffBytes(const std::vector<uint8_t> &got,
 
 FleetExecutor::FleetExecutor(FleetConfig cfg) : cfg_(std::move(cfg))
 {
-    workers_.resize(effectiveWorkers());
+    // Built in place: a Worker owns its streams, so it is move-only,
+    // and std::deque's move may throw — resize() could not relocate
+    // it.
+    workers_ = std::vector<Worker>(effectiveWorkers());
     pool_.reserve(workers_.size());
     for (unsigned w = 0; w < workers_.size(); ++w)
         pool_.emplace_back([this, w] { workerLoop(w); });
@@ -126,8 +129,7 @@ FleetExecutor::admitStream(unsigned workload, uint64_t items,
               workload);
 
     auto s = std::make_unique<Stream>();
-    s->id = unsigned(streams_.size());
-    s->workload = workload;
+    s->id = unsigned(results_.size());
     s->wl = &workloads_[workload];
     s->tmpl = templates_[workload].get();
     s->next_item = item_base;
@@ -150,13 +152,14 @@ FleetExecutor::admitStream(unsigned workload, uint64_t items,
         if (workers_[w].q.size() < workers_[home].q.size())
             home = w;
     }
-    workers_[home].q.push_back(s.get());
-    streams_.push_back(std::move(s));
+    const unsigned id = s->id;
+    results_.emplace_back();
+    workers_[home].q.push_back(std::move(s));
     work_cv_.notify_all();
-    return unsigned(streams_.size() - 1);
+    return id;
 }
 
-FleetExecutor::Stream *
+std::unique_ptr<FleetExecutor::Stream>
 FleetExecutor::takeStream(unsigned w, bool &stolen)
 {
     // Owner pops the front of its own deque; a thief takes the BACK
@@ -164,14 +167,14 @@ FleetExecutor::takeStream(unsigned w, bool &stolen)
     // thief off the same end.
     stolen = false;
     if (!workers_[w].q.empty()) {
-        Stream *s = workers_[w].q.front();
+        std::unique_ptr<Stream> s = std::move(workers_[w].q.front());
         workers_[w].q.pop_front();
         return s;
     }
     for (unsigned k = 1; k < workers_.size(); ++k) {
         unsigned v = (w + k) % unsigned(workers_.size());
         if (!workers_[v].q.empty()) {
-            Stream *s = workers_[v].q.back();
+            std::unique_ptr<Stream> s = std::move(workers_[v].q.back());
             workers_[v].q.pop_back();
             stolen = true;
             return s;
@@ -193,8 +196,8 @@ FleetExecutor::workerLoop(unsigned w)
         if (stop_)
             return;
         bool stolen = false;
-        Stream *s = takeStream(w, stolen);
-        if (s == nullptr) {
+        std::unique_ptr<Stream> s = takeStream(w, stolen);
+        if (!s) {
             work_cv_.wait(lock);
             continue;
         }
@@ -203,20 +206,24 @@ FleetExecutor::workerLoop(unsigned w)
         ++busy_;
         lock.unlock();
 
-        // One item per pickup: a multi-item stream goes back on the
-        // deque between items, so heavy streams interleave with (and
-        // can be stolen around) light ones.
         uint64_t abandoned = serveOneItem(*s, workers_[w]);
+        const bool done = s->next_item == s->last_item;
+        if (done)
+            finishStream(*s, workers_[w]);
 
         lock.lock();
         --busy_;
         ++items_served_;
         items_abandoned_ += abandoned;
-        if (s->next_item < s->last_item) {
-            workers_[w].q.push_back(s);
-            work_cv_.notify_one();
+        if (done) {
+            results_[s->id] = std::move(s->res);
         } else {
-            finishStream(*s, workers_[w]);
+            // Back at the FRONT of this worker's own deque: the next
+            // pickup serves the next item on the same live,
+            // cache-warm chip, so the worker runs the stream to
+            // completion while thieves take the streams queued
+            // behind it from the back.
+            workers_[w].q.push_front(std::move(s));
         }
         if (items_served_ + items_abandoned_ == items_admitted_ &&
             busy_ == 0)
@@ -308,13 +315,17 @@ void
 FleetExecutor::finishStream(Stream &s, Worker &shard)
 {
     // Harvest the whole stream's counters into the serving worker's
-    // shard, then release the chip — peak memory tracks the streams
-    // in flight, not the fleet size.
+    // shard, then free the chip — peak memory tracks the streams in
+    // flight, not the fleet size. Runs with the lock released: the
+    // shard is the owner's, and drain() reads it only once every
+    // worker is idle.
     if (s.chip) {
         s.chip->forEachStat(
             [&shard](const std::string &name, uint64_t v) {
                 shard.counters[name] += v;
             });
+        if (s.wl->release)
+            s.wl->release(*s.chip);
         s.chip.reset();
     }
 }
@@ -336,12 +347,13 @@ FleetExecutor::drain()
     }
 
     FleetReport rep;
-    rep.streams = streams_.size();
+    rep.streams = results_.size();
     rep.items = items_served_;
     rep.items_abandoned = items_abandoned_;
     rep.wall_seconds = served_wall_seconds_;
     rep.steals = steals_;
     rep.totals.chips = items_served_;
+    rep.items_by_worker.reserve(workers_.size());
     for (const Worker &w : workers_) {
         rep.items_by_worker.push_back(w.items);
         rep.clones += w.clones;
@@ -355,10 +367,10 @@ FleetExecutor::drain()
         for (const auto &kv : w.counters)
             rep.totals.counters[kv.first] += kv.second;
     }
-    for (const auto &s : streams_) {
-        rep.stream_results.push_back(s->res);
-        if (s->res.mismatches != 0 ||
-            s->res.items_done != s->res.items)
+    rep.stream_results.reserve(results_.size());
+    for (const FleetStreamResult &r : results_) {
+        rep.stream_results.push_back(r);
+        if (r.mismatches != 0 || r.items_done != r.items)
             rep.all_verified = false;
     }
     if (rep.wall_seconds > 0) {

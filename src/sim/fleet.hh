@@ -19,11 +19,15 @@
  *    deep-copied via arch::Chip::clone(), so admission skips
  *    codegen, assembly, decode and program load entirely,
  *  - a persistent worker pool serves ready streams; each worker owns
- *    a deque of streams and *steals* from the others when its own
- *    runs dry, so one heavy stream cannot idle the pool. A stream is
- *    held by at most one worker at a time, and every item restarts
- *    its chip from tick 0, so per-stream results are bit-identical
- *    to running each item alone on a fresh chip — no matter how many
+ *    a deque of streams and *steals* from the back of the others'
+ *    when its own runs dry, so one heavy stream cannot idle the
+ *    pool. A worker serves the stream it picked up to completion on
+ *    its live, cache-warm chip (between items the stream sits at the
+ *    front of the worker's own deque), so live chips are bounded by
+ *    the worker count, not by the streams admitted. A stream is held
+ *    by at most one worker at a time, and every item restarts its
+ *    chip from tick 0, so per-stream results are bit-identical to
+ *    running each item alone on a fresh chip — no matter how many
  *    workers serve the fleet or who stole what,
  *  - statistics aggregate into per-worker shards (one counter map
  *    per worker, touched only by its owner) merged only at
@@ -105,6 +109,13 @@ struct FleetWorkload
 
     /** The item's golden reference (dsp:: chain), as bytes. */
     std::function<std::vector<uint8_t>(uint64_t item)> golden;
+
+    /**
+     * Optional: called on a stream's chip after its last item, just
+     * before the fleet frees the chip, so a workload that keeps
+     * per-stream state keyed on the chip can drop it.
+     */
+    std::function<void(arch::Chip &)> release;
 };
 
 struct FleetConfig
@@ -236,10 +247,10 @@ class FleetExecutor
     unsigned effectiveWorkers() const;
 
   private:
+    /** A stream in flight; freed when its last item is served. */
     struct Stream
     {
-        unsigned id = 0;
-        unsigned workload = 0;
+        unsigned id = 0; //!< index into results_
         /**
          * Captured under mu_ at admission so workers never index
          * workloads_/templates_ with the lock released (addWorkload
@@ -253,13 +264,13 @@ class FleetExecutor
         uint64_t next_item = 0; //!< next index to serve (absolute)
         uint64_t last_item = 0; //!< one past the final index
         std::unique_ptr<arch::Chip> chip; //!< live while serving
-        FleetStreamResult res;
+        FleetStreamResult res; //!< moved to results_ when done
     };
 
     /** One worker's deque plus its private stat shard. */
     struct Worker
     {
-        std::deque<Stream *> q;
+        std::deque<std::unique_ptr<Stream>> q;
         std::map<std::string, uint64_t> counters;
         uint64_t items = 0;
         uint64_t clones = 0; //!< in the shard: bumped unlocked
@@ -271,7 +282,7 @@ class FleetExecutor
     };
 
     void workerLoop(unsigned w);
-    Stream *takeStream(unsigned w, bool &stolen);
+    std::unique_ptr<Stream> takeStream(unsigned w, bool &stolen);
     /**
      * Serve the stream's next item (lock released). Returns how many
      * of the stream's items this pickup abandoned unserved — 0
@@ -295,7 +306,9 @@ class FleetExecutor
     std::condition_variable idle_cv_;
     std::vector<std::thread> pool_;
     std::vector<Worker> workers_;
-    std::vector<std::unique_ptr<Stream>> streams_;
+    /** One per admitted stream, in admission order; a stream's
+     * entry is final once the stream is done. */
+    std::vector<FleetStreamResult> results_;
     uint64_t items_admitted_ = 0;
     uint64_t items_served_ = 0;
     uint64_t items_abandoned_ = 0; //!< skipped after a hook threw

@@ -57,7 +57,7 @@ defaultKindSlot()
     static SchedulerKind kind = [] {
         const char *env = std::getenv("SYNCHRO_SCHEDULER");
         if (!env || !*env)
-            return SchedulerKind::FastEdge;
+            return SchedulerKind::Compiled;
         SchedulerKind k;
         if (!parseSchedulerKind(env, k))
             fatal("SYNCHRO_SCHEDULER=%s is not a backend "

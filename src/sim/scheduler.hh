@@ -22,12 +22,13 @@
  *    drive or capture (commFreeAdvance); phases that may move data
  *    run one at a time.
  *
- *  - SchedulerKind::Compiled — the same walk, plus issue-slot
- *    blocks: straight-line runs of a domain's steady-state firing
- *    loops execute as one pre-analyzed block (domainEdgeBlock), and
- *    a comm-stalled domain consumes its stall slots across a
- *    comm-quiet window at once (domainStallBlock). Any slot with a
- *    branch, halt, lsetup or comm op still runs slot-exact.
+ *  - SchedulerKind::Compiled — the default: the same walk, plus
+ *    issue-slot blocks: straight-line runs of a domain's steady-state
+ *    firing loops execute as one pre-analyzed block
+ *    (domainEdgeBlock), and a comm-stalled domain consumes its stall
+ *    slots across a comm-quiet window at once (domainStallBlock).
+ *    Any slot with a branch, halt, lsetup or comm op still runs
+ *    slot-exact.
  *
  *  - SchedulerKind::ParallelColumns — intra-chip parallelism via
  *    latency-insensitive sync. Bus delivery is self-timed and every
@@ -83,7 +84,7 @@ bool parseSchedulerKind(const std::string &name, SchedulerKind &out);
 
 /**
  * The process-wide default backend: $SYNCHRO_SCHEDULER when set to a
- * valid backend name (fatal on an invalid one), FastEdge otherwise.
+ * valid backend name (fatal on an invalid one), Compiled otherwise.
  * ChipConfig and the mapped-app runners initialize from this, so CI
  * can force the whole suite onto one backend with an env var.
  */

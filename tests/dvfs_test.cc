@@ -385,33 +385,53 @@ TEST(GovernedFleet, DecisionsAreIdenticalUnderAnyWorkerCount)
 {
     DvfsAppHooks app = ddcHooks();
     sim::TrafficSpec traffic = sim::TrafficSpec::bursty(2004, 2);
-
-    std::map<uint64_t, size_t> ref_decisions;
-    for (unsigned workers : {1u, 2u, 4u}) {
-        auto state = makeGovernedFleetState(app, traffic);
-        sim::FleetWorkload wl = governedFleetWorkload(app, state);
-
+    auto fleetConfig = [](unsigned workers) {
         sim::FleetConfig fc;
         fc.workers = workers;
         fc.scheduler = SchedulerKind::FastEdge;
-        sim::FleetExecutor fleet(fc);
-        unsigned id = fleet.addWorkload(wl);
-        // Four streams with disjoint, contiguous item ranges.
-        for (unsigned s = 0; s < 4; ++s)
-            fleet.admitStream(id, 4, uint64_t(s) * 4);
-        sim::FleetReport rep = fleet.drain();
+        return fc;
+    };
 
-        EXPECT_TRUE(rep.all_verified);
-        EXPECT_EQ(rep.items, 16u);
-        for (const auto &kv : state->decision_by_item)
+    // Reference: each of four streams with disjoint, contiguous item
+    // ranges served on a governed state of its own, so no controller
+    // can carry over from one stream to the next.
+    std::map<uint64_t, size_t> ref;
+    for (unsigned s = 0; s < 4; ++s) {
+        auto state = makeGovernedFleetState(app, traffic);
+        sim::FleetExecutor fleet(fleetConfig(1));
+        unsigned id = fleet.addWorkload(governedFleetWorkload(app, state));
+        fleet.admitStream(id, 4, uint64_t(s) * 4);
+        ASSERT_TRUE(fleet.drain().all_verified);
+        for (const auto &kv : state->decision_by_item) {
             EXPECT_LT(kv.second, state->table.points().size());
-
-        if (ref_decisions.empty()) {
-            ref_decisions = state->decision_by_item;
-        } else {
-            EXPECT_EQ(state->decision_by_item, ref_decisions)
-                << workers << " workers diverged";
+            ref.insert(kv);
         }
     }
-    EXPECT_EQ(ref_decisions.size(), 16u);
+    ASSERT_EQ(ref.size(), 16u);
+
+    // The same streams on one shared state, admitted together or
+    // admitted and drained one at a time. Draining one at a time
+    // frees each stream's chip before the next stream's clone, which
+    // may reuse its address — the new stream must still start a
+    // controller of its own.
+    for (bool one_at_a_time : {false, true}) {
+        for (unsigned workers : {1u, 2u, 4u}) {
+            auto state = makeGovernedFleetState(app, traffic);
+            sim::FleetExecutor fleet(fleetConfig(workers));
+            unsigned id = fleet.addWorkload(governedFleetWorkload(app, state));
+            for (unsigned s = 0; s < 4; ++s) {
+                fleet.admitStream(id, 4, uint64_t(s) * 4);
+                if (one_at_a_time)
+                    fleet.drain();
+            }
+            sim::FleetReport rep = fleet.drain();
+
+            EXPECT_TRUE(rep.all_verified);
+            EXPECT_EQ(rep.items, 16u);
+            EXPECT_EQ(state->decision_by_item, ref)
+                << workers << " workers, one at a time: " << one_at_a_time;
+            // Every finished stream's controller went with its chip.
+            EXPECT_TRUE(state->chips.empty());
+        }
+    }
 }

@@ -1,11 +1,14 @@
 /** @file FleetExecutor: streaming chip fleets — solo bit-exactness,
- * worker-count determinism, work stealing, and snapshot/clone
+ * worker-count determinism, work stealing, serve-to-completion
+ * order, and snapshot/clone
  * warm-start equivalence on every scheduler backend. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -301,6 +304,57 @@ TEST(Fleet, WorkStealingDrainsSkewedStreams)
     EXPECT_TRUE(rep.all_verified);
     EXPECT_EQ(rep.items, 6u);
     EXPECT_GE(rep.steals, 1u);
+}
+
+TEST(Fleet, OneWorkerServesEachStreamToCompletion)
+{
+    // One worker and three 3-item streams admitted together: the
+    // worker serves each stream to completion on its live chip before
+    // it clones the next, so items are fed stream by stream and at
+    // most one chip is ever live. The first feed waits until all
+    // three streams are queued, so the order cannot depend on how
+    // fast the worker wakes. One worker: the hooks never race.
+    std::promise<void> admitted;
+    std::shared_future<void> all_queued(admitted.get_future());
+    struct Probe
+    {
+        std::vector<uint64_t> fed;
+        std::map<const Chip *, unsigned> reads; //!< per live chip
+        unsigned live = 0, peak = 0;
+    };
+    auto probe = std::make_shared<Probe>();
+
+    sim::FleetWorkload wl = sumWorkload(9);
+    wl.feed = [inner = wl.feed, all_queued, probe](Chip &chip, uint64_t item) {
+        all_queued.wait_for(std::chrono::seconds(30));
+        probe->fed.push_back(item);
+        if (item % 10 == 0) { // a stream's first item: a new chip
+            probe->reads[&chip] = 0;
+            probe->peak = std::max(probe->peak, ++probe->live);
+        }
+        inner(chip, item);
+    };
+    wl.read_output = [inner = wl.read_output, probe](Chip &chip) {
+        if (++probe->reads[&chip] == 3) // the stream's last item
+            --probe->live;
+        return inner(chip);
+    };
+
+    sim::FleetConfig fc;
+    fc.workers = 1;
+    sim::FleetExecutor fleet(fc);
+    unsigned w = fleet.addWorkload(wl);
+    for (unsigned s = 0; s < 3; ++s)
+        fleet.admitStream(w, 3, 10 * s);
+    admitted.set_value();
+    sim::FleetReport rep = fleet.drain();
+
+    EXPECT_TRUE(rep.all_verified);
+    EXPECT_EQ(rep.clones, 3u);
+    EXPECT_EQ(probe->fed,
+              (std::vector<uint64_t>{0, 1, 2, 10, 11, 12, 20, 21, 22}));
+    EXPECT_EQ(probe->peak, 1u);
+    EXPECT_EQ(probe->live, 0u);
 }
 
 TEST(Fleet, FailuresAreRecordedNotThrown)

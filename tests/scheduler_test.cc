@@ -1,10 +1,11 @@
 /** @file Scheduler-backend seams: ClockDomain edge-iteration
  * equivalence, fast-path vs event-queue bit-identical execution, DOU
  * fast-forward arithmetic, which backends take the issue-slot batch
- * hooks, and resume/tick-limit semantics. */
+ * hooks, resume/tick-limit semantics, and the default backend. */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -417,4 +418,12 @@ TEST(SchedulerFactory, NamesAndKinds)
         EXPECT_EQ(int(parsed), int(kind));
     }
     EXPECT_FALSE(parseSchedulerKind("warp-drive", parsed));
+}
+
+TEST(DefaultBackend, IsCompiledWhenUnset)
+{
+    const char *env = std::getenv("SYNCHRO_SCHEDULER");
+    if (env && *env)
+        GTEST_SKIP() << "SYNCHRO_SCHEDULER overrides the default";
+    EXPECT_EQ(int(defaultSchedulerKind()), int(SchedulerKind::Compiled));
 }

@@ -40,19 +40,15 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** Median wall time of @p reps calls of @p fn, in milliseconds. */
+/** Per-call wall time of @p n back-to-back calls of @p fn, in ms. */
 template <typename Fn>
 double
-medianMs(int reps, Fn &&fn)
+blockMs(int n, Fn &&fn)
 {
-    std::vector<double> ms;
-    for (int r = 0; r < reps; ++r) {
-        auto t0 = std::chrono::steady_clock::now();
+    auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < n; ++i)
         fn();
-        ms.push_back(secondsSince(t0) * 1e3);
-    }
-    std::nth_element(ms.begin(), ms.begin() + reps / 2, ms.end());
-    return ms[reps / 2];
+    return secondsSince(t0) * 1e3 / n;
 }
 
 /**
@@ -197,21 +193,32 @@ main(int argc, char **argv)
     // verifier gate) plus build (chip construction and load).
     std::printf("warm start (Chip::clone) vs cold build (plan + "
                 "codegen + verifier + load):\n");
-    // Both paths are sub-millisecond, so one descheduled rep would
-    // swing a mean: each path is timed per rep and reported as the
-    // median over the reps.
+    // A clone takes ~0.1 ms, too short to time one at a time, so each
+    // path is timed in blocks of calls and reported as its fastest
+    // block. The host drifts between speed modes that slow the two
+    // paths by different factors, so a min-over-min ratio can pair
+    // blocks from different modes: the speedup is instead the median
+    // of the ratios of adjacent cold and clone blocks.
     for (const auto &[name, params] : apps) {
-        constexpr int Reps = 41;
+        constexpr int Pairs = 15;
         sim::FleetWorkload wl;
-        std::unique_ptr<arch::Chip> tmpl;
-        const double cold_ms = medianMs(Reps, [&] {
-            wl = reg.at(name).fleet(params);
-            tmpl = wl.build(backend);
-        });
-        std::unique_ptr<arch::Chip> copy;
-        const double clone_ms =
-            medianMs(Reps, [&] { copy = tmpl->clone(); });
-        const double speedup = clone_ms > 0 ? cold_ms / clone_ms : 0;
+        std::unique_ptr<arch::Chip> tmpl, copy;
+        double cold_ms = 0, clone_ms = 0;
+        std::vector<double> ratios;
+        for (int b = 0; b < Pairs; ++b) {
+            const double cold = blockMs(4, [&] {
+                wl = reg.at(name).fleet(params);
+                tmpl = wl.build(backend);
+            });
+            const double clone =
+                blockMs(50, [&] { copy = tmpl->clone(); });
+            cold_ms = b == 0 ? cold : std::min(cold_ms, cold);
+            clone_ms = b == 0 ? clone : std::min(clone_ms, clone);
+            ratios.push_back(cold / clone);
+        }
+        std::nth_element(ratios.begin(), ratios.begin() + Pairs / 2,
+                         ratios.end());
+        const double speedup = ratios[Pairs / 2];
         std::printf("  %-6s cold %8.3f ms, clone %8.3f ms -> "
                     "%.1fx warm-start speedup\n",
                     wl.name.c_str(), cold_ms, clone_ms, speedup);

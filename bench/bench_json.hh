@@ -6,6 +6,12 @@
  * existing file and merges: the on-disk format is a fixed two-level
  * object { "section": { "key": number } } and the parser accepts
  * exactly that shape (anything else starts the file fresh).
+ *
+ * Every write also stamps a "host" section naming the machine and
+ * build that measured the numbers — { "nproc": N, "compiler": "...",
+ * "build_type": "...", "git_sha": "..." } — so a wall-clock
+ * comparison across files can tell when it crosses hosts. The stamp
+ * is rewritten on each write and never merged.
  */
 
 #ifndef SYNC_BENCH_BENCH_JSON_HH
@@ -18,6 +24,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 
 namespace synchro::bench
 {
@@ -45,13 +52,13 @@ class JsonReport
         std::ofstream out(path_, std::ios::trunc);
         if (!out)
             return false;
-        out << "{\n";
-        bool first_sec = true;
+        out << "{\n  \"host\": {\n"
+            << "    \"nproc\": " << std::thread::hardware_concurrency()
+            << ",\n    \"compiler\": \"" << compilerName()
+            << "\",\n    \"build_type\": \"" << SYNCHRO_BUILD_TYPE
+            << "\",\n    \"git_sha\": \"" << gitSha() << "\"\n  }";
         for (const auto &[sec, kv] : sections_) {
-            if (!first_sec)
-                out << ",\n";
-            first_sec = false;
-            out << "  \"" << sec << "\": {\n";
+            out << ",\n  \"" << sec << "\": {\n";
             bool first_key = true;
             for (const auto &[key, value] : kv) {
                 if (!first_key)
@@ -74,6 +81,37 @@ class JsonReport
     }
 
   private:
+    static std::string
+    compilerName()
+    {
+#if defined(__clang__)
+        return "clang " __clang_version__;
+#elif defined(__GNUC__)
+        return "gcc " __VERSION__;
+#else
+        return "unknown";
+#endif
+    }
+
+    /** The source tree's commit ("-dirty" if modified), or "unknown". */
+    static std::string
+    gitSha()
+    {
+        std::string sha;
+        FILE *p = popen("git -C \"" SYNCHRO_SOURCE_DIR "\" describe "
+                        "--always --dirty --abbrev=12 2>/dev/null",
+                        "r");
+        if (!p)
+            return "unknown";
+        char buf[128];
+        while (std::fgets(buf, sizeof(buf), p))
+            sha += buf;
+        pclose(p);
+        while (!sha.empty() && std::isspace(uint8_t(sha.back())))
+            sha.pop_back();
+        return sha.empty() ? "unknown" : sha;
+    }
+
     void
     load()
     {
@@ -129,12 +167,20 @@ class JsonReport
                 if (!string_lit(key) || !expect(':'))
                     return;
                 skip();
-                char *endp = nullptr;
-                double v = std::strtod(text.c_str() + pos, &endp);
-                if (endp == text.c_str() + pos)
-                    return;
-                pos = size_t(endp - text.c_str());
-                parsed[sec][key] = v;
+                std::string ignored;
+                if (pos < text.size() && text[pos] == '"') {
+                    // A host-stamp string: rewritten on every write.
+                    if (!string_lit(ignored))
+                        return;
+                } else {
+                    char *endp = nullptr;
+                    double v = std::strtod(text.c_str() + pos, &endp);
+                    if (endp == text.c_str() + pos)
+                        return;
+                    pos = size_t(endp - text.c_str());
+                    if (sec != "host")
+                        parsed[sec][key] = v;
+                }
                 skip();
                 if (pos < text.size() && text[pos] == ',') {
                     ++pos;

@@ -171,6 +171,7 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
     sync_assert(views.size() == n_columns_,
                 "bus cycle expects %u column views, got %zu",
                 n_columns_, views.size());
+    touched_.clear();
 
     // Fast path: on most cycles no DOU drives or captures anything
     // (statically scheduled transfers are sparse), and segment
@@ -238,6 +239,7 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
                 // buffer still drains (the electrical fight is
                 // what the conflict counter records).
                 tile->writeBuffer().pop();
+                touched_.push_back(s.col);
                 continue;
             }
             d.present = true;
@@ -279,6 +281,7 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
                 continue;
             }
             d.src_tile->writeBuffer().pop();
+            touched_.push_back(unsigned(d.src_node) / 4);
             ++transfers_;
             wire_span_ += lp.group_nodes[g];
         }
@@ -310,6 +313,8 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
                     fatal("bus: tile (%u,%u) read buffer overrun "
                           "on lane %u",
                           s.col, s.tile, lane);
+            } else {
+                touched_.push_back(s.col);
             }
             ++captures_;
         }

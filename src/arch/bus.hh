@@ -80,6 +80,19 @@ class BusFabric
 
     bool selfTimed() const { return self_timed_; }
 
+    /**
+     * Columns whose comm buffers the last cycle() changed: a write
+     * buffer popped (transfer or conflict) or a read buffer filled
+     * (capture). A column may appear more than once. The Compiled
+     * scheduler wakes comm-stalled columns from this list — no other
+     * bus cycle can release their hazard.
+     */
+    const std::vector<unsigned> &
+    touchedColumns() const
+    {
+        return touched_;
+    }
+
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
@@ -127,6 +140,7 @@ class BusFabric
     // every active reference phase, so it must not allocate).
     std::vector<Driver> group_driver_;
     std::vector<char> group_deferred_;
+    std::vector<unsigned> touched_; //!< see touchedColumns()
 
     /**
      * Memoized resolution plan for one combination of DOU bus outputs

@@ -81,6 +81,26 @@ Chip::commFreeAdvance(Tick max)
     return k;
 }
 
+bool
+Chip::domainCommStalled(unsigned d) const
+{
+    return columns_[d]->commStalled();
+}
+
+void
+Chip::domainStallCredit(unsigned d, Tick slots)
+{
+    columns_[d]->stallCredit(slots);
+}
+
+const std::vector<unsigned> &
+Chip::refPhaseTouched() const
+{
+    // Only the fabric moves words between columns; a column's own
+    // issue slots are the one other writer of its buffers.
+    return fabric_.touchedColumns();
+}
+
 Tick
 Chip::commQuiet(Tick max) const
 {

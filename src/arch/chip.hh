@@ -203,6 +203,9 @@ class Chip : private SchedModel
     void refPhase() override;
     Tick domainEdgeBlock(unsigned d, Tick max_slots) override;
     Tick commFreeAdvance(Tick max) override;
+    bool domainCommStalled(unsigned d) const override;
+    void domainStallCredit(unsigned d, Tick slots) override;
+    const std::vector<unsigned> &refPhaseTouched() const override;
     Tick commQuiet(Tick max) const override;
     Tick domainStallBlock(unsigned d, Tick max_slots) override;
     bool domainsIndependent() const override;

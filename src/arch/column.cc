@@ -49,6 +49,13 @@ Column::clockEdgeBlock(Tick max_slots)
     return k;
 }
 
+void
+Column::stallCredit(Tick slots)
+{
+    ctrl_.stallCredit(slots);
+    cycles_seen_ += slots;
+}
+
 Tick
 Column::stallBlock(Tick max_slots)
 {

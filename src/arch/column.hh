@@ -84,6 +84,16 @@ class Column
      */
     Tick clockEdgeBlock(Tick max_slots);
 
+    /** The next slot stalls on a comm hazard (SimdController). */
+    bool commStalled() const { return ctrl_.commStalled(active_tiles_); }
+
+    /**
+     * Credit @p slots stall slots of a comm-stalled column
+     * (SimdController::stallCredit); the caller proved the hazard
+     * holds for all of them.
+     */
+    void stallCredit(Tick slots);
+
     /**
      * Up to @p max_slots comm-stall slots consumed in one call
      * (SimdController::stallBlock); only valid across edges the

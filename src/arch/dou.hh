@@ -199,9 +199,10 @@ class Dou
      * Comm-free lookahead cache: the next cf_run_ step() calls are
      * proven comm-free against horizon cf_cap_ (cf_run_ < cf_cap_
      * means the run's end is exact, not horizon-capped). Repeated
-     * probes over one quiet window — the Compiled scheduler asks
-     * once to bound stalls and again to batch phases — then hit the
-     * cache instead of re-walking. Any other state change resets it.
+     * probes over one quiet window — Chip::commFreeAdvance probes
+     * and then commits, the ParallelColumns scheduler sizes its
+     * window before advancing through it — then hit the cache
+     * instead of re-walking. Any other state change resets it.
      *
      * cf_end_* is the machine position after consuming the whole
      * cached run. Whenever cf_run_ > 0 it is current: only a probe

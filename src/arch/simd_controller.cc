@@ -204,25 +204,9 @@ SimdController::cycle(const std::vector<Tile *> &tiles)
     // Communication hazard checks: the whole column stalls until every
     // active tile can complete the operation (these stall cycles are
     // the cross-domain synchronization nops of paper Section 4.5).
-    if (uop.kind == UopKind::CommRead) {
-        for (Tile *t : tiles) {
-            // Tagged reads wait for their specific lane buffer — the
-            // join-side handshake; untagged reads wait for any lane.
-            bool ready = uop.imm >= 0
-                             ? t->readBuffer(unsigned(uop.imm)).valid()
-                             : t->anyReadValid();
-            if (!ready) {
-                ++comm_stalls_;
-                return;
-            }
-        }
-    } else if (uop.kind == UopKind::CommWrite) {
-        for (Tile *t : tiles) {
-            if (t->writeBuffer().valid()) {
-                ++comm_stalls_;
-                return;
-            }
-        }
+    if (commHazard(uop, tiles)) {
+        ++comm_stalls_;
+        return;
     }
 
     ++issued_;
@@ -400,54 +384,65 @@ SimdController::cycleBlock(const std::vector<Tile *> &tiles,
     return slots;
 }
 
-Tick
-SimdController::stallBlock(const std::vector<Tile *> &tiles,
-                           Tick max_slots)
+bool
+SimdController::commHazard(const MicroOp &uop,
+                           const std::vector<Tile *> &tiles)
 {
-    if (halted_ || stall_ > 0 || !prog_ || max_slots == 0)
-        return 0;
-    if (pc_ >= prog_->uops.size())
-        return 0;
-
-    // The next slot must be a ZORM nop or a stalled comm op; a ZORM
-    // nop slot defers the hazard check, so only the op kind decides.
-    const MicroOp &uop = prog_->uops[pc_];
-    bool stalled = false;
     if (uop.kind == UopKind::CommRead) {
         for (Tile *t : tiles) {
+            // Tagged reads wait for their specific lane buffer — the
+            // join-side handshake; untagged reads wait for any lane.
             bool ready = uop.imm >= 0
                              ? t->readBuffer(unsigned(uop.imm)).valid()
                              : t->anyReadValid();
-            if (!ready) {
-                stalled = true;
-                break;
-            }
+            if (!ready)
+                return true;
         }
     } else if (uop.kind == UopKind::CommWrite) {
         for (Tile *t : tiles) {
-            if (t->writeBuffer().valid()) {
-                stalled = true;
-                break;
-            }
+            if (t->writeBuffer().valid())
+                return true;
         }
     }
-    if (!stalled)
-        return 0;
+    return false;
+}
 
+bool
+SimdController::commStalled(const std::vector<Tile *> &tiles) const
+{
+    // A ZORM nop slot defers the hazard check, so only the op kind
+    // at the PC decides.
+    return !halted_ && stall_ == 0 && prog_ &&
+           pc_ < prog_->uops.size() &&
+           commHazard(prog_->uops[pc_], tiles);
+}
+
+void
+SimdController::stallCredit(Tick slots)
+{
     // Per slot the per-slot path takes either the ZORM-nop branch or
     // the comm-stall branch; over S slots that is Z(S) paced nops and
     // S - Z(S) stall cycles, with the accumulator advanced as S
     // Bresenham steps.
     if (zorm_period_ != 0) {
         const uint64_t acc0 = zorm_acc_;
-        const uint64_t S = uint64_t(max_slots);
+        const uint64_t S = uint64_t(slots);
         const uint64_t Z = (acc0 + S * zorm_nops_) / zorm_period_;
         zorm_acc_ = uint32_t(acc0 + S * zorm_nops_ - Z * zorm_period_);
         zorm_nops_issued_ += Z;
         comm_stalls_ += S - Z;
     } else {
-        comm_stalls_ += uint64_t(max_slots);
+        comm_stalls_ += uint64_t(slots);
     }
+}
+
+Tick
+SimdController::stallBlock(const std::vector<Tile *> &tiles,
+                           Tick max_slots)
+{
+    if (max_slots == 0 || !commStalled(tiles))
+        return 0;
+    stallCredit(max_slots);
     return max_slots;
 }
 

@@ -96,15 +96,30 @@ class SimdController
     Tick cycleBlock(const std::vector<Tile *> &tiles, Tick max_slots);
 
     /**
-     * If the next slot would stall on a communication hazard
-     * (CommRead with an empty buffer / CommWrite with a full one),
-     * consume up to @p max_slots such stall slots — ZORM-paced nops
-     * interleaved in closed form — in one call; returns 0 otherwise.
-     * Only valid when the caller can prove the hazard cannot resolve
-     * within the window: comm buffers change only through bus
-     * activity (and this column's own broadcasts, which a stalled
-     * column does not perform), so any window of bus-quiet reference
-     * phases qualifies.
+     * True when the next slot is a CommRead with an empty buffer or a
+     * CommWrite with a full one (no branch stall pending; a ZORM nop
+     * slot only defers the check). Comm buffers change only through
+     * bus activity and this column's own issue slots, which a stalled
+     * column does not perform — so the column stays stalled, every
+     * slot a comm stall or a ZORM-paced nop, until a bus cycle fills
+     * or drains one of its buffers.
+     */
+    bool commStalled(const std::vector<Tile *> &tiles) const;
+
+    /**
+     * Credit @p slots issue slots of a comm-stalled column in one
+     * call: the ZORM-paced nops interleaved in closed form, the rest
+     * comm stalls, exactly as that many cycle() calls would. Unchecked
+     * — the caller proved commStalled() holds for every one of them
+     * (the Compiled walk: no bus cycle touched the column's buffers).
+     */
+    void stallCredit(Tick slots);
+
+    /**
+     * If commStalled(), consume @p max_slots stall slots through
+     * stallCredit() and return @p max_slots; return 0 otherwise. Only
+     * valid when the caller can prove no bus cycle moves data within
+     * the window — the ParallelColumns backend's comm-quiet windows.
      */
     Tick stallBlock(const std::vector<Tile *> &tiles, Tick max_slots);
 
@@ -135,6 +150,10 @@ class SimdController
 
     bool readCc(const std::vector<Tile *> &tiles) const;
     void advancePc();
+
+    /** @p uop is a comm op some active tile cannot complete yet. */
+    static bool commHazard(const isa::MicroOp &uop,
+                           const std::vector<Tile *> &tiles);
 
     /**
      * Fold a window of ZORM pacing in closed form: the least slot

@@ -238,16 +238,22 @@ class EventQueueScheduler : public Scheduler
  * hands the reference phases up to the next domain edge to the
  * backend's betweenEdges().
  *
- * With @p blocks set, an edge first tries the two issue-slot batch
- * hooks: domainEdgeBlock() may consume many slots at once (slot i
- * standing for the edge at t + i * divider; the block holds only
- * work that commutes with everything else in the window — for the
- * chip, compute ops on tile-private state), and a domain stalled on
- * a comm hazard consumes its stall slots inside the upcoming
- * comm-quiet window through domainStallBlock(). Without it every
- * edge is one slot-exact domainEdge().
+ * With @p blocks set, an edge first tries domainEdgeBlock(), which
+ * may consume many slots at once (slot i standing for the edge at
+ * t + i * divider; the block holds only work that commutes with
+ * everything else in the window — for the chip, compute ops on
+ * tile-private state). A domain whose next slot is then a stalled
+ * comm op (domainCommStalled()) sleeps: it leaves the walk, keeping
+ * its pending edge, so the walk neither stops at its edges nor caps
+ * comm-free stretches at them. Only a reference phase that lists the
+ * domain in refPhaseTouched() can release its hazard; after such a
+ * phase p the sleeper's edges up to p are credited as stall slots in
+ * one domainStallCredit() call, and it rejoins at its first edge
+ * after p — or sleeps on if the hazard still holds. Without @p blocks
+ * every edge is one slot-exact domainEdge().
  *
- * Every batch caps at the tick budget, so run(1) in a loop still
+ * Every batch caps at the tick budget, and sleepers are credited
+ * through the budget before run() returns, so run(1) in a loop still
  * matches one big run() bit-for-bit.
  */
 class EdgeWalk : public Scheduler
@@ -263,8 +269,10 @@ class EdgeWalk : public Scheduler
             if (t == MaxTick)
                 return model.allHalted() ? SchedStop::AllHalted
                                          : SchedStop::Idle;
-            if (t > limit)
+            if (t > limit) {
+                wakeAll(model, limit);
                 return SchedStop::TickLimit;
+            }
             if (serialTick(model, t, limit) ||
                 (ref_next_ == t + 1 && betweenEdges(model, t, limit)))
                 return SchedStop::AllHalted;
@@ -295,39 +303,29 @@ class EdgeWalk : public Scheduler
         return e;
     }
 
-    /** The reference phase of tick @p t; true if the model halted. */
+    /**
+     * The reference phase of tick @p t, then wake the sleepers it
+     * touched; true if the model halted.
+     */
     bool
     refPhaseAt(SchedModel &model, Tick t)
     {
         model.refPhase();
         cur_ = t;
+        if (sleepers_ > 0) {
+            // A touched sleeper's edges up to t saw the old buffers;
+            // its next edge sees the new ones.
+            for (unsigned d : model.refPhaseTouched()) {
+                if (sleep_next_[d] == MaxTick)
+                    continue;
+                creditSleeper(model, d, t);
+                if (!model.domainCommStalled(d))
+                    rejoin(d);
+            }
+        }
         const bool halted = model.allHalted();
         ref_next_ = halted ? MaxTick : t + 1;
         return halted;
-    }
-
-    /**
-     * One issue step of domain @p d: a compiled block of up to
-     * @p max_slots, else (comm-stalled) a stall block of up to
-     * stall_cap() slots, else one slot-exact edge. Returns the slots
-     * consumed.
-     */
-    template <typename StallCap>
-    static Tick
-    issueBlock(SchedModel &model, unsigned d, Tick max_slots,
-               StallCap stall_cap)
-    {
-        Tick k = model.domainEdgeBlock(d, max_slots);
-        if (k == 0 && max_slots > 1) {
-            const Tick sl = stall_cap();
-            if (sl > 1)
-                k = model.domainStallBlock(d, sl);
-        }
-        if (k == 0) {
-            model.domainEdge(d);
-            k = 1;
-        }
-        return k;
     }
 
     const bool blocks_;                 //!< try issue-slot blocks
@@ -341,12 +339,15 @@ class EdgeWalk : public Scheduler
     arm(SchedModel &model)
     {
         const unsigned n = model.numDomains();
-        if (domain_next_.empty())
+        if (domain_next_.empty()) {
             domain_next_.assign(n, MaxTick);
+            sleep_next_.assign(n, MaxTick);
+        }
         sync_assert(domain_next_.size() == n,
                     "model domain count changed between runs");
         for (unsigned d = 0; d < n; ++d) {
-            if (model.domainHalted(d) || domain_next_[d] != MaxTick)
+            if (model.domainHalted(d) || domain_next_[d] != MaxTick ||
+                sleep_next_[d] != MaxTick)
                 continue;
             const ClockDomain &clk = model.domainClock(d);
             domain_next_[d] =
@@ -365,38 +366,71 @@ class EdgeWalk : public Scheduler
     bool
     serialTick(SchedModel &model, Tick t, Tick limit)
     {
-        bool quiet_known = false;
-        Tick quiet = 0;
         for (unsigned d = 0; d < domain_next_.size(); ++d) {
             if (domain_next_[d] != t)
                 continue;
             const Tick div = model.domainClock(d).divider();
-            Tick k = 1;
+            Tick k = 0;
             if (blocks_) {
                 // Slots at t, t+div, ... while the tick stays in
                 // budget — so stepped runs consume identical slots.
-                // A domain stalled on a comm hazard stays stalled
-                // for every edge inside the upcoming bus-quiet
-                // window: the edge at t + j*div only needs phases
-                // [t, t + j*div) quiet. Probe the window once per
-                // tick, on demand.
-                const Tick max_slots = (limit - t) / div + 1;
-                k = issueBlock(model, d, max_slots, [&] {
-                    if (!quiet_known) {
-                        quiet = model.commQuiet(limit - t + 1);
-                        quiet_known = true;
-                    }
-                    return std::min(max_slots, quiet / div + 1);
-                });
-            } else {
-                model.domainEdge(d);
+                k = model.domainEdgeBlock(d, (limit - t) / div + 1);
             }
-            domain_next_[d] =
-                model.domainHalted(d) ? MaxTick : t + k * div;
+            if (k == 0) {
+                model.domainEdge(d);
+                k = 1;
+            }
+            if (model.domainHalted(d)) {
+                domain_next_[d] = MaxTick;
+            } else if (blocks_ && model.domainCommStalled(d)) {
+                domain_next_[d] = MaxTick;
+                sleep_next_[d] = t + k * div;
+                ++sleepers_;
+            } else {
+                domain_next_[d] = t + k * div;
+            }
         }
         cur_ = t;
         return ref_next_ == t ? refPhaseAt(model, t) : model.allHalted();
     }
+
+    /** Credit sleeper @p d's edges up to tick @p t as stall slots. */
+    void
+    creditSleeper(SchedModel &model, unsigned d, Tick t)
+    {
+        Tick &e = sleep_next_[d];
+        if (e > t)
+            return;
+        const Tick div = model.domainClock(d).divider();
+        const Tick n = (t - e) / div + 1;
+        model.domainStallCredit(d, n);
+        e += n * div;
+    }
+
+    /** Return sleeper @p d to the walk at its pending edge. */
+    void
+    rejoin(unsigned d)
+    {
+        domain_next_[d] = sleep_next_[d];
+        sleep_next_[d] = MaxTick;
+        --sleepers_;
+    }
+
+    /** Credit every sleeper through tick @p limit and rejoin it. */
+    void
+    wakeAll(SchedModel &model, Tick limit)
+    {
+        for (unsigned d = 0; sleepers_ > 0 && d < sleep_next_.size();
+             ++d) {
+            if (sleep_next_[d] == MaxTick)
+                continue;
+            creditSleeper(model, d, limit);
+            rejoin(d);
+        }
+    }
+
+    std::vector<Tick> sleep_next_;      //!< sleeper's pending edge
+    unsigned sleepers_ = 0;             //!< domains asleep
 };
 
 /**
@@ -406,7 +440,8 @@ class EdgeWalk : public Scheduler
  * through state transitions and idle self-loops alike) fast-forward
  * wholesale; phases that may move data run one at a time via
  * refPhase(), exactly in order. Compiled also issues slots in
- * blocks; FastEdge is the slot-exact path.
+ * blocks and puts comm-stalled domains to sleep; FastEdge is the
+ * slot-exact path.
  */
 class EdgeScheduler : public EdgeWalk
 {
@@ -423,18 +458,21 @@ class EdgeScheduler : public EdgeWalk
     bool
     betweenEdges(SchedModel &model, Tick, Tick limit) override
     {
-        const Tick target = std::min(nextEdge(), limit + 1);
-        while (ref_next_ < target) {
+        while (true) {
+            // Re-read every round: a phase may wake a sleeper whose
+            // next edge comes before the current target.
+            const Tick target = std::min(nextEdge(), limit + 1);
+            if (ref_next_ >= target)
+                return false;
             const Tick want = target - ref_next_;
             const Tick k = model.commFreeAdvance(want);
             ref_next_ += k;
             cur_ = ref_next_ - 1;
             if (k == want)
-                break;
+                return false;
             if (refPhaseAt(model, ref_next_))
                 return true;
         }
-        return false;
     }
 };
 
@@ -560,8 +598,8 @@ class ColumnTeam
  * through the statically-scheduled bus, and delivery is self-timed,
  * so the single rendezvous a column needs is the next reference phase
  * that may move data. The scheduler probes that horizon with
- * commQuiet() — the same conservative lookahead the Compiled backend
- * batches phases with, derived from the per-edge slot schedules of
+ * commQuiet() — the same DOU comm-free proof the edge walk batches
+ * phases with, derived from the per-edge slot schedules of
  * allocateEdgeSlots — and inside the proven window every domain's
  * work (issue slots via domainEdgeBlock/domainStallBlock/domainEdge,
  * its reference-phase share via domainRefAdvance) touches only
@@ -684,8 +722,13 @@ class ParallelColumnsScheduler : public EdgeWalk
             // delivery slot, and every slot offered here sits inside
             // the proven-quiet window.
             const Tick max_slots = (win_end_ - next) / div + 1;
-            const Tick k = issueBlock(model, d, max_slots,
-                                      [&] { return max_slots; });
+            Tick k = model.domainEdgeBlock(d, max_slots);
+            if (k == 0 && max_slots > 1)
+                k = model.domainStallBlock(d, max_slots);
+            if (k == 0) {
+                model.domainEdge(d);
+                k = 1;
+            }
             if (model.domainHalted(d)) {
                 halt_tick_[d] = next + (k - 1) * div;
                 next = MaxTick;

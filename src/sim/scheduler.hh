@@ -25,18 +25,19 @@
  *  - SchedulerKind::Compiled — the default: the same walk, plus
  *    issue-slot blocks: straight-line runs of a domain's steady-state
  *    firing loops execute as one pre-analyzed block
- *    (domainEdgeBlock), and a comm-stalled domain consumes its stall
- *    slots across a comm-quiet window at once (domainStallBlock).
- *    Any slot with a branch, halt, lsetup or comm op still runs
- *    slot-exact.
+ *    (domainEdgeBlock). Any slot with a branch, halt, lsetup or comm
+ *    op still runs slot-exact. A domain whose next slot is a stalled
+ *    crd/cwr (domainCommStalled) sleeps: it leaves the walk until a
+ *    reference phase fills or drains its own buffers
+ *    (refPhaseTouched), and its skipped stall slots are credited in
+ *    one call (domainStallCredit).
  *
  *  - SchedulerKind::ParallelColumns — intra-chip parallelism via
  *    latency-insensitive sync. Bus delivery is self-timed and every
  *    statically-scheduled bus slot is known, so the only point at
  *    which columns interact is an *active* reference phase (a bus
  *    cycle that may move data). The scheduler probes the comm-quiet
- *    window (commQuiet — the same proof the Compiled backend
- *    batches phases with), lets every column free-run its issue
+ *    window (commQuiet), lets every column free-run its issue
  *    slots and DOU phases through the window on its own team
  *    thread (column state is private while the fabric is quiet),
  *    and rendezvouses the team at an epoch barrier before each
@@ -53,6 +54,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/clock.hh"
 #include "sim/types.hh"
@@ -172,12 +174,52 @@ class SchedModel
     }
 
     /**
-     * Compiled-backend hook: how many upcoming reference phases
+     * Compiled-backend hook: true when domain @p d's next issue slot
+     * is a comm op whose hazard holds (for the chip: a crd on an
+     * empty or a cwr on a full buffer). The domain then stays stalled
+     * — every slot a stall or a rate-match nop, with no effect on
+     * any other domain — until a refPhase() lists it in
+     * refPhaseTouched(). The default never stalls.
+     */
+    virtual bool
+    domainCommStalled(unsigned d) const
+    {
+        (void)d;
+        return false;
+    }
+
+    /**
+     * Compiled-backend hook: credit @p slots issue slots of a
+     * comm-stalled domain @p d in one call, exactly as that many
+     * domainEdge() calls would. Unchecked: the scheduler calls it
+     * only for edges that precede every reference phase touching
+     * the domain since it stalled.
+     */
+    virtual void
+    domainStallCredit(unsigned d, Tick slots)
+    {
+        (void)d;
+        (void)slots;
+    }
+
+    /**
+     * Compiled-backend hook: the domains whose comm state the last
+     * refPhase() changed (a domain may repeat). Only these can leave
+     * a domainCommStalled() stall. The default touches none.
+     */
+    virtual const std::vector<unsigned> &
+    refPhaseTouched() const
+    {
+        static const std::vector<unsigned> none;
+        return none;
+    }
+
+    /**
+     * ParallelColumns hook: how many upcoming reference phases
      * (starting with the next one) are provably comm-free, up to
-     * @p max — a pure probe, nothing advances. The scheduler uses
-     * this to bound how many comm-stall slots of a blocked domain
-     * can be consumed at once: a stalled comm op cannot unblock
-     * before the next bus activity.
+     * @p max — a pure probe, nothing advances. Bounds the window in
+     * which columns free-run on the team: a stalled comm op cannot
+     * unblock before the next bus activity.
      */
     virtual Tick
     commQuiet(Tick max) const
@@ -187,10 +229,10 @@ class SchedModel
     }
 
     /**
-     * Compiled-backend hook: the scheduler has proven the next
+     * ParallelColumns hook: the scheduler has proven the next
      * @p max_slots edges of domain @p d fall inside a comm-quiet
      * window (commQuiet()); if the domain is stalled on a comm
-     * hazard, consume up to that many stall slots in one call.
+     * hazard, consume that many stall slots in one call.
      * Returns the slots consumed; 0 = not comm-stalled.
      */
     virtual Tick

@@ -116,12 +116,19 @@ TEST(DouSkip, RefusesWalkIntoDrivingState)
 
 // ---------------------------------------------------------------
 // FastEdge is the slot-exact walk: it must never take the issue-slot
-// batch hooks that make Compiled what it is.
+// batch hook or put a stalled domain to sleep — the two things that
+// make Compiled what it is.
 
 namespace
 {
 
-/** Counts every batch-hook call; each domain halts after a quota. */
+/**
+ * Counts every batch- and sleep-hook call. Each domain blocks itself
+ * after every 10th productive edge (a stand-in for a stalled comm
+ * op); every 25th reference phase releases the blocked domains and
+ * reports them touched. Each domain halts after a quota of
+ * productive edges.
+ */
 class HookCountingModel : public SchedModel
 {
   public:
@@ -133,14 +140,34 @@ class HookCountingModel : public SchedModel
     }
     bool domainHalted(unsigned d) const override
     {
-        return edges_[d] >= kQuota;
+        return edges[d] >= kQuota;
     }
     bool allHalted() const override
     {
         return domainHalted(0) && domainHalted(1);
     }
-    void domainEdge(unsigned d) override { ++edges_[d]; }
-    void refPhase() override { ++phases; }
+    void
+    domainEdge(unsigned d) override
+    {
+        if (blocked_[d]) {
+            ++stalls[d];
+        } else if (++edges[d] % 10 == 0) {
+            blocked_[d] = true;
+        }
+    }
+    void
+    refPhase() override
+    {
+        touched_.clear();
+        if (++phases % 25 != 0)
+            return;
+        for (unsigned d = 0; d < 2; ++d) {
+            if (blocked_[d]) {
+                blocked_[d] = false;
+                touched_.push_back(d);
+            }
+        }
+    }
 
     Tick
     domainEdgeBlock(unsigned, Tick) override
@@ -148,43 +175,75 @@ class HookCountingModel : public SchedModel
         ++edge_blocks;
         return 0;
     }
-    Tick
-    domainStallBlock(unsigned, Tick) override
+    bool
+    domainCommStalled(unsigned d) const override
     {
-        ++stall_blocks;
-        return 0;
+        if (!blocked_[d])
+            return false;
+        ++sleeps;
+        return true;
     }
-    Tick commQuiet(Tick max) const override { return max; }
+    void
+    domainStallCredit(unsigned d, Tick slots) override
+    {
+        ++credits;
+        stalls[d] += slots;
+    }
+    const std::vector<unsigned> &
+    refPhaseTouched() const override
+    {
+        return touched_;
+    }
 
     uint64_t phases = 0;
+    uint64_t edges[2] = {};
+    uint64_t stalls[2] = {};
     uint64_t edge_blocks = 0;
-    uint64_t stall_blocks = 0;
+    mutable uint64_t sleeps = 0; //!< probes that found a stall
+    uint64_t credits = 0;
 
   private:
     static constexpr uint64_t kQuota = 50;
     std::vector<ClockDomain> clocks_ = {ClockDomain(600e6, 2, 0),
                                         ClockDomain(600e6, 3, 1)};
-    uint64_t edges_[2] = {};
+    bool blocked_[2] = {};
+    std::vector<unsigned> touched_;
 };
 
 } // namespace
 
 TEST(SchedulerHooks, OnlyCompiledTakesIssueSlotBlocks)
 {
-    HookCountingModel fast, compiled;
-    auto fs = makeScheduler(SchedulerKind::FastEdge);
-    auto cs = makeScheduler(SchedulerKind::Compiled);
-    ASSERT_EQ(int(fs->run(fast, 1'000'000)), int(SchedStop::AllHalted));
-    ASSERT_EQ(int(cs->run(compiled, 1'000'000)),
-              int(SchedStop::AllHalted));
+    HookCountingModel ref;
+    auto rs = makeScheduler(SchedulerKind::EventQueue);
+    ASSERT_EQ(int(rs->run(ref, 1'000'000)), int(SchedStop::AllHalted));
+    EXPECT_EQ(ref.edge_blocks, 0u);
+    EXPECT_EQ(ref.sleeps, 0u);
+    EXPECT_EQ(ref.credits, 0u);
+    EXPECT_GT(ref.stalls[0] + ref.stalls[1], 0u);
 
-    EXPECT_EQ(fast.edge_blocks, 0u);
-    EXPECT_EQ(fast.stall_blocks, 0u);
-    EXPECT_GT(compiled.edge_blocks, 0u);
-    EXPECT_GT(compiled.stall_blocks, 0u);
-    // Both walks still run the same reference phases.
-    EXPECT_EQ(fast.phases, compiled.phases);
-    EXPECT_EQ(fs->curTick(), cs->curTick());
+    for (SchedulerKind kind :
+         {SchedulerKind::FastEdge, SchedulerKind::Compiled}) {
+        HookCountingModel m;
+        auto s = makeScheduler(kind);
+        ASSERT_EQ(int(s->run(m, 1'000'000)), int(SchedStop::AllHalted));
+        const char *name = schedulerName(kind);
+        if (kind == SchedulerKind::Compiled) {
+            EXPECT_GT(m.edge_blocks, 0u);
+            EXPECT_GT(m.sleeps, 0u);
+            EXPECT_GT(m.credits, 0u);
+        } else {
+            EXPECT_EQ(m.edge_blocks, 0u);
+            EXPECT_EQ(m.sleeps, 0u);
+            EXPECT_EQ(m.credits, 0u);
+        }
+        // Sleeping changes how stall edges are counted, never how
+        // many: every walk sees the reference's edges and phases.
+        EXPECT_EQ(m.stalls[0], ref.stalls[0]) << name;
+        EXPECT_EQ(m.stalls[1], ref.stalls[1]) << name;
+        EXPECT_EQ(m.phases, ref.phases) << name;
+        EXPECT_EQ(s->curTick(), rs->curTick()) << name;
+    }
 }
 
 // ---------------------------------------------------------------
@@ -301,6 +360,146 @@ TEST(SchedulerEquivalence, CrossDomainCommunication)
         cons.transfers = {{0, 0, -1, {0}, false}};
         chip.column(1).dou().load(mapping::compileSchedule(cons));
     });
+}
+
+TEST(SchedulerEquivalence, ConsumerThatNeverReadsHitsTheTickLimit)
+{
+    // The consumer spins without ever issuing crd: its read buffer
+    // fills with the first word, every later drive slot defers on the
+    // self-timed bus, and the rate-matched producer stalls on a full
+    // write buffer for the rest of the budget. Nothing halts, so every
+    // backend must stop at the tick limit having counted the same
+    // stalls, rate-match nops and deferrals — the Compiled walk's
+    // sleeping producer included, credited through the limit.
+    ChipConfig cfg;
+    cfg.dividers = {2, 3};
+    cfg.tiles_per_column = 1;
+    cfg.self_timed_bus = true;
+    auto configure = [](Chip &chip) {
+        chip.column(0).controller().loadProgram(assemble(R"(
+            movi r7, 0
+            lsetup lc0, e, 1000
+            addi r7, 1
+            cwr r7
+        e:
+            halt
+        )"));
+        chip.column(0).controller().setRateMatch(2, 5);
+        chip.column(1).controller().loadProgram(assemble(R"(
+        spin:
+            addi r0, 1
+            jump spin
+        )"));
+        mapping::CommSchedule prod;
+        prod.period = 4;
+        prod.transfers = {{0, 0, 0, {}, true}};
+        chip.column(0).dou().load(mapping::compileSchedule(prod));
+        mapping::CommSchedule cons;
+        cons.period = 4;
+        cons.transfers = {{0, 0, -1, {0}, false}};
+        chip.column(1).dou().load(mapping::compileSchedule(cons));
+    };
+    constexpr Tick Limit = 20'003;
+    crossCheck(cfg, configure, Limit);
+
+    cfg.scheduler = SchedulerKind::EventQueue;
+    Chip ref(cfg);
+    configure(ref);
+    EXPECT_EQ(int(ref.run(Limit).exit), int(RunExit::TickLimit));
+    auto stats = allStats(ref);
+    EXPECT_GT(stats["col0.ctrl.commStalls"], Limit / 4);
+    EXPECT_GT(stats["col0.ctrl.zormNops"], 0u);
+    EXPECT_GT(stats["bus.deferrals"], 0u);
+}
+
+TEST(SchedulerEquivalence, WakesSleepersBeyondSixtyFourColumns)
+{
+    // The touched-column report must name any column, not a bit of a
+    // 64-wide mask: a producer and a sleeping consumer sit at columns
+    // 68 and 69 of a 70-column chip, so a truncated report would wake
+    // the wrong column and leave the consumer asleep.
+    ChipConfig cfg;
+    cfg.dividers.assign(70, 1);
+    cfg.dividers[69] = 3;
+    cfg.tiles_per_column = 1;
+    crossCheck(cfg, [](Chip &chip) {
+        chip.column(68).controller().loadProgram(assemble(R"(
+            movi r7, 0
+            lsetup lc0, e, 30
+            addi r7, 1
+            cwr r7
+        e:
+            halt
+        )"));
+        chip.column(69).controller().loadProgram(assemble(R"(
+            movi r1, 0
+            lsetup lc0, e, 30
+            crd r0
+            add r1, r1, r0
+        e:
+            halt
+        )"));
+        mapping::CommSchedule prod;
+        prod.period = 7;
+        prod.transfers = {{0, 0, 0, {}, true}};
+        chip.column(68).dou().load(mapping::compileSchedule(prod));
+        mapping::CommSchedule cons;
+        cons.period = 7;
+        cons.transfers = {{0, 0, -1, {0}, false}};
+        chip.column(69).dou().load(mapping::compileSchedule(cons));
+    });
+}
+
+TEST(SchedulerEquivalence, SleeperWhoseHazardClearedBetweenRunsRejoins)
+{
+    // A column stalls on crd with no bus schedule that could ever
+    // fill its buffer — on Compiled it sleeps. Between two run()
+    // calls the test delivers the word itself: the column must rejoin
+    // at its pending edge and read it, on every backend at the same
+    // tick with the same stall count.
+    auto build = [](SchedulerKind kind) {
+        ChipConfig cfg;
+        cfg.dividers = {3, 2};
+        cfg.phases = {1, 0};
+        cfg.tiles_per_column = 1;
+        cfg.scheduler = kind;
+        auto chip = std::make_unique<Chip>(cfg);
+        chip->column(0).controller().loadProgram(assemble(R"(
+            movi r1, 5
+            crd r0
+            add r1, r1, r0
+            halt
+        )"));
+        chip->column(0).controller().setRateMatch(1, 4);
+        chip->column(1).controller().loadProgram(assemble(R"(
+            movi r0, 0
+            lsetup lc0, e, 400
+            addi r0, 1
+        e:
+            halt
+        )"));
+        return chip;
+    };
+    auto ref = build(SchedulerKind::EventQueue);
+    ASSERT_EQ(int(ref->run(101).exit), int(RunExit::TickLimit));
+    ref->column(0).tile(0).readBuffer(0).push(37);
+    ASSERT_EQ(int(ref->run(10'000).exit), int(RunExit::AllHalted));
+    EXPECT_EQ(ref->column(0).tile(0).reg(1), 42u);
+
+    for (SchedulerKind kind : AllSchedulerKinds) {
+        if (kind == SchedulerKind::EventQueue)
+            continue;
+        auto chip = build(kind);
+        const char *name = schedulerName(kind);
+        ASSERT_EQ(int(chip->run(101).exit), int(RunExit::TickLimit))
+            << name;
+        chip->column(0).tile(0).readBuffer(0).push(37);
+        auto res = chip->run(10'000);
+        EXPECT_EQ(int(res.exit), int(RunExit::AllHalted)) << name;
+        EXPECT_EQ(res.ticks, ref->curTick()) << name;
+        EXPECT_EQ(allStats(*chip), allStats(*ref)) << name;
+        EXPECT_EQ(chip->column(0).tile(0).reg(1), 42u) << name;
+    }
 }
 
 TEST(SchedulerEquivalence, TickLimitAndResume)

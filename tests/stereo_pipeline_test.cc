@@ -118,6 +118,36 @@ TEST(StereoPipeline, MappedStereoMatchesGoldenOnEveryBackend)
     }
 }
 
+TEST(StereoPipeline, CompiledSteppedItemMatchesOneBigRunAndEventQueue)
+{
+    // Stereo is the comm-heavy item: its columns sleep on crd/cwr
+    // stalls across most bus phases. Run it in odd-sized chunks, so
+    // the budget keeps cutting through sleeps, and hold it to one big
+    // run and to the reference backend.
+    const AppSpec spec = stereoSpec(smallRun(SchedulerKind::Compiled));
+    constexpr Tick Budget = 10'000'000;
+
+    MappedApp ref(spec, SchedulerKind::EventQueue, 0);
+    ASSERT_EQ(ref.chip().run(Budget).exit, arch::RunExit::AllHalted);
+    MappedApp batch(spec, SchedulerKind::Compiled, 0);
+    ASSERT_EQ(batch.chip().run(Budget).exit, arch::RunExit::AllHalted);
+
+    MappedApp stepped(spec, SchedulerKind::Compiled, 0);
+    unsigned chunks = 0;
+    while (!stepped.chip().allHalted() && chunks++ < Budget / 97)
+        stepped.chip().run(97);
+    ASSERT_TRUE(stepped.chip().allHalted());
+
+    const auto out = spec.read_output(ref.chip(), ref.program());
+    EXPECT_EQ(out, spec.golden(spec.seed));
+    for (MappedApp *app : {&batch, &stepped}) {
+        EXPECT_EQ(app->chip().curTick(), ref.chip().curTick());
+        EXPECT_EQ(synchro::test::allStats(app->chip()),
+                  synchro::test::allStats(ref.chip()));
+        EXPECT_EQ(spec.read_output(app->chip(), app->program()), out);
+    }
+}
+
 TEST(StereoPipeline, PlanMapsTheDagToSixColumns)
 {
     StereoPipelineParams p;

@@ -38,6 +38,12 @@ committed baselines and fails CI when the perf trajectory regresses:
 The governed simulation rate ``governed_sim_ticks_per_sec`` rides
 the ``*_ticks_per_sec`` wall-clock class above.
 
+Each file's ``host`` section (nproc, compiler, build type, git sha;
+stamped by ``bench/bench_json.hh``) is not gated. When the baseline
+and fresh files name different machines or builds — or a side has no
+stamp — the comparison is reported as cross-host, so a wall-clock
+verdict is read as one across machines; the tolerances stay the same.
+
 Baselines missing a section/key that the fresh file has are fine
 (new benches extend the trajectory); fresh files missing a baseline
 key are a failure (the trajectory must never silently lose a
@@ -62,6 +68,27 @@ WALL_CLOCK_SUFFIXES = ("_ticks_per_sec", "_mticks_per_s", "_speedup",
                        "chips_s", "ticks_s")
 SAVINGS_DROP_PP = 5.0
 GAP_RISE_PP = 5.0
+# The host-stamp fields that name the machine and build; git_sha is
+# expected to differ between a baseline and a fresh run.
+HOST_FIELDS = ("nproc", "compiler", "build_type")
+
+
+def host_label(host):
+    if host is None:
+        return "unstamped"
+    return ", ".join(f"{f}={host.get(f, '?')}" for f in HOST_FIELDS)
+
+
+def cross_host_note(name, base_host, fresh_host):
+    """A note when the two files were measured on different hosts
+    (or a side is unstamped); None for a same-host comparison."""
+    same = (base_host is not None and fresh_host is not None and
+            all(base_host.get(f) == fresh_host.get(f)
+                for f in HOST_FIELDS))
+    if same:
+        return None
+    return (f"{name}: cross-host comparison (baseline "
+            f"{host_label(base_host)}; fresh {host_label(fresh_host)})")
 
 
 def classify(key):
@@ -140,13 +167,15 @@ def check_file(name, baseline, fresh, tolerance, wall_tolerance,
 
 
 def compare_dirs(baseline_dir, fresh_dir, tolerance, wall_tolerance):
-    """(failures, files_checked) across every committed baseline.
-    None when the baseline dir holds no trajectory files at all."""
+    """(failures, files_checked, cross_host_notes) across every
+    committed baseline. failures is None when the baseline dir holds
+    no trajectory files at all."""
     baselines = sorted(baseline_dir.glob("BENCH_*.json"))
     if not baselines:
-        return None, 0
+        return None, 0, []
 
     failures = []
+    notes = []
     checked = 0
     for base_path in baselines:
         fresh_path = fresh_dir / base_path.name
@@ -159,10 +188,14 @@ def compare_dirs(baseline_dir, fresh_dir, tolerance, wall_tolerance):
             baseline = json.load(f)
         with open(fresh_path) as f:
             fresh = json.load(f)
+        note = cross_host_note(base_path.name, baseline.pop("host", None),
+                               fresh.pop("host", None))
+        if note:
+            notes.append(note)
         check_file(base_path.name, baseline, fresh, tolerance,
                    wall_tolerance, failures)
         checked += 1
-    return failures, checked
+    return failures, checked, notes
 
 
 def self_test():
@@ -218,7 +251,7 @@ def self_test():
         (fresh / "BENCH_x.json").write_text(json.dumps(bad))
         # BENCH_gone.json deliberately not re-emitted.
 
-        failures, _ = compare_dirs(base, fresh, 0.25, 0.60)
+        failures, _, _ = compare_dirs(base, fresh, 0.25, 0.60)
         wanted = ["x_kbps", "compiled_speedup",
                   "ddc_warm_start_speedup", "parallel_speedup",
                   "fast_mticks_per_s", "chips_s", "ticks_s",
@@ -237,14 +270,41 @@ def self_test():
 
         (fresh / "BENCH_x.json").write_text(json.dumps(good))
         (fresh / "BENCH_gone.json").write_text(json.dumps(good))
-        failures, checked = compare_dirs(base, fresh, 0.25, 0.60)
+        failures, checked, _ = compare_dirs(base, fresh, 0.25, 0.60)
         if failures or checked != 2:
             print("bench_check --self-test: clean trajectory "
                   "flagged:\n  " + "\n  ".join(failures),
                   file=sys.stderr)
             return 1
+
+        # Host stamps: a same-host pair (only the sha moved) is not
+        # reported; another machine, another build type or a missing
+        # stamp is reported as cross-host — and never gates.
+        host = {"nproc": 4, "compiler": "gcc 12.2.0",
+                "build_type": "Release", "git_sha": "aaaa"}
+        cases = [
+            ("same host", host, dict(host, git_sha="bbbb"), False),
+            ("other nproc", host, dict(host, nproc=16), True),
+            ("other build", host, dict(host, build_type="Debug"), True),
+            ("unstamped baseline", None, host, True),
+        ]
+        for label, base_host, fresh_host, crosses in cases:
+            for d, h in ((base, base_host), (fresh, fresh_host)):
+                stamped = dict(good)
+                if h is not None:
+                    stamped["host"] = h
+                (d / "BENCH_x.json").write_text(json.dumps(stamped))
+            failures, _, notes = compare_dirs(base, fresh, 0.25, 0.60)
+            reported = any("BENCH_x.json: cross-host" in n
+                           for n in notes)
+            if failures or reported != crosses:
+                print(f"bench_check --self-test: host stamps "
+                      f"({label}) misreported: failures {failures}, "
+                      f"notes {notes}", file=sys.stderr)
+                return 1
         print("bench_check --self-test: all planted regressions "
-              "caught, clean trajectory passes")
+              "caught, clean trajectory passes, cross-host pairs "
+              "reported")
         return 0
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -271,7 +331,7 @@ def main():
         ap.error("--baseline-dir and --fresh-dir are required "
                  "(unless --self-test)")
 
-    failures, checked = compare_dirs(
+    failures, checked, notes = compare_dirs(
         args.baseline_dir, args.fresh_dir, args.tolerance,
         args.wall_tolerance)
     if failures is None:
@@ -279,6 +339,8 @@ def main():
               f"{args.baseline_dir}", file=sys.stderr)
         return 2
 
+    for note in notes:
+        print(f"bench_check: {note}")
     if failures:
         print("bench_check: PERF TRAJECTORY REGRESSED:")
         for f in failures:

@@ -8,8 +8,10 @@
  * power-vs-throughput Pareto frontier. Every frontier point is
  * bit-exact against its dsp:: golden and cross-checked on the
  * EventQueue backend; the analytic Optimizer's pick must sit on (or
- * within 10% total power of) the measured frontier. Appends the
- * numbers to BENCH_explore.json so the trajectory is tracked across
+ * within 10% total power of) the measured frontier. Also reports each
+ * app's mean lowering time per candidate (codegen plus the static
+ * verifier gate; informational, not gated). Appends the numbers to
+ * BENCH_explore.json so the trajectory is tracked across
  * PRs (tools/bench_check.py gates regressions in CI).
  */
 
@@ -41,7 +43,8 @@ frontierBestRate(const ExplorationResult &res)
 /** Record one app's exploration in the report; returns pass/fail. */
 bool
 record(bench::JsonReport &report, const ExplorationResult &res,
-       const char *rate_key, double rate_scale, double seconds)
+       const char *rate_key, double rate_scale, double seconds,
+       double lower_ms)
 {
     const auto &base = res.points[res.baseline_index];
     size_t measured = 0;
@@ -62,6 +65,7 @@ record(bench::JsonReport &report, const ExplorationResult &res,
     report.set(section, rate_key,
                frontierBestRate(res) * rate_scale);
     report.set(section, "explore_seconds", seconds);
+    report.set(section, "lower_ms", lower_ms);
     return res.all_bit_exact && res.agreement;
 }
 
@@ -81,17 +85,36 @@ main()
         double rate_scale;
         ExplorationResult res;
         double seconds = 0;
+        double lower_ms = 0; //!< mean per successful lowering
     };
     std::vector<Sweep> sweeps;
 
     auto timed = [&](mapping::ExplorableApp app, const char *key,
                      double scale) {
+        // Time every candidate's lowering (codegen plus the verifier
+        // gate) through the app's own hook; explorePlans lowers the
+        // candidates one after another.
+        double lower_s = 0;
+        size_t lowered = 0;
+        auto lower = app.lower;
+        app.lower = [&, lower](const mapping::ChipPlan &plan,
+                               double rate) {
+            auto t0 = std::chrono::steady_clock::now();
+            mapping::PipelineProgram prog = lower(plan, rate);
+            lower_s += std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+            ++lowered;
+            return prog;
+        };
         auto t0 = std::chrono::steady_clock::now();
         ExplorationResult res = mapping::explorePlans(app, opt);
         double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-        sweeps.push_back({key, scale, std::move(res), secs});
+        sweeps.push_back({key, scale, std::move(res), secs,
+                          lowered ? lower_s * 1e3 / double(lowered)
+                                  : 0.0});
     };
 
     const apps::AppRegistry &reg = apps::AppRegistry::instance();
@@ -102,10 +125,10 @@ main()
     timed(reg.at("motion").explorable(), "frontier_best_kmb_s", 1e-3);
 
     for (const auto &s : sweeps) {
-        std::printf("%s  (%.2f s)\n", s.res.report().c_str(),
-                    s.seconds);
+        std::printf("%s  (%.2f s; %.2f ms per lowering)\n",
+                    s.res.report().c_str(), s.seconds, s.lower_ms);
         ok = record(report, s.res, s.rate_key, s.rate_scale,
-                    s.seconds) &&
+                    s.seconds, s.lower_ms) &&
              ok;
         max_gap = std::max(max_gap, s.res.baseline_gap_pct);
     }

@@ -1,7 +1,9 @@
 #include "mapping/comm_schedule.hh"
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <string>
 
 #include "common/log.hh"
 
@@ -15,43 +17,46 @@ using arch::DouState;
 namespace
 {
 
-/** Build the SEG/Buffer outputs for all transfers in one cycle. */
-DouState
-cycleOutputs(const CommSchedule &sched, unsigned offset)
+/**
+ * Build the SEG/Buffer outputs of the transfers @p at, all pinned to
+ * @p offset, into @p st. Returns why they cannot share one cycle, or
+ * "" when they can.
+ */
+std::string
+cycleOutputs(const std::vector<const Transfer *> &at, unsigned offset,
+             DouState &st)
 {
-    DouState st;
-    std::vector<int> lane_owner(arch::BusLanes, -1);
+    st = DouState{};
+    std::array<bool, arch::BusLanes> lane_owned{};
 
-    for (size_t ti = 0; ti < sched.transfers.size(); ++ti) {
-        const Transfer &t = sched.transfers[ti];
-        if (t.offset != offset)
-            continue;
+    for (const Transfer *tp : at) {
+        const Transfer &t = *tp;
         if (t.lane >= arch::BusLanes)
-            fatal("schedule: lane %u out of range", t.lane);
-        if (t.offset >= sched.period)
-            fatal("schedule: offset %u >= period %u", t.offset,
-                  sched.period);
-        if (lane_owner[t.lane] >= 0)
-            fatal("schedule: two transfers on lane %u at offset %u",
-                  t.lane, offset);
-        lane_owner[t.lane] = int(ti);
+            return strprintf("lane %u out of range", t.lane);
+        if (lane_owned[t.lane])
+            return strprintf("two transfers on lane %u at offset %u",
+                             t.lane, offset);
+        lane_owned[t.lane] = true;
 
         // Positions this transfer spans (for segment switches).
         unsigned lo = arch::TilesPerColumn, hi = 0;
         bool uses_h = t.to_horizontal || t.src_tile < 0;
         auto touch = [&](unsigned pos) {
             if (pos >= arch::TilesPerColumn)
-                fatal("schedule: tile position %u out of range", pos);
+                return false;
             lo = std::min(lo, pos);
             hi = std::max(hi, pos);
+            return true;
         };
         if (t.src_tile >= 0) {
-            touch(unsigned(t.src_tile));
+            if (!touch(unsigned(t.src_tile)))
+                return strprintf("tile position %d out of range",
+                                 t.src_tile);
             BufferCtl c = BufferCtl::fromByte(
                 st.buf[unsigned(t.src_tile)]);
             if (c.drive)
-                fatal("schedule: tile %d drives twice at offset %u",
-                      t.src_tile, offset);
+                return strprintf("tile %d drives twice at offset %u",
+                                 t.src_tile, offset);
             c.drive = true;
             c.drive_lane = uint8_t(t.lane);
             st.buf[unsigned(t.src_tile)] = c.byte();
@@ -61,12 +66,12 @@ cycleOutputs(const CommSchedule &sched, unsigned offset)
         // SIMD columns in lock step when only some lanes carry
         // useful data).
         for (unsigned d : t.dst_tiles) {
-            touch(d);
+            if (!touch(d))
+                return strprintf("tile position %u out of range", d);
             BufferCtl c = BufferCtl::fromByte(st.buf[d]);
             if (c.capture)
-                fatal("schedule: tile %u captures twice at offset "
-                      "%u",
-                      d, offset);
+                return strprintf("tile %u captures twice at offset %u",
+                                 d, offset);
             c.capture = true;
             c.capture_lane = uint8_t(t.lane);
             st.buf[d] = c.byte();
@@ -83,7 +88,7 @@ cycleOutputs(const CommSchedule &sched, unsigned offset)
         if (uses_h)
             st.seg[3] = uint8_t(st.seg[3] | (1u << pair_bit));
     }
-    return st;
+    return "";
 }
 
 } // namespace
@@ -141,6 +146,33 @@ allocateEdgeSlots(const std::vector<unsigned> &slots_per_edge,
     return slots;
 }
 
+std::vector<ActiveCycle>
+scheduleActiveCycles(const CommSchedule &sched)
+{
+    std::vector<const Transfer *> order;
+    for (const Transfer &t : sched.transfers) {
+        if (t.offset < sched.period)
+            order.push_back(&t);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const Transfer *x, const Transfer *y) {
+                         return x->offset < y->offset;
+                     });
+    std::vector<ActiveCycle> out;
+    std::vector<const Transfer *> at;
+    for (size_t i = 0; i < order.size();) {
+        const unsigned off = order[i]->offset;
+        at.clear();
+        for (; i < order.size() && order[i]->offset == off; ++i)
+            at.push_back(order[i]);
+        ActiveCycle c;
+        c.offset = off;
+        c.malformed = cycleOutputs(at, off, c.out);
+        out.push_back(std::move(c));
+    }
+    return out;
+}
+
 DouState
 scheduleOutputAt(const CommSchedule &sched, uint64_t bus_cycle)
 {
@@ -148,9 +180,14 @@ scheduleOutputAt(const CommSchedule &sched, uint64_t bus_cycle)
         return DouState{};
     unsigned offset =
         unsigned((bus_cycle - sched.prologue) % sched.period);
-    DouState st = cycleOutputs(sched, offset);
-    st.nxt0 = st.nxt1 = 0; // successor fields are compiler business
-    return st;
+    for (const ActiveCycle &c : scheduleActiveCycles(sched)) {
+        if (c.offset != offset)
+            continue;
+        if (!c.malformed.empty())
+            fatal("schedule: %s", c.malformed.c_str());
+        return c.out;
+    }
+    return DouState{};
 }
 
 /**
@@ -173,16 +210,7 @@ compileSchedule(const CommSchedule &sched)
                   sched.period);
     }
 
-    // Active offsets in order.
-    std::vector<unsigned> active;
-    for (unsigned off = 0; off < sched.period; ++off) {
-        for (const Transfer &t : sched.transfers) {
-            if (t.offset == off) {
-                active.push_back(off);
-                break;
-            }
-        }
-    }
+    const std::vector<ActiveCycle> active = scheduleActiveCycles(sched);
 
     DouProgram prog;
     unsigned counters_used = 0;
@@ -247,17 +275,19 @@ compileSchedule(const CommSchedule &sched)
     }
 
     for (size_t i = 0; i < active.size(); ++i) {
+        if (!active[i].malformed.empty())
+            fatal("schedule: %s", active[i].malformed.c_str());
         // Wait from the previous active offset to this one.
-        unsigned prev_end = i == 0 ? 0 : active[i - 1] + 1;
-        emit_wait(active[i] - prev_end, emit_wait);
-        DouState st = cycleOutputs(sched, active[i]);
+        unsigned prev_end = i == 0 ? 0 : active[i - 1].offset + 1;
+        emit_wait(active[i].offset - prev_end, emit_wait);
+        DouState st = active[i].out;
         st.cntr = uint8_t(ReservedCounter);
         unsigned idx = unsigned(prog.states.size());
         st.nxt0 = st.nxt1 = uint8_t(idx + 1);
         prog.states.push_back(st);
     }
     // Tail wait to complete the period, then wrap to the body.
-    unsigned tail = sched.period - (active.back() + 1);
+    unsigned tail = sched.period - (active.back().offset + 1);
     emit_wait(tail, emit_wait);
     // The last emitted state must wrap to body_start instead of
     // falling through.

@@ -17,6 +17,7 @@
 #define SYNC_MAPPING_COMM_SCHEDULE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arch/dou.hh"
@@ -93,10 +94,28 @@ EdgeSlots allocateEdgeSlots(const std::vector<unsigned> &slots_per_edge,
 /**
  * Reference interpretation of a schedule: the (seg, buf) outputs the
  * DOU must produce at the given absolute bus cycle. Tests compare
- * the compiled program's trace against this.
+ * the compiled program's trace against this. fatal() on the
+ * malformations compileSchedule() rejects at that cycle.
  */
 arch::DouState scheduleOutputAt(const CommSchedule &sched,
                                 uint64_t bus_cycle);
+
+/** One active offset of a schedule and its reference outputs. */
+struct ActiveCycle
+{
+    unsigned offset = 0;
+    arch::DouState out;    //!< scheduleOutputAt() at this offset
+    std::string malformed; //!< why out is undefined, or ""
+};
+
+/**
+ * scheduleOutputAt() for one whole period in one pass over the
+ * transfers: an entry per offset in [0, period) that carries a
+ * transfer, ascending; every other cycle of the period outputs
+ * DouState{}. Never fatal()s: an offset scheduleOutputAt() would
+ * fatal() on carries the reason in `malformed` instead.
+ */
+std::vector<ActiveCycle> scheduleActiveCycles(const CommSchedule &sched);
 
 } // namespace synchro::mapping
 

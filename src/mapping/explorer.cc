@@ -130,7 +130,7 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
     res.app = app.name;
     res.baseline_index = 0;
 
-    // Lower every candidate and stage one FastEdge chip per
+    // Lower every candidate and stage one chip on opt.scheduler per
     // successful lowering on a single heterogeneous session — each
     // chip its own configuration, program and tick budget.
     struct Prep

@@ -17,6 +17,8 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,6 +33,8 @@ namespace synchro::mapping
 namespace
 {
 
+using detail::CommEvent;
+using detail::WalkResult;
 using isa::MicroOp;
 using isa::UopKind;
 
@@ -49,36 +53,11 @@ severityName(Severity s)
     }
 }
 
+} // namespace
+
 // ---------------------------------------------------------------------
 // Abstract comm-sequence walk
 // ---------------------------------------------------------------------
-
-/** One `crd`/`cwr` in program order. */
-struct CommEvent
-{
-    bool is_read = false;
-    int lane = -1;    //!< tagged lane, or -1 for the untagged forms
-    uint64_t gap = 0; //!< issue slots since the previous comm op
-};
-
-/**
- * Result of abstractly executing one column program. Two exactness
- * levels: `sequence_exact` means `events` is the exact comm sequence
- * every run of the program produces (data-dependent branches were
- * proven comm-transparent); `timing_exact` additionally means every
- * gap is the exact issue-slot distance (no conditional branches at
- * all, so no data-dependent path lengths and no branch-stall cycles).
- */
-struct WalkResult
-{
-    bool sequence_exact = true;
-    bool timing_exact = true;
-    std::string inexact_why;
-    std::vector<CommEvent> events;
-    uint64_t tail_slots = 0;  //!< slots after the last comm op
-    uint64_t total_slots = 0; //!< issue slots for the whole run
-    std::set<int> read_lanes, write_lanes; //!< textual, whole program
-};
 
 /**
  * Concretely walk @p uops with the controller's advance rules. Loop
@@ -86,9 +65,15 @@ struct WalkResult
  * for branch-free programs. Conditional branches are handled by the
  * comm-transparency rules documented inline; anything else degrades
  * the walk to textual lane sets.
+ *
+ * Cost is O(program + comm events): a loop whose body is
+ * straight-line code with properly nested inner loops is charged
+ * trip x body slots in closed form, its comm ops listed from one
+ * iteration's positions, instead of being stepped — with the
+ * budget, re-arm and loop-unwinding outcomes of stepping it.
  */
-WalkResult
-walkComm(const std::vector<MicroOp> &uops)
+detail::WalkResult
+detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
 {
     WalkResult w;
     for (const MicroOp &u : uops) {
@@ -125,6 +110,96 @@ walkComm(const std::vector<MicroOp> &uops)
         return true;
     };
 
+    // Closed form of one full execution of a branch-free loop. The
+    // body [lo, hi) must run straight through: no control transfer,
+    // every nested lsetup well-formed, ending inside its enclosing
+    // loop and arming a unit none of its enclosing loops in the body
+    // holds. Then every iteration issues the same slots with the
+    // same comm ops at the same positions. `slots` saturates past
+    // the budget, where every larger count walks the same (and no
+    // comm op is listed: an exhausted walk keeps none).
+    struct Closed
+    {
+        bool ok = false;
+        uint64_t slots = 0; //!< issue slots, the lsetup excluded
+        uint32_t units = 0; //!< loop units the body's lsetups arm
+        //! (1-based slot, pc) of every comm op, in issue order
+        std::vector<std::pair<uint64_t, uint32_t>> comm;
+    };
+    const uint64_t saturated = budget + 1;
+    // A unit past the mask never takes the closed form.
+    auto unitBit = [](uint8_t unit) {
+        return unit < 32 ? uint32_t(1) << unit : 0;
+    };
+    auto repeat = [&](Closed c, uint64_t trip) {
+        if (c.slots > saturated / trip) {
+            c.slots = saturated;
+            c.comm.clear();
+            return c;
+        }
+        const size_t per = c.comm.size();
+        for (uint64_t k = 1; k < trip; ++k) {
+            for (size_t j = 0; j < per; ++j)
+                c.comm.push_back(
+                    {c.comm[j].first + k * c.slots, c.comm[j].second});
+        }
+        c.slots *= trip;
+        return c;
+    };
+    auto body = [&](size_t lo, size_t hi, uint32_t held,
+                    auto &&self) -> Closed {
+        Closed c;
+        auto issue = [&](uint64_t k) {
+            c.slots = std::min(saturated, c.slots + k);
+            if (c.slots == saturated)
+                c.comm.clear();
+        };
+        for (size_t i = lo; i < hi;) {
+            const MicroOp &u = uops[i];
+            switch (u.kind) {
+              case UopKind::Halt:
+              case UopKind::Jump:
+              case UopKind::Jcc:
+              case UopKind::Jncc:
+                return Closed{};
+              case UopKind::CommRead:
+              case UopKind::CommWrite:
+                issue(1);
+                if (c.slots < saturated)
+                    c.comm.push_back({c.slots, uint32_t(i)});
+                ++i;
+                continue;
+              case UopKind::Lsetup: {
+                const uint32_t bit = unitBit(u.acc);
+                if (u.imm <= 0 || u.end <= i + 1 || u.end > hi ||
+                    !bit || (held & bit))
+                    return Closed{};
+                const Closed in = self(i + 1, u.end, held | bit, self);
+                if (!in.ok)
+                    return Closed{};
+                const Closed loop = repeat(in, uint64_t(u.imm));
+                issue(1);
+                const uint64_t at = c.slots;
+                issue(loop.slots);
+                if (c.slots < saturated) {
+                    for (const auto &[slot, cpc] : loop.comm)
+                        c.comm.push_back({at + slot, cpc});
+                }
+                c.units |= bit | loop.units;
+                i = u.end;
+                continue;
+              }
+              default:
+                issue(1);
+                ++i;
+                continue;
+            }
+        }
+        c.ok = true;
+        return c;
+    };
+    std::vector<std::optional<Closed>> closed(n); //!< per lsetup pc
+
     struct Loop
     {
         uint32_t start, end, remaining;
@@ -154,7 +229,6 @@ walkComm(const std::vector<MicroOp> &uops)
         w.events.clear();
     };
 
-    constexpr uint64_t WalkBudget = 50'000'000;
     uint64_t gap = 0;
     uint32_t pc = 0;
     while (true) {
@@ -162,7 +236,7 @@ walkComm(const std::vector<MicroOp> &uops)
             inexact("pc fell off the program end");
             return w;
         }
-        if (w.total_slots >= WalkBudget) {
+        if (w.total_slots >= budget) {
             inexact("walk budget exceeded");
             return w;
         }
@@ -219,6 +293,7 @@ walkComm(const std::vector<MicroOp> &uops)
                 inexact(strprintf("malformed lsetup at pc %u", pc));
                 return w;
             }
+            uint32_t held = 0;
             for (const Loop &l : stack) {
                 if (l.unit == u.acc) {
                     inexact(strprintf(
@@ -227,6 +302,39 @@ walkComm(const std::vector<MicroOp> &uops)
                         unsigned(u.acc), pc));
                     return w;
                 }
+                held |= unitBit(l.unit);
+            }
+            if (!closed[pc]) {
+                const uint32_t bit = unitBit(u.acc);
+                closed[pc] = bit ? repeat(body(pc + 1, u.end, bit, body),
+                                          uint64_t(u.imm))
+                                 : Closed{};
+            }
+            const Closed &c = *closed[pc];
+            if (c.ok && !(c.units & held)) {
+                // Every slot of the loop runs before the budget runs
+                // out, or the walk ends inside it; resume after its
+                // last iteration.
+                if (w.total_slots + c.slots > budget) {
+                    w.total_slots = budget;
+                    inexact("walk budget exceeded");
+                    return w;
+                }
+                uint64_t last = 0;
+                for (const auto &[slot, cpc] : c.comm) {
+                    CommEvent e;
+                    e.is_read = uops[cpc].kind == UopKind::CommRead;
+                    e.lane = uops[cpc].imm;
+                    e.gap = gap + (slot - last) - 1;
+                    w.events.push_back(e);
+                    gap = 0;
+                    last = slot;
+                }
+                gap += c.slots - last;
+                w.total_slots += c.slots;
+                stack.push_back({pc + 1, u.end, 1, u.acc});
+                pc = advance(u.end - 1);
+                continue;
             }
             stack.push_back(
                 {pc + 1, u.end, uint32_t(u.imm), u.acc});
@@ -250,6 +358,9 @@ walkComm(const std::vector<MicroOp> &uops)
         }
     }
 }
+
+namespace
+{
 
 // ---------------------------------------------------------------------
 // Shared analysis state
@@ -377,7 +488,7 @@ resolve(Analysis &a, VerifyReport &rep)
     }
 
     for (ColInfo &ci : a.cols)
-        ci.walk = walkComm(ci.uops);
+        ci.walk = detail::walkComm(ci.uops);
     return true;
 }
 
@@ -743,14 +854,22 @@ checkSlots(Analysis &a, VerifyReport &rep)
     // every cycle's SEG/Buffer outputs against the schedule's
     // reference interpretation, and require the machine to return to
     // its initial state — which extends the one-period proof to every
-    // later period by induction.
+    // later period by induction. The reference is tabled once per
+    // active offset; every other cycle must output DouState{}, so a
+    // self-looping wait state that outputs DouState{} is charged in
+    // one step up to the next active offset.
     for (const ColInfo &ci : a.cols) {
         const arch::DouProgram &dou = ci.col->dou;
+        const CommSchedule &sched = ci.col->schedule;
         const std::string &actor = ci.stage->actor;
         if (dou.states.empty()) {
             err("actor '" + actor + "': empty DOU program");
             continue;
         }
+        const std::vector<ActiveCycle> active =
+            scheduleActiveCycles(sched);
+        const ActiveCycle idle;
+        size_t next_active = 0; //!< first entry past the cycle's offset
         unsigned st = 0;
         std::array<uint32_t, arch::DouNumCounters> ctrs =
             dou.counter_init;
@@ -764,9 +883,39 @@ checkSlots(Analysis &a, VerifyReport &rep)
                 break;
             }
             const arch::DouState &out = dou.states[st];
-            const arch::DouState ref =
-                scheduleOutputAt(ci.col->schedule, cyc);
-            if (out.seg != ref.seg || out.buf != ref.buf) {
+            const ActiveCycle *ref = &idle;
+            // The first cycle after this one whose reference may not
+            // be DouState{}.
+            uint64_t next_busy = sched.prologue;
+            if (cyc >= sched.prologue) {
+                if (sched.period == 0) {
+                    err(strprintf("actor '%s': zero schedule period; "
+                                  "DOU replay skipped",
+                                  actor.c_str()));
+                    bad = true;
+                    break;
+                }
+                const uint64_t off =
+                    (cyc - sched.prologue) % sched.period;
+                if (off == 0)
+                    next_active = 0;
+                if (next_active < active.size() &&
+                    active[next_active].offset == off)
+                    ref = &active[next_active++];
+                next_busy = cyc - off +
+                            (next_active < active.size()
+                                 ? active[next_active].offset
+                                 : sched.period);
+            }
+            if (!ref->malformed.empty()) {
+                err(strprintf("actor '%s': schedule is malformed at bus "
+                              "cycle %llu (%s); DOU replay skipped",
+                              actor.c_str(), (unsigned long long)cyc,
+                              ref->malformed.c_str()));
+                bad = true;
+                break;
+            }
+            if (out.seg != ref->out.seg || out.buf != ref->out.buf) {
                 err(strprintf("actor '%s': DOU output diverges from "
                               "its schedule at bus cycle %llu",
                               actor.c_str(),
@@ -778,9 +927,19 @@ checkSlots(Analysis &a, VerifyReport &rep)
             if (ctr == 0) {
                 ctr = dou.counter_init[out.cntr];
                 st = out.nxt0;
-            } else {
-                --ctr;
-                st = out.nxt1;
+                continue;
+            }
+            --ctr;
+            st = out.nxt1;
+            if (st == unsigned(&out - dou.states.data()) && ref == &idle) {
+                // It stays here, outputting DouState{}, while the
+                // counter runs down: skip the cycles the reference
+                // idles through too.
+                const uint64_t k = std::min(
+                    {uint64_t(ctr), next_busy - cyc - 1,
+                     prog.period - 1 - cyc});
+                ctr -= uint32_t(k);
+                cyc += k;
             }
         }
         if (!bad && (st != 0 || ctrs != dou.counter_init)) {
@@ -1050,6 +1209,100 @@ kahnReplay(Analysis &a, VerifyReport &rep)
 }
 
 /**
+ * Count the ticks in [1, x] that are a multiple of at least one of a
+ * set of dividers — the union of the edge progressions of columns
+ * with those dividers — by inclusion–exclusion over the distinct
+ * dividers (a divider that is a multiple of another adds nothing).
+ */
+class EdgeUnion
+{
+  public:
+    void
+    add(uint64_t d)
+    {
+        auto it = std::lower_bound(
+            count_.begin(), count_.end(), d,
+            [](const auto &e, uint64_t v) { return e.first < v; });
+        if (it != count_.end() && it->first == d) {
+            ++it->second;
+        } else {
+            count_.insert(it, {d, 1});
+            dirty_ = true;
+        }
+    }
+
+    void
+    remove(uint64_t d)
+    {
+        auto it = std::lower_bound(
+            count_.begin(), count_.end(), d,
+            [](const auto &e, uint64_t v) { return e.first < v; });
+        if (--it->second == 0) {
+            count_.erase(it);
+            dirty_ = true;
+        }
+    }
+
+    /** Union ticks strictly between @p lo and @p hi. */
+    uint64_t
+    between(uint64_t lo, uint64_t hi)
+    {
+        if (hi <= lo + 1 || count_.empty())
+            return 0;
+        if (dirty_)
+            rebuild();
+        return upTo(hi - 1) - upTo(lo);
+    }
+
+  private:
+    struct Term
+    {
+        uint64_t lcm;
+        bool add;
+    };
+
+    uint64_t
+    upTo(uint64_t x) const
+    {
+        uint64_t plus = 0, minus = 0;
+        for (const Term &t : terms_)
+            (t.add ? plus : minus) += x / t.lcm;
+        return plus - minus;
+    }
+
+    void
+    rebuild()
+    {
+        terms_.clear();
+        base_.clear();
+        for (const auto &[d, n] : count_) {
+            bool covered = false;
+            for (uint64_t b : base_)
+                covered = covered || d % b == 0;
+            if (covered)
+                continue;
+            base_.push_back(d);
+            const size_t done = terms_.size();
+            terms_.push_back({d, true});
+            for (size_t j = 0; j < done; ++j) {
+                const uint64_t l = terms_[j].lcm;
+                const uint64_t g = std::gcd(l, d);
+                if (l / g > UINT64_MAX / d)
+                    continue; // beyond every reachable tick
+                terms_.push_back({l / g * d, !terms_[j].add});
+            }
+        }
+        dirty_ = false;
+    }
+
+    //! (divider, sleepers with it), ascending
+    std::vector<std::pair<uint64_t, unsigned>> count_;
+    std::vector<uint64_t> base_;
+    std::vector<Term> terms_;
+    bool dirty_ = false;
+};
+
+/**
  * Exact timed replay of the comm-relevant projection for legacy
  * (drop-new) artifacts: column edges at tick = edge * divider, ZORM
  * Bresenham stepping on every edge (stalls included, exactly like
@@ -1058,6 +1311,15 @@ kahnReplay(Analysis &a, VerifyReport &rep)
  * next edge. Sound only for timing-exact programs — the caller
  * guarantees that. Proves drop-new overrun unreachable and the run
  * deadlock-free.
+ *
+ * A column whose comm op stalls sleeps: it leaves the next-tick
+ * search until the bus step that pops its write buffer or fills its
+ * read buffer wakes it at its first edge after that tick, and the
+ * edges it slept through are charged to its ZORM accumulator in
+ * closed form. The iteration count (which paces the deadlock probe
+ * and the step budget) still counts every tick the slot-stepped
+ * replay visits, sleepers' edges included, so every finding is the
+ * one stepping every edge would produce.
  */
 void
 timedReplay(Analysis &a, VerifyReport &rep)
@@ -1075,6 +1337,7 @@ timedReplay(Analysis &a, VerifyReport &rep)
         uint64_t acc = 0;  //!< ZORM accumulator
         bool halted = false;
         bool stalled = false;
+        bool asleep = false; //!< stalled; edge/acc lag until woken
         int wb_lane = -1;
         std::array<char, arch::BusLanes> rb{};
         std::array<uint64_t, arch::BusLanes> rb_since{};
@@ -1083,13 +1346,13 @@ timedReplay(Analysis &a, VerifyReport &rep)
     };
     std::vector<TCol> st(a.cols.size());
 
-    // Bus slots: offset -> the transfers scheduled there.
+    // Bus slots: per offset, the transfers scheduled there.
     struct Slot
     {
         unsigned lane;
         size_t prod, cons;
     };
-    std::map<unsigned, std::vector<Slot>> slots;
+    std::vector<std::vector<Slot>> slots(period);
     for (size_t e = 0; e < a.edges.size(); ++e) {
         const EdgeInfo &ei = a.edges[e];
         for (const Transfer &t :
@@ -1157,7 +1420,7 @@ timedReplay(Analysis &a, VerifyReport &rep)
 
     // One column edge: ZORM gate first, then the comm attempt — the
     // exact SimdController::cycle() order (a stalled edge still
-    // advances the accumulator).
+    // advances the accumulator). True when the comm op stalled.
     auto attempt = [&](size_t c, uint64_t tick) {
         TCol &t = st[c];
         ++t.edge;
@@ -1165,7 +1428,7 @@ timedReplay(Analysis &a, VerifyReport &rep)
             t.acc += t.z.nops;
             if (t.acc >= t.z.period) {
                 t.acc -= t.z.period;
-                return; // forced nop edge
+                return false; // forced nop edge
             }
         }
         const CommEvent &e = a.cols[c].events[t.next];
@@ -1174,17 +1437,39 @@ timedReplay(Analysis &a, VerifyReport &rep)
             if (t.rb[lane] && t.rb_since[lane] < tick) {
                 t.rb[lane] = 0;
                 finishOp(c);
-            } else {
-                t.stalled = true;
+                return false;
             }
-        } else {
-            if (t.wb_lane < 0) {
-                t.wb_lane = int(lane);
-                --t.pending_writes[lane];
-                finishOp(c);
-            } else {
-                t.stalled = true;
-            }
+        } else if (t.wb_lane < 0) {
+            t.wb_lane = int(lane);
+            --t.pending_writes[lane];
+            finishOp(c);
+            return false;
+        }
+        t.stalled = true;
+        return true;
+    };
+
+    // Sleepers. Until a bus step changes its buffer, every edge of a
+    // stalled column re-attempts the same op and stalls again, which
+    // changes nothing but its edge count and ZORM accumulator.
+    EdgeUnion sleeper_edges;
+    auto fallAsleep = [&](size_t c) {
+        st[c].asleep = true;
+        sleeper_edges.add(st[c].divider);
+    };
+    // Wake @p c after the bus step at tick @p T: its edges up to T
+    // all stalled (or were forced nops); the next one is its first
+    // edge after T.
+    auto wake = [&](size_t c, uint64_t T) {
+        TCol &t = st[c];
+        t.asleep = false;
+        sleeper_edges.remove(t.divider);
+        const uint64_t upto = T / t.divider + 1;
+        const uint64_t m = upto - t.edge;
+        t.edge = upto;
+        if (t.z.period > 0) {
+            t.acc = (t.acc + (m % t.z.period) * t.z.nops) %
+                    t.z.period;
         }
     };
 
@@ -1241,7 +1526,13 @@ timedReplay(Analysis &a, VerifyReport &rep)
         return false;
     };
 
+    // `iter` counts the ticks the slot-stepped replay visits: every
+    // tick here plus the sleepers' edge ticks in between. The probe
+    // runs every 0x2000 of them; nothing it reads changes while
+    // columns sleep, so one probe covers every probe tick between
+    // two ticks here.
     constexpr uint64_t IterGuard = 400'000'000;
+    constexpr uint64_t ProbeEvery = 0x2000;
     uint64_t tick = 0;
     bool first = true;
     for (uint64_t iter = 0;; ++iter) {
@@ -1251,27 +1542,13 @@ timedReplay(Analysis &a, VerifyReport &rep)
         if (all_halted)
             return; // every program completed: overrun-free, no
                     // deadlock
-        if (iter >= IterGuard) {
-            rep.add(Severity::Warning, "tokens",
-                    "timed replay exceeded its step budget before "
-                    "the programs completed; drop-new overrun "
-                    "freedom not proven");
-            return;
-        }
-        if ((iter & 0x1fff) == 0x1fff) {
-            std::string who;
-            if (deadlocked(who)) {
-                rep.add(Severity::Error, "tokens",
-                        "deadlock: " + who);
-                return;
-            }
-        }
 
-        // Next interesting tick: a column edge, or a drive slot that
-        // can pop a pending write-buffer word.
+        // Next interesting tick: an awake column's edge, or a drive
+        // slot that can pop a pending write-buffer word. None left
+        // means every live column sleeps with nothing to wake it.
         uint64_t tn = UINT64_MAX;
         for (const TCol &t : st) {
-            if (!t.halted)
+            if (!t.halted && !t.asleep)
                 tn = std::min(tn, t.edge * t.divider);
         }
         const uint64_t from = first ? 0 : tick + 1;
@@ -1285,33 +1562,48 @@ timedReplay(Analysis &a, VerifyReport &rep)
                 tn = std::min(tn, next);
             }
         }
-        if (tn == UINT64_MAX) {
+        const uint64_t at_tn =
+            tn == UINT64_MAX ? UINT64_MAX
+                             : iter + sleeper_edges.between(tick, tn);
+        const uint64_t probe = iter | (ProbeEvery - 1);
+        if (probe <= at_tn && probe < IterGuard) {
             std::string who;
-            rep.add(Severity::Error, "tokens",
-                    deadlocked(who) ? "deadlock: " + who
-                                    : "deadlock: no column can make "
-                                      "progress");
+            if (deadlocked(who)) {
+                rep.add(Severity::Error, "tokens",
+                        "deadlock: " + who);
+                return;
+            }
+        }
+        if (at_tn >= IterGuard) {
+            rep.add(Severity::Warning, "tokens",
+                    "timed replay exceeded its step budget before "
+                    "the programs completed; drop-new overrun "
+                    "freedom not proven");
             return;
         }
+        iter = at_tn;
         tick = tn;
         first = false;
 
-        // 1) every column edge at this tick (domain edges precede
-        //    the reference phase, as in the scheduler backends);
+        // 1) every awake column edge at this tick (domain edges
+        //    precede the reference phase, as in the scheduler
+        //    backends);
         for (size_t c = 0; c < a.cols.size(); ++c) {
-            if (!st[c].halted && st[c].edge * st[c].divider == tick)
-                attempt(c, tick);
+            const TCol &t = st[c];
+            if (!t.halted && !t.asleep &&
+                t.edge * t.divider == tick && attempt(c, tick))
+                fallAsleep(c);
         }
         // 2) the bus cycle at this tick: pop tag-matched words,
-        //    deliver, and flag legacy drop-new.
-        auto it = slots.find(unsigned(tick % period));
-        if (it == slots.end())
-            continue;
-        for (const Slot &s : it->second) {
+        //    deliver, flag legacy drop-new, and wake the columns
+        //    whose stalled op the step unblocks.
+        for (const Slot &s : slots[tick % period]) {
             TCol &p = st[s.prod];
             if (p.wb_lane != int(s.lane))
                 continue;
             p.wb_lane = -1;
+            if (p.asleep && !a.cols[s.prod].events[p.next].is_read)
+                wake(s.prod, tick);
             TCol &cns = st[s.cons];
             if (cns.rb[s.lane]) {
                 rep.add(
@@ -1327,6 +1619,11 @@ timedReplay(Analysis &a, VerifyReport &rep)
             }
             cns.rb[s.lane] = 1;
             cns.rb_since[s.lane] = tick;
+            if (cns.asleep) {
+                const CommEvent &e = a.cols[s.cons].events[cns.next];
+                if (e.is_read && e.lane == int(s.lane))
+                    wake(s.cons, tick);
+            }
         }
     }
 }

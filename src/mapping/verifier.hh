@@ -53,14 +53,26 @@
  * codegen gates every lowering on this report (fatal on Error), and
  * the design-space explorer uses the same gate to reject
  * provably-broken candidates before staging a chip.
+ *
+ * Cost: O(program + comm events + bus slots), not O(issue slots +
+ * ticks). The comm walk charges branch-free loops in closed form;
+ * the timed replay lets a stalled column sleep until a bus step
+ * changes its buffer, still counting every tick the slot-stepped
+ * replay would visit (so the deadlock probe fires at the same
+ * point); the DOU replay tables the reference outputs once per
+ * active offset and skips idle wait states in one step. Every
+ * finding is the one stepping slot by slot would produce.
  */
 
 #ifndef SYNC_MAPPING_VERIFIER_HH
 #define SYNC_MAPPING_VERIFIER_HH
 
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "isa/uop.hh"
 #include "mapping/codegen.hh"
 
 namespace synchro::mapping
@@ -111,8 +123,9 @@ struct VerifyReport
  * it was lowered from, at the lowering's @p iterations_per_sec and
  * @p slack. Pure analysis: builds no chip, runs no ticks, mutates
  * nothing. Never fatal()s on verification failures — they come back
- * as findings; fatal() only on artifacts too malformed to analyze
- * (e.g. a program that no longer decodes).
+ * as findings, malformed column schedules included; fatal() only on
+ * artifacts too malformed to analyze (e.g. a program that no longer
+ * decodes).
  */
 VerifyReport verifyLowered(const DagSpec &spec, const ChipPlan &plan,
                            const PipelineProgram &prog,
@@ -141,6 +154,51 @@ struct LoweredArtifact
                              slack);
     }
 };
+
+namespace detail
+{
+
+/** One `crd`/`cwr` in program order. */
+struct CommEvent
+{
+    bool is_read = false;
+    int lane = -1;    //!< tagged lane, or -1 for the untagged forms
+    uint64_t gap = 0; //!< issue slots since the previous comm op
+};
+
+/**
+ * Result of abstractly executing one column program. Two exactness
+ * levels: `sequence_exact` means `events` is the exact comm sequence
+ * every run of the program produces (data-dependent branches were
+ * proven comm-transparent); `timing_exact` additionally means every
+ * gap is the exact issue-slot distance (no conditional branches at
+ * all, so no data-dependent path lengths and no branch-stall cycles).
+ */
+struct WalkResult
+{
+    bool sequence_exact = true;
+    bool timing_exact = true;
+    std::string inexact_why;
+    std::vector<CommEvent> events;
+    uint64_t tail_slots = 0;  //!< slots after the last comm op
+    uint64_t total_slots = 0; //!< issue slots for the whole run
+    std::set<int> read_lanes, write_lanes; //!< textual, whole program
+};
+
+/** Issue slots a walk takes before it gives up as inexact. */
+constexpr uint64_t WalkBudget = 50'000'000;
+
+/**
+ * The "tags" pass's comm walk of one decoded column program: the
+ * controller's issue and loop-unwinding rules, with comm-free loops
+ * charged in closed form. Internal to verifyLowered() (which always
+ * walks with the default budget); declared here so tests can hold it
+ * to a slot-stepped reference walk.
+ */
+WalkResult walkComm(const std::vector<isa::MicroOp> &uops,
+                    uint64_t budget = WalkBudget);
+
+} // namespace detail
 
 } // namespace synchro::mapping
 

@@ -1,7 +1,9 @@
 /** @file Static plan/program verifier: planted safety violations are
  * each rejected with a specific finding, the four committed app
- * lowerings verify clean on both bus settings, and the explorer
- * filters provably-broken candidates before simulation. */
+ * lowerings verify clean on both bus settings, the explorer filters
+ * provably-broken candidates before simulation, the findings on a
+ * seeded corpus match pinned digests, and the closed-form comm walk
+ * matches a slot-stepped reference walk on random loop nests. */
 
 #include <gtest/gtest.h>
 
@@ -14,10 +16,13 @@
 #include "apps/stereo_runner.hh"
 #include "apps/wifi_runner.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
+#include "isa/uop.hh"
 #include "mapping/codegen.hh"
 #include "mapping/comm_schedule.hh"
 #include "mapping/explorer.hh"
 #include "mapping/verifier.hh"
+#include "verifier_corpus.hh"
 
 using namespace synchro;
 using namespace synchro::mapping;
@@ -418,4 +423,453 @@ TEST(Verifier, ExplorerFiltersBrokenCandidateBeforeSimulation)
     EXPECT_TRUE(res.points[0].bit_exact);
     EXPECT_NE(res.report().find("statically rejected"),
               std::string::npos);
+}
+
+TEST(Verifier, MalformedColumnScheduleReportedNotThrown)
+{
+    // A column schedule the DOU compiler would refuse — a lane past
+    // the bus, or two transfers on one (lane, offset) — comes back
+    // as a "slots" finding; the DOU replay stops at the malformed
+    // cycle instead of fatal()ing.
+    for (const std::string &name :
+         apps::AppRegistry::instance().names()) {
+        const LoweredArtifact base =
+            apps::AppRegistry::instance().at(name).verifiable();
+        auto expectReported = [&](const LoweredArtifact &art,
+                                  const char *what) {
+            VerifyReport rep;
+            EXPECT_NO_THROW(rep = art.verify()) << name << ": " << what;
+            EXPECT_FALSE(rep.checkPassed("slots"))
+                << name << ": " << what << "\n" << rep.render();
+            EXPECT_NE(rep.render().find("schedule is malformed"),
+                      std::string::npos)
+                << name << ": " << what << "\n" << rep.render();
+        };
+
+        LoweredArtifact lane = base;
+        lane.prog.columns[0].schedule.transfers[0].lane =
+            arch::BusLanes;
+        expectReported(lane, "out-of-range lane");
+
+        LoweredArtifact dup = base;
+        std::vector<Transfer> &ts = dup.prog.columns[0].schedule.transfers;
+        ts.push_back(ts[0]);
+        expectReported(dup, "two transfers on one lane and offset");
+    }
+}
+
+TEST(Verifier, LegacyBusDeadlockRejected)
+{
+    // The source's firing loop runs one firing short of what its
+    // consumer reads. Each column's token count matches its own
+    // (edited) spec, so only the token-flow replay can see the sink
+    // wait forever for its last word.
+    LoweredArtifact art =
+        corpus::plantedChain("        crd r0\n"
+                             "        add r2, r2, r0\n"
+                             "        st.w r2, [p0]+4\n",
+                             true);
+    ASSERT_FALSE(art.prog.self_timed);
+    VerifyReport rep = art.verify();
+    EXPECT_TRUE(rep.checkPassed("tags")) << rep.render();
+    EXPECT_EQ(rep.errorSummary(),
+              "[tokens] deadlock: actor 'sink' waits forever on lane "
+              "0");
+
+    art.prog.self_timed = true;
+    VerifyReport kahn = art.verify();
+    EXPECT_EQ(kahn.errorSummary(),
+              "[tokens] deadlock: the token network cannot complete "
+              "under any timing — actor 'sink' blocked at comm op 59 "
+              "(crd lane 0)");
+}
+
+TEST(Verifier, TimedReplayStepBudgetCountsSleepingEdges)
+{
+    // The source burns 4095 x 2 issue slots per firing at divider 15
+    // (~500M ticks over 4095 firings); the divider-1 sink stalls on
+    // every read for most of them. The sink sleeps through those
+    // ticks, but the replay's step budget (400M) counts every edge a
+    // slot-stepped replay would visit, so the budget still runs out.
+    std::vector<PipelineStage> stages = twoActorStages(4095);
+    stages[0].body = R"(
+        lsetup lc1, __burn, 4095
+        addi r1, 3
+        addi r1, -2
+    __burn:
+        mov r7, r1
+        cwr r7
+    )";
+    ChipPlan plan = makePlan({"source", "sink"}, {15, 1},
+                             {ZormSetting{}, ZormSetting{}});
+    PipelineProgram prog = lowerPipeline(stages, plan, 2e4);
+    VerifyReport rep =
+        verifyLowered(linearDagSpec(stages), plan, prog, 2e4, 1.4);
+    EXPECT_TRUE(rep.ok()) << rep.render();
+    EXPECT_NE(rep.render().find("timed replay exceeded its step "
+                                "budget"),
+              std::string::npos)
+        << rep.render();
+}
+
+TEST(Verifier, SeededCorpusFindingsMatchPinnedDigests)
+{
+    // Digests of VerifyReport::render() over every item of each
+    // group (tests/verifier_corpus.hh). A mismatch means a finding
+    // changed: diff the group's renders against the last commit
+    // before updating a digest.
+    struct Pin
+    {
+        const char *group;
+        size_t items;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"ddc/candidates", 26, 0x44999aad50e2db50ull},
+        {"ddc/safe-table", 6, 0x41ddf5ff2ff57a8cull},
+        {"ddc/mutations", 32, 0x2eebfbdae1a4a09aull},
+        {"motion/candidates", 16, 0x1ce41842759f4853ull},
+        {"motion/safe-table", 6, 0xead0752aa24cb8f3ull},
+        {"motion/mutations", 32, 0xb06b8ca992ef6c4bull},
+        {"stereo/candidates", 26, 0xdade766e005ddb0full},
+        {"stereo/safe-table", 6, 0xc92b7dc85aff4fc4ull},
+        {"stereo/mutations", 32, 0x1290498d18c68165ull},
+        {"wifi/candidates", 20, 0x355b5c90ef336b55ull},
+        {"wifi/safe-table", 6, 0x13865520183be878ull},
+        {"wifi/mutations", 32, 0x87c99d6ae6fe0ab1ull},
+        {"planted", 2, 0x37f458c69f041176ull},
+    };
+
+    const std::vector<corpus::Item> items = corpus::verifierCorpus();
+    std::string all;
+    for (const Pin &pin : pins) {
+        std::vector<corpus::Item> group;
+        for (const corpus::Item &it : items) {
+            if (it.group == pin.group)
+                group.push_back(it);
+        }
+        EXPECT_EQ(group.size(), pin.items) << pin.group;
+        EXPECT_EQ(corpus::digest(group), pin.digest)
+            << pin.group << ": findings changed";
+    }
+    for (const corpus::Item &it : items) {
+        EXPECT_EQ(it.report.find("threw:"), std::string::npos)
+            << it.group << " " << it.label << ": " << it.report;
+        all += it.report;
+    }
+    // The corpus reaches every finding class it is meant to pin.
+    for (const char *needle :
+         {"deadlock: actor", "read-buffer overrun reachable",
+          "DOU output diverges", "lane membership only",
+          "re-armed at pc", "schedule is malformed"}) {
+        EXPECT_NE(all.find(needle), std::string::npos) << needle;
+    }
+}
+
+namespace
+{
+
+using isa::MicroOp;
+using isa::UopKind;
+
+/**
+ * The comm walk as it ran before loops were charged in closed form:
+ * one issue slot per step. Kept here as the reference the walk's
+ * fast-forward must reproduce exactly.
+ */
+detail::WalkResult
+steppedWalk(const std::vector<MicroOp> &uops, uint64_t budget)
+{
+    detail::WalkResult w;
+    for (const MicroOp &u : uops) {
+        if (u.kind == UopKind::CommRead)
+            w.read_lanes.insert(u.imm);
+        else if (u.kind == UopKind::CommWrite)
+            w.write_lanes.insert(u.imm);
+    }
+    const size_t n = uops.size();
+    auto plainRegion = [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi && i < n; ++i) {
+            switch (uops[i].kind) {
+              case UopKind::Halt:
+              case UopKind::Jump:
+              case UopKind::Jcc:
+              case UopKind::Jncc:
+              case UopKind::CommRead:
+              case UopKind::CommWrite:
+                return false;
+              case UopKind::Lsetup:
+                if (uops[i].end > hi)
+                    return false;
+                break;
+              default:
+                break;
+            }
+        }
+        return true;
+    };
+    struct Loop
+    {
+        uint32_t start, end, remaining;
+        uint8_t unit;
+    };
+    std::vector<Loop> stack;
+    auto advance = [&](uint32_t from) {
+        uint32_t next = from + 1;
+        while (!stack.empty() && next == stack.back().end) {
+            if (--stack.back().remaining > 0) {
+                next = stack.back().start;
+                break;
+            }
+            stack.pop_back();
+        }
+        return next;
+    };
+    auto inexact = [&](std::string why) {
+        w.sequence_exact = false;
+        w.timing_exact = false;
+        if (w.inexact_why.empty())
+            w.inexact_why = std::move(why);
+        w.events.clear();
+    };
+    uint64_t gap = 0;
+    uint32_t pc = 0;
+    while (true) {
+        if (pc >= n) {
+            inexact("pc fell off the program end");
+            return w;
+        }
+        if (w.total_slots >= budget) {
+            inexact("walk budget exceeded");
+            return w;
+        }
+        const MicroOp &u = uops[pc];
+        ++w.total_slots;
+        ++gap;
+        switch (u.kind) {
+          case UopKind::Halt:
+            w.tail_slots = gap;
+            return w;
+          case UopKind::Jump:
+            if (u.imm < 0 || uint32_t(u.imm) >= n) {
+                inexact("jump target out of range");
+                return w;
+            }
+            pc = uint32_t(u.imm);
+            continue;
+          case UopKind::Jcc:
+          case UopKind::Jncc: {
+            w.timing_exact = false;
+            if (u.imm < 0 || uint32_t(u.imm) >= n) {
+                inexact("branch target out of range");
+                return w;
+            }
+            const uint32_t tgt = uint32_t(u.imm);
+            bool armed_end = false;
+            for (const Loop &l : stack)
+                armed_end = armed_end || l.end == tgt;
+            if ((tgt > pc && plainRegion(pc + 1, tgt) && !armed_end) ||
+                (tgt <= pc && plainRegion(tgt, pc))) {
+                pc = advance(pc);
+            } else {
+                inexact(strprintf("data-dependent branch at pc %u "
+                                  "spans communication",
+                                  pc));
+                return w;
+            }
+            continue;
+          }
+          case UopKind::Lsetup: {
+            if (u.imm <= 0 || u.end <= pc + 1 || u.end > n) {
+                inexact(strprintf("malformed lsetup at pc %u", pc));
+                return w;
+            }
+            for (const Loop &l : stack) {
+                if (l.unit == u.acc) {
+                    inexact(strprintf("loop unit lc%u re-armed at pc "
+                                      "%u while active",
+                                      unsigned(u.acc), pc));
+                    return w;
+                }
+            }
+            stack.push_back({pc + 1, u.end, uint32_t(u.imm), u.acc});
+            pc = advance(pc);
+            continue;
+          }
+          case UopKind::CommRead:
+          case UopKind::CommWrite: {
+            detail::CommEvent e;
+            e.is_read = u.kind == UopKind::CommRead;
+            e.lane = u.imm;
+            e.gap = gap - 1;
+            w.events.push_back(e);
+            gap = 0;
+            pc = advance(pc);
+            continue;
+          }
+          default:
+            pc = advance(pc);
+            continue;
+        }
+    }
+}
+
+/** Seeded random loop nests over the walk's control vocabulary. */
+class NestGen
+{
+  public:
+    explicit NestGen(uint64_t seed) : rng_(seed) {}
+
+    std::vector<MicroOp>
+    program()
+    {
+        p_.clear();
+        block(0, true);
+        op(UopKind::Halt);
+        return p_;
+    }
+
+  private:
+    void
+    op(UopKind k, int32_t imm = 0)
+    {
+        MicroOp u;
+        u.kind = k;
+        u.imm = imm;
+        p_.push_back(u);
+    }
+
+    /** 1-4 statements at nesting @p depth; comm only if @p comm. */
+    void
+    block(unsigned depth, bool comm)
+    {
+        const uint64_t items = 1 + rng_.below(4);
+        for (uint64_t i = 0; i < items; ++i) {
+            switch (rng_.below(depth < 3 ? 8 : 2)) {
+              case 0:
+                for (uint64_t k = 1 + rng_.below(3); k > 0; --k)
+                    op(UopKind::Add);
+                break;
+              case 1:
+                if (comm) {
+                    op(rng_.below(2) ? UopKind::CommRead
+                                     : UopKind::CommWrite,
+                       int32_t(rng_.below(5)) - 1);
+                } else {
+                    op(UopKind::Mul);
+                }
+                break;
+              case 2: {
+                // Forward branch over a region, comm-free or not; as
+                // a loop body's last statement it targets the end.
+                const size_t at = p_.size();
+                op(rng_.below(2) ? UopKind::Jcc : UopKind::Jncc);
+                block(depth + 1, comm && rng_.below(6) == 0);
+                p_[at].imm = int32_t(p_.size());
+                break;
+              }
+              case 3: {
+                // Backward data-dependent loop.
+                const size_t start = p_.size();
+                block(depth + 1, comm && rng_.below(8) == 0);
+                op(UopKind::Jcc, int32_t(start));
+                break;
+              }
+              default: {
+                // A counted loop: plain or comm-bearing body, unit
+                // drawn from four so nests both re-arm and share
+                // ends (a nested loop as the body's last statement).
+                const size_t at = p_.size();
+                op(UopKind::Lsetup,
+                   rng_.below(6) == 0 ? int32_t(1 + rng_.below(300))
+                                      : int32_t(1 + rng_.below(5)));
+                p_[at].acc = uint8_t(rng_.below(4));
+                block(depth + 1, comm && rng_.below(2) == 0);
+                p_[at].end = uint16_t(p_.size());
+                break;
+              }
+            }
+        }
+    }
+
+    Rng rng_;
+    std::vector<MicroOp> p_;
+};
+
+void
+expectSameWalk(const detail::WalkResult &got,
+               const detail::WalkResult &want, const std::string &what)
+{
+    EXPECT_EQ(got.sequence_exact, want.sequence_exact) << what;
+    EXPECT_EQ(got.timing_exact, want.timing_exact) << what;
+    EXPECT_EQ(got.inexact_why, want.inexact_why) << what;
+    EXPECT_EQ(got.total_slots, want.total_slots) << what;
+    EXPECT_EQ(got.tail_slots, want.tail_slots) << what;
+    EXPECT_EQ(got.read_lanes, want.read_lanes) << what;
+    EXPECT_EQ(got.write_lanes, want.write_lanes) << what;
+    ASSERT_EQ(got.events.size(), want.events.size()) << what;
+    for (size_t i = 0; i < got.events.size(); ++i) {
+        EXPECT_EQ(got.events[i].is_read, want.events[i].is_read)
+            << what << " event " << i;
+        EXPECT_EQ(got.events[i].lane, want.events[i].lane)
+            << what << " event " << i;
+        EXPECT_EQ(got.events[i].gap, want.events[i].gap)
+            << what << " event " << i;
+    }
+}
+
+} // namespace
+
+TEST(VerifierWalk, ClosedFormLoopsMatchSlotSteppedWalk)
+{
+    NestGen gen(0x3a1c0ffeeull);
+    Rng budgets(17);
+    unsigned exact = 0, inexact = 0, exhausted = 0, rearmed = 0;
+    for (unsigned i = 0; i < 3000; ++i) {
+        const std::vector<MicroOp> prog = gen.program();
+        // Mostly the production budget; every fourth program a small
+        // one, so exhaustion lands inside closed-form loops too.
+        const uint64_t budget = i % 4 == 3 ? 1 + budgets.below(400)
+                                           : detail::WalkBudget;
+        const detail::WalkResult want = steppedWalk(prog, budget);
+        const detail::WalkResult got = detail::walkComm(prog, budget);
+        expectSameWalk(got, want, strprintf("program %u", i));
+        if (::testing::Test::HasFailure())
+            return;
+        (want.sequence_exact ? exact : inexact) += 1;
+        exhausted += want.inexact_why == "walk budget exceeded";
+        rearmed += want.inexact_why.find("re-armed") !=
+                   std::string::npos;
+    }
+    // The generator reaches every outcome the walk distinguishes.
+    EXPECT_GT(exact, 300u);
+    EXPECT_GT(inexact, 300u);
+    EXPECT_GT(exhausted, 50u);
+    EXPECT_GT(rearmed, 300u);
+}
+
+TEST(VerifierWalk, BudgetBoundaryInsideAClosedFormLoop)
+{
+    // k plain slots, one comm-free loop of trip x body slots, halt:
+    // the budget lands one slot before, on, and one slot after the
+    // loop's last slot.
+    for (uint64_t extra : {0, 1, 2}) {
+        std::vector<MicroOp> p(3);
+        p[0].kind = p[1].kind = p[2].kind = UopKind::Add;
+        MicroOp l;
+        l.kind = UopKind::Lsetup;
+        l.imm = 7;
+        l.end = uint16_t(p.size() + 1 + 5);
+        p.push_back(l);
+        for (int k = 0; k < 5; ++k)
+            p.push_back(MicroOp{});
+        MicroOp halt;
+        halt.kind = UopKind::Halt;
+        p.push_back(halt);
+        const uint64_t budget = 3 + 1 + 7 * 5 - 1 + extra;
+        expectSameWalk(detail::walkComm(p, budget),
+                       steppedWalk(p, budget),
+                       strprintf("budget %llu",
+                                 (unsigned long long)budget));
+    }
 }

@@ -19,36 +19,43 @@ BusFabric::BusFabric(unsigned n_columns, bool strict,
 {
 }
 
-int
-BusFabric::find(int x)
+namespace
 {
-    while (parent_[x] != x) {
-        parent_[x] = parent_[parent_[x]];
-        x = parent_[x];
-    }
-    return x;
+
+/** The tile at a plan slot, or nullptr when the position is empty. */
+Tile *
+slotTile(const std::vector<ColumnBusView> &views,
+         const LanePlan::Slot &s)
+{
+    const std::vector<Tile *> &tiles = views[s.col].tiles;
+    return s.tile < tiles.size() ? tiles[s.tile] : nullptr;
 }
 
-void
-BusFabric::unite(int a, int b)
+} // namespace
+
+uint64_t
+busOutputs(const DouState &st)
 {
-    a = find(a);
-    b = find(b);
-    if (a != b)
-        parent_[b] = a;
+    uint64_t w = 0;
+    for (unsigned t = 0; t < TilesPerColumn; ++t)
+        w = (w << 8) | st.buf[t];
+    for (unsigned s = 0; s < SegPointsPerColumn; ++s)
+        w = (w << 4) | (st.seg[s] & 0xf);
+    return w;
 }
 
-void
-BusFabric::buildPlan(const std::vector<ColumnBusView> &views,
-                     CyclePlan &plan)
+CyclePlan
+planCycle(const std::vector<ColumnBusView> &views)
 {
     // Only lanes with at least one scheduled drive do anything — a
     // lane whose gather pass finds no driver performs no bookkeeping
-    // in cycle() (`any_activity`), so restricting the plan to driven
-    // lanes is bit-identical. Transfers are sparse (typically one or
-    // two lanes per active cycle of eight).
+    // in runPlan() (`any_activity`), so restricting the plan to
+    // driven lanes is bit-identical. Transfers are sparse (typically
+    // one or two lanes per active cycle of eight).
+    CyclePlan plan;
+    const unsigned n_columns = unsigned(views.size());
     uint32_t drive_lanes = 0;
-    for (unsigned c = 0; c < n_columns_; ++c) {
+    for (unsigned c = 0; c < n_columns; ++c) {
         const DouState *st = views[c].state;
         if (!st)
             continue;
@@ -61,12 +68,26 @@ BusFabric::buildPlan(const std::vector<ColumnBusView> &views,
         }
     }
     if (drive_lanes == 0)
-        return;
+        return plan;
 
     // Node numbering per lane: column c tile position t -> c*4 + t;
     // the horizontal bus is node n_columns*4.
-    const int n_nodes = int(n_columns_) * 4 + 1;
-    const int h_node = int(n_columns_) * 4;
+    const int n_nodes = int(n_columns) * 4 + 1;
+    const int h_node = int(n_columns) * 4;
+    std::vector<int> parent(n_nodes);
+    auto find = [&parent](int x) {
+        while (parent[x] != x) {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        return x;
+    };
+    auto unite = [&](int a, int b) {
+        a = find(a);
+        b = find(b);
+        if (a != b)
+            parent[b] = a;
+    };
 
     for (unsigned lane = 0; lane < BusLanes; ++lane) {
         if (!(drive_lanes & (1u << lane)))
@@ -74,10 +95,9 @@ BusFabric::buildPlan(const std::vector<ColumnBusView> &views,
         unsigned pair_bit = lane / 2;
 
         // Build connectivity for this lane.
-        parent_.resize(n_nodes);
         for (int i = 0; i < n_nodes; ++i)
-            parent_[i] = i;
-        for (unsigned c = 0; c < n_columns_; ++c) {
+            parent[i] = i;
+        for (unsigned c = 0; c < n_columns; ++c) {
             const DouState *st = views[c].state;
             if (!st)
                 continue;
@@ -104,7 +124,7 @@ BusFabric::buildPlan(const std::vector<ColumnBusView> &views,
             return uint16_t(group_of[root]);
         };
 
-        for (unsigned c = 0; c < n_columns_; ++c) {
+        for (unsigned c = 0; c < n_columns; ++c) {
             const DouState *st = views[c].state;
             if (!st)
                 continue;
@@ -135,22 +155,16 @@ BusFabric::buildPlan(const std::vector<ColumnBusView> &views,
 
         plan.push_back(std::move(lp));
     }
+    return plan;
 }
 
-const BusFabric::CyclePlan &
+const CyclePlan &
 BusFabric::lookupPlan(const std::vector<ColumnBusView> &views)
 {
     plan_key_.resize(n_columns_);
     for (unsigned c = 0; c < n_columns_; ++c) {
         const DouState *st = views[c].state;
-        uint64_t w = 0;
-        if (st) {
-            for (unsigned t = 0; t < TilesPerColumn; ++t)
-                w = (w << 8) | st->buf[t];
-            for (unsigned s = 0; s < SegPointsPerColumn; ++s)
-                w = (w << 4) | (st->seg[s] & 0xf);
-        }
-        plan_key_[c] = w;
+        plan_key_[c] = st ? busOutputs(*st) : 0;
     }
     auto it = plan_cache_.find(plan_key_);
     if (it != plan_cache_.end())
@@ -160,9 +174,7 @@ BusFabric::lookupPlan(const std::vector<ColumnBusView> &views)
     // cache rather than grow without limit.
     if (plan_cache_.size() >= 4096)
         plan_cache_.clear();
-    CyclePlan &plan = plan_cache_[plan_key_];
-    buildPlan(views, plan);
-    return plan;
+    return plan_cache_[plan_key_] = planCycle(views);
 }
 
 void
@@ -171,13 +183,12 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
     sync_assert(views.size() == n_columns_,
                 "bus cycle expects %u column views, got %zu",
                 n_columns_, views.size());
-    touched_.clear();
 
     // Fast path: on most cycles no DOU drives or captures anything
     // (statically scheduled transfers are sparse), and segment
     // switches without endpoints move no data — skip the per-lane
     // resolution entirely. Bit-identical: with every buffer-control
-    // byte zero the full scan below counts and delivers nothing.
+    // byte zero the plan is empty and counts and delivers nothing.
     bool any_buf = false;
     for (unsigned c = 0; c < n_columns_ && !any_buf; ++c) {
         const DouState *st = views[c].state;
@@ -190,24 +201,41 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
             }
         }
     }
-    if (!any_buf)
+    if (!any_buf) {
+        quietCycle();
         return;
+    }
+    runPlan(lookupPlan(views), views);
+}
 
-    const CyclePlan &plan = lookupPlan(views);
+void
+BusFabric::captureUnderrun(const LanePlan::Slot &s, unsigned lane)
+{
+    ++underruns_;
+    if (strict_ && !self_timed_)
+        fatal("bus: tile (%u,%u) captures lane %u "
+              "but no driver is connected",
+              s.col, s.tile, lane);
+}
 
+void
+BusFabric::runPlan(const CyclePlan &plan,
+                   const std::vector<ColumnBusView> &views)
+{
+    touched_.clear();
     for (const LanePlan &lp : plan) {
         const unsigned lane = lp.lane;
         const int n_groups = int(lp.group_nodes.size());
 
         // Gather candidate drivers (peek only: whether the word
         // actually leaves the write buffer is decided below, once
-        // the capture side of its group is known).
-        group_driver_.assign(n_groups, Driver{});
+        // the capture side of its group is known). The group
+        // scratch is filled only once some write buffer holds a
+        // word for this lane — most scheduled slots find none.
         bool any_activity = false;
+        bool any_word = false;
         for (const LanePlan::Slot &s : lp.drivers) {
-            if (s.tile >= views[s.col].tiles.size())
-                continue;
-            Tile *tile = views[s.col].tiles[s.tile];
+            Tile *tile = slotTile(views, s);
             if (!tile)
                 continue;
             any_activity = true;
@@ -226,6 +254,10 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
                 // its own slot.
                 ++deferrals_;
                 continue;
+            }
+            if (!any_word) {
+                group_driver_.assign(n_groups, Driver{});
+                any_word = true;
             }
             Driver &d = group_driver_[s.group];
             if (d.present) {
@@ -251,6 +283,16 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
         if (!any_activity)
             continue;
 
+        if (!any_word) {
+            // No driver anywhere on the lane: every capture finds
+            // an empty group.
+            for (const LanePlan::Slot &s : lp.captures) {
+                if (slotTile(views, s))
+                    captureUnderrun(s, lane);
+            }
+            continue;
+        }
+
         // Self-timed: a transfer delivers only when every scheduled
         // capture in its group can accept the word; otherwise the
         // whole group defers and the driver keeps it for the next
@@ -258,9 +300,7 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
         group_deferred_.assign(n_groups, 0);
         if (self_timed_) {
             for (const LanePlan::Slot &s : lp.captures) {
-                if (s.tile >= views[s.col].tiles.size())
-                    continue;
-                Tile *tile = views[s.col].tiles[s.tile];
+                Tile *tile = slotTile(views, s);
                 if (!tile)
                     continue;
                 if (group_driver_[s.group].present &&
@@ -288,21 +328,14 @@ BusFabric::cycle(std::vector<ColumnBusView> &views)
 
         // Deliver captures into the per-lane read buffers.
         for (const LanePlan::Slot &s : lp.captures) {
-            if (s.tile >= views[s.col].tiles.size())
-                continue;
-            Tile *tile = views[s.col].tiles[s.tile];
+            Tile *tile = slotTile(views, s);
             if (!tile)
                 continue;
             const Driver &d = group_driver_[s.group];
             if (!d.present) {
-                if (group_deferred_[s.group])
-                    continue; // deferral already counted
-                ++underruns_;
-                if (strict_ && !self_timed_)
-                    fatal("bus: tile (%u,%u) captures lane %u "
-                          "but no driver is connected",
-                          s.col, s.tile, lane);
-                continue;
+                if (!group_deferred_[s.group])
+                    captureUnderrun(s, lane);
+                continue; // a deferral was already counted
             }
             if (!tile->readBuffer(lane).push(d.value,
                                              int(lane))) {

@@ -45,6 +45,44 @@ struct ColumnBusView
     std::vector<Tile *> tiles; //!< up to TilesPerColumn, by position
 };
 
+/**
+ * The resolution plan of one lane for one combination of DOU bus
+ * outputs (buf bytes + seg nibbles of every column). Segment
+ * connectivity, driver/capture slot lists and group node counts
+ * depend only on that content; buffer validity, lane tags and
+ * deferral stay dynamic (BusFabric::runPlan).
+ */
+struct LanePlan
+{
+    struct Slot
+    {
+        uint8_t col = 0;
+        uint8_t tile = 0;
+        uint16_t group = 0; //!< dense id of the segment group
+    };
+    uint8_t lane = 0;
+    std::vector<Slot> drivers;  //!< in scan order: col asc, tile asc
+    std::vector<Slot> captures; //!< same order
+    std::vector<uint32_t> group_nodes; //!< per group: node count
+};
+
+/** A resolved bus cycle: one plan per lane with a scheduled drive. */
+using CyclePlan = std::vector<LanePlan>;
+
+/**
+ * The bus-visible outputs of @p st — buf bytes and seg nibbles —
+ * packed into one word: the per-column content a CyclePlan depends
+ * on.
+ */
+uint64_t busOutputs(const DouState &st);
+
+/**
+ * Resolve the plan of the bus cycle whose DOU outputs are
+ * @p views' states (a null state contributes nothing; the tiles are
+ * not consulted).
+ */
+CyclePlan planCycle(const std::vector<ColumnBusView> &views);
+
 class BusFabric
 {
   public:
@@ -61,10 +99,18 @@ class BusFabric
                        bool self_timed = false);
 
     /**
-     * Resolve one bus cycle. Applies each column's current DOU
-     * outputs: pops driving tiles' write buffers onto lanes, resolves
-     * segment connectivity, pushes captured values into the per-lane
-     * read buffers.
+     * Resolve one bus cycle from each column's current DOU outputs:
+     * a cycle in which no DOU drives or captures is a no-op;
+     * otherwise the outputs' plan (memoized per output combination,
+     * so steady-state schedules skip the union-find rebuild) runs
+     * through runPlan().
+     */
+    void cycle(std::vector<ColumnBusView> &views);
+
+    /**
+     * Run one bus cycle of a resolved @p plan: pop driving tiles'
+     * write buffers onto lanes and push captured values into the
+     * per-lane read buffers, tiles taken from @p views.
      *
      * A drive slot whose write buffer holds a word tagged for a
      * *different* lane defers (counted, never fatal): the word waits
@@ -76,12 +122,19 @@ class BusFabric
      * capture overruns (push into a still-valid read buffer) are
      * fatal; otherwise they are counted in stats.
      */
-    void cycle(std::vector<ColumnBusView> &views);
+    void runPlan(const CyclePlan &plan,
+                 const std::vector<ColumnBusView> &views);
+
+    /**
+     * A bus cycle in which no DOU drives or captures: nothing moves
+     * and nothing is counted, so only the touched list resets.
+     */
+    void quietCycle() { touched_.clear(); }
 
     bool selfTimed() const { return self_timed_; }
 
     /**
-     * Columns whose comm buffers the last cycle() changed: a write
+     * Columns whose comm buffers the last cycle changed: a write
      * buffer popped (transfer or conflict) or a read buffer filled
      * (capture). A column may appear more than once. The Compiled
      * scheduler wakes comm-stalled columns from this list — no other
@@ -121,11 +174,6 @@ class BusFabric
     Counter &deferrals_;
     Counter &wire_span_;
 
-    // Union-find scratch (reused across cycles).
-    std::vector<int> parent_;
-    int find(int x);
-    void unite(int a, int b);
-
     /** One candidate driver of a connected segment group. */
     struct Driver
     {
@@ -142,33 +190,10 @@ class BusFabric
     std::vector<char> group_deferred_;
     std::vector<unsigned> touched_; //!< see touchedColumns()
 
-    /**
-     * Memoized resolution plan for one combination of DOU bus outputs
-     * (buf bytes + seg nibbles of every column). Segment
-     * connectivity, driver/capture slot lists and group node counts
-     * depend only on that content, so steady-state schedules — which
-     * revisit a small set of combinations every firing — skip the
-     * union-find rebuild and the full column×tile rescan. Buffer
-     * validity, lane tags and deferral remain dynamic in cycle().
-     */
-    struct LanePlan
-    {
-        struct Slot
-        {
-            uint8_t col = 0;
-            uint8_t tile = 0;
-            uint16_t group = 0; //!< dense id of the segment group
-        };
-        uint8_t lane = 0;
-        std::vector<Slot> drivers;  //!< in scan order: col asc, tile asc
-        std::vector<Slot> captures; //!< same order
-        std::vector<uint32_t> group_nodes; //!< per group: node count
-    };
-    using CyclePlan = std::vector<LanePlan>; //!< lanes with a drive
+    /** A capture slot with no word to take: count (strict: fatal). */
+    void captureUnderrun(const LanePlan::Slot &s, unsigned lane);
 
     const CyclePlan &lookupPlan(const std::vector<ColumnBusView> &views);
-    void buildPlan(const std::vector<ColumnBusView> &views,
-                   CyclePlan &plan);
 
     //! Content key (one packed buf+seg word per column) -> plan.
     std::map<std::vector<uint64_t>, CyclePlan> plan_cache_;

@@ -1,5 +1,7 @@
 #include "arch/chip.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace synchro::arch
@@ -48,13 +50,29 @@ Chip::domainEdge(unsigned d)
 void
 Chip::refPhase()
 {
-    // All DOU outputs belong to the same cycle: resolve the fabric
-    // against every column's current state, then step every DOU.
-    for (unsigned c = 0; c < columns_.size(); ++c)
-        views_[c].state = &columns_[c]->dou().current();
-    fabric_.cycle(views_);
-    for (auto &col : columns_)
-        col->dou().step();
+    if (!following_) {
+        // All DOU outputs belong to the same cycle: resolve the
+        // fabric against every column's current state, then step
+        // every DOU.
+        for (unsigned c = 0; c < columns_.size(); ++c)
+            views_[c].state = &columns_[c]->dou().current();
+        fabric_.cycle(views_);
+        for (auto &col : columns_)
+            col->dou().step();
+        return;
+    }
+    const BusTimeline::Node &node = cursor_timeline_->node(cursor_.node);
+    if (cursor_.used < node.gap) {
+        ++cursor_.used;
+        fabric_.quietCycle();
+    } else {
+        // The cursor moves only once the cycle ran: a strict-mode
+        // fatal leaves the DOUs before the active phase, as stepping
+        // them would.
+        fabric_.runPlan(cursor_timeline_->plan(node), views_);
+        cursor_ = {node.next, 0};
+    }
+    ++cursor_phases_;
 }
 
 Tick
@@ -66,18 +84,9 @@ Chip::domainEdgeBlock(unsigned d, Tick max_slots)
 Tick
 Chip::commFreeAdvance(Tick max)
 {
-    // A window of reference phases can be skipped iff every column's
-    // DOU walk through it touches no drive/capture state. Take the
-    // minimum comm-free run across columns, then commit it everywhere
-    // so all DOUs stay on the same tick.
-    Tick k = max;
-    for (auto &col : columns_) {
-        k = Tick(col->dou().commFreeRun(k));
-        if (k == 0)
-            return 0;
-    }
-    for (auto &col : columns_)
-        col->dou().fastForwardCommFree(k);
+    const Tick k = commQuiet(max);
+    cursor_.used += k;
+    cursor_phases_ += k;
     return k;
 }
 
@@ -104,13 +113,10 @@ Chip::refPhaseTouched() const
 Tick
 Chip::commQuiet(Tick max) const
 {
-    Tick k = max;
-    for (const auto &col : columns_) {
-        k = Tick(col->dou().commFreeRun(k));
-        if (k == 0)
-            return 0;
-    }
-    return k;
+    if (!following_)
+        return 0;
+    const BusTimeline::Node &node = cursor_timeline_->node(cursor_.node);
+    return std::min(max, node.gap - cursor_.used);
 }
 
 Tick
@@ -129,15 +135,55 @@ Chip::domainsIndependent() const
     return true;
 }
 
-void
-Chip::domainRefAdvance(unsigned d, Tick n)
+std::shared_ptr<const BusTimeline>
+Chip::busTimeline() const
 {
-    // Column d's share of n comm-free reference phases: the fabric
-    // contributes nothing (all buffer controls are zero for the
-    // whole window), leaving only this column's DOU walk. The
-    // scheduler's commQuiet() probe already proved the walk stays
-    // comm-free for >= n cycles.
-    columns_[d]->dou().fastForwardCommFree(n);
+    std::lock_guard<std::mutex> lk(timeline_mu_);
+    bool current = timeline_ != nullptr;
+    for (unsigned c = 0; current && c < columns_.size(); ++c)
+        current = timeline_->programs()[c] == columns_[c]->dou().program();
+    if (!current) {
+        std::vector<std::shared_ptr<const DouProgram>> programs;
+        for (const auto &col : columns_)
+            programs.push_back(col->dou().program());
+        timeline_ = std::make_shared<BusTimeline>(std::move(programs));
+    }
+    return timeline_;
+}
+
+void
+Chip::followTimeline()
+{
+    following_ = false;
+    if (cfg_.scheduler == SchedulerKind::EventQueue)
+        return;
+    std::shared_ptr<const BusTimeline> tl = busTimeline();
+    if (!tl->ready())
+        return;
+    std::vector<DouPosition> pos;
+    for (const auto &col : columns_)
+        pos.push_back(col->dou().position());
+    if (tl != cursor_timeline_ || pos != placed_) {
+        // Not where the last run left the DOUs (a fresh, restarted
+        // or reloaded chip): enter the node whose gap starts here,
+        // or step the DOUs literally if there is none.
+        if (!tl->find(pos, cursor_))
+            return;
+        cursor_timeline_ = std::move(tl);
+    }
+    following_ = true;
+    cursor_phases_ = 0;
+}
+
+void
+Chip::placeDous()
+{
+    if (!following_)
+        return;
+    following_ = false;
+    cursor_timeline_->positionAt(cursor_, placed_);
+    for (unsigned c = 0; c < columns_.size(); ++c)
+        columns_[c]->dou().place(placed_[c], cursor_phases_);
 }
 
 void
@@ -171,6 +217,7 @@ Chip::clone(SchedulerKind scheduler) const
     auto copy = std::make_unique<Chip>(cfg);
     for (unsigned c = 0; c < columns_.size(); ++c)
         copy->columns_[c]->copyStateFrom(*columns_[c]);
+    copy->timeline_ = busTimeline();
     return copy;
 }
 
@@ -227,7 +274,15 @@ Chip::run(Tick max_ticks)
     for (unsigned c = 0; c < columns_.size(); ++c)
         views_[c].tiles = columns_[c]->busTiles();
 
-    SchedStop stop = sched_->run(*this, max_ticks);
+    followTimeline();
+    SchedStop stop;
+    try {
+        stop = sched_->run(*this, max_ticks);
+    } catch (...) {
+        placeDous();
+        throw;
+    }
+    placeDous();
 
     RunExit exit = RunExit::TickLimit;
     switch (stop) {

@@ -25,10 +25,12 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "arch/bus.hh"
+#include "arch/bus_timeline.hh"
 #include "arch/column.hh"
 #include "sim/scheduler.hh"
 
@@ -128,6 +130,14 @@ class Chip : private SchedModel
      */
     void setSchedulerKind(SchedulerKind kind);
 
+    /**
+     * The bus timeline of this chip's DOU programs, which its fast
+     * backends follow. Created on first use, resolved on the first
+     * run, shared with every clone, kept across restart() and
+     * replaced once a DOU is loaded. EventQueue never consults it.
+     */
+    std::shared_ptr<const BusTimeline> busTimeline() const;
+
     /** Reset all columns and rewind nothing else (stats persist). */
     void resetColumns();
 
@@ -209,8 +219,17 @@ class Chip : private SchedModel
     Tick commQuiet(Tick max) const override;
     Tick domainStallBlock(unsigned d, Tick max_slots) override;
     bool domainsIndependent() const override;
-    void domainRefAdvance(unsigned d, Tick n) override;
     /// @}
+
+    /**
+     * Start of run(): follow the timeline when the backend is a fast
+     * one, the timeline resolved, and the DOUs stand where a cursor
+     * can name — resuming the last run's cursor or entering a node.
+     */
+    void followTimeline();
+
+    /** End of run(): put every DOU where the cursor stands. */
+    void placeDous();
 
     ChipConfig cfg_;
     std::unique_ptr<Scheduler> sched_;
@@ -219,6 +238,22 @@ class Chip : private SchedModel
 
     // Scratch for refPhase(), reused across ticks.
     std::vector<ColumnBusView> views_;
+
+    // busTimeline(), lazily replaced under timeline_mu_.
+    mutable std::mutex timeline_mu_;
+    mutable std::shared_ptr<const BusTimeline> timeline_;
+
+    /**
+     * The cursor and the timeline it indexes (kept across runs, so a
+     * resumed run continues where the last one stopped). While
+     * following_, reference phases advance the cursor instead of the
+     * DOUs; cursor_phases_ counts them for the DOUs' step statistic.
+     */
+    std::shared_ptr<const BusTimeline> cursor_timeline_;
+    BusTimeline::Cursor cursor_;
+    bool following_ = false;
+    Tick cursor_phases_ = 0;
+    std::vector<DouPosition> placed_; //!< DOU positions placeDous() set
 };
 
 } // namespace synchro::arch

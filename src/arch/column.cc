@@ -6,7 +6,7 @@ namespace synchro::arch
 {
 
 Column::Column(unsigned id, unsigned n_tiles, ClockDomain clock)
-    : id_(id), clock_(clock), ctrl_(id), dou_(id)
+    : id_(id), clock_(clock), ctrl_(id)
 {
     if (n_tiles == 0 || n_tiles > TilesPerColumn)
         fatal("column %u: %u tiles requested; hardware has 1..%u", id,

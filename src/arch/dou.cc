@@ -81,58 +81,24 @@ DouProgram::validate() const
     }
 }
 
-Dou::Dou(unsigned column)
-    : column_(column), prog_(DouProgram::idle()),
-      steps_(stats_.counter("steps"))
-{
-    reset();
-}
-
-void
-Dou::load(const DouProgram &prog)
-{
-    prog.validate();
-    prog_ = prog;
-    reset();
-}
-
-void
-Dou::reset()
-{
-    state_ = 0;
-    counters_ = prog_.counter_init;
-    cf_run_ = cf_cap_ = 0;
-}
-
-void
-Dou::copyStateFrom(const Dou &other)
-{
-    prog_ = other.prog_;
-    state_ = other.state_;
-    counters_ = other.counters_;
-    cf_run_ = cf_cap_ = 0;
-    cf_end_state_ = 0;
-    cf_end_ctrs_ = {};
-}
-
 uint64_t
-Dou::walkCommFree(uint64_t max, unsigned &st,
-                  std::array<uint32_t, DouNumCounters> &ctrs) const
+DouProgram::walkCommFree(DouPosition &pos, uint64_t max,
+                         uint64_t &budget) const
 {
     uint64_t taken = 0;
     while (taken < max) {
-        const DouState &s = prog_.states[st];
+        const DouState &s = states[pos.state];
         bool buf_zero = true;
         for (uint8_t b : s.buf)
             buf_zero = buf_zero && b == 0;
         if (!buf_zero)
             break;
 
-        uint32_t &ctr = ctrs[s.cntr];
-        const uint32_t reload = prog_.counter_init[s.cntr];
+        uint32_t &ctr = pos.counters[s.cntr];
+        const uint32_t reload = counter_init[s.cntr];
         const uint64_t rem = max - taken;
 
-        if (s.nxt0 == st && s.nxt1 == st) {
+        if (s.nxt0 == pos.state && s.nxt1 == pos.state) {
             // Inert self-loop: only the tested counter cycles.
             // step() maps v -> (v == 0 ? reload : v - 1); starting
             // from v <= reload the value descends to 0 then cycles
@@ -150,7 +116,10 @@ Dou::walkCommFree(uint64_t max, unsigned &st,
             taken = max;
             break;
         }
-        if (s.nxt1 == st) {
+        if (budget == 0)
+            break;
+        --budget;
+        if (s.nxt1 == pos.state) {
             // Wait state: occupied while the counter decrements
             // (ctr + 1 cycles), then reloads and exits to nxt0.
             uint64_t stay = uint64_t(ctr) + 1;
@@ -160,62 +129,43 @@ Dou::walkCommFree(uint64_t max, unsigned &st,
                 break;
             }
             ctr = reload;
-            st = s.nxt0;
+            pos.state = s.nxt0;
             taken += stay;
             continue;
         }
-        // Generic comm-free transition: one step() worth of work.
-        if (ctr == 0) {
-            ctr = reload;
-            st = s.nxt0;
-        } else {
-            --ctr;
-            st = s.nxt1;
-        }
+        // Generic comm-free transition.
+        step(pos);
         ++taken;
     }
     return taken;
 }
 
-uint64_t
-Dou::commFreeRun(uint64_t max) const
+Dou::Dou()
+    : prog_(std::make_shared<const DouProgram>(DouProgram::idle())),
+      steps_(stats_.counter("steps"))
 {
-    if (cf_cap_ >= max || cf_run_ < cf_cap_)
-        return std::min(cf_run_, max);
-    unsigned st = state_;
-    std::array<uint32_t, DouNumCounters> ctrs = counters_;
-    uint64_t taken = walkCommFree(max, st, ctrs);
-    cf_run_ = taken;
-    cf_cap_ = max;
-    cf_end_state_ = st;
-    cf_end_ctrs_ = ctrs;
-    return taken;
+    reset();
 }
 
 void
-Dou::fastForwardCommFree(uint64_t n)
+Dou::load(const DouProgram &prog)
 {
-    if (n == 0)
-        return;
-    if (n == cf_run_) {
-        // Committing exactly the cached run: the probe walk already
-        // computed the landing position, install it directly.
-        state_ = cf_end_state_;
-        counters_ = cf_end_ctrs_;
-        steps_ += n;
-        cf_run_ = 0;
-        cf_cap_ -= std::min(cf_cap_, n);
-        return;
-    }
-    uint64_t taken = walkCommFree(n, state_, counters_);
-    sync_assert(taken == n,
-                "DOU %u: fastForwardCommFree(%llu) hit an active "
-                "state after %llu cycles",
-                column_, (unsigned long long)n,
-                (unsigned long long)taken);
-    steps_ += n;
-    cf_run_ -= std::min(cf_run_, n);
-    cf_cap_ -= std::min(cf_cap_, n);
+    prog.validate();
+    prog_ = std::make_shared<const DouProgram>(prog);
+    reset();
+}
+
+void
+Dou::reset()
+{
+    pos_ = prog_->resetPosition();
+}
+
+void
+Dou::copyStateFrom(const Dou &other)
+{
+    prog_ = other.prog_;
+    pos_ = other.pos_;
 }
 
 } // namespace synchro::arch

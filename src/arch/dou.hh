@@ -29,6 +29,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -89,6 +90,23 @@ struct DouState
     }
 };
 
+/**
+ * Where a DOU stands in its program: the state index plus the four
+ * down-counters. Everything a DOU will ever output follows from its
+ * program and this position — the machine never reads data.
+ */
+struct DouPosition
+{
+    unsigned state = 0;
+    std::array<uint32_t, DouNumCounters> counters{};
+
+    friend bool
+    operator==(const DouPosition &a, const DouPosition &b)
+    {
+        return a.state == b.state && a.counters == b.counters;
+    }
+};
+
 /** A complete DOU configuration: states plus counter initial values. */
 struct DouProgram
 {
@@ -100,6 +118,49 @@ struct DouProgram
 
     /** fatal() if the program violates hardware limits. */
     void validate() const;
+
+    /** The position after reset: state 0, counters at their inits. */
+    DouPosition
+    resetPosition() const
+    {
+        return {0, counter_init};
+    }
+
+    /**
+     * One cycle from @p pos: returns the state whose outputs drive
+     * the cycle and moves @p pos to its successor (the tested
+     * counter reloads and NXTSTATE0 is taken at zero; otherwise it
+     * decrements and NXTSTATE1 is taken).
+     */
+    const DouState &
+    step(DouPosition &pos) const
+    {
+        const DouState &out = states[pos.state];
+        uint32_t &ctr = pos.counters[out.cntr];
+        if (ctr == 0) {
+            ctr = counter_init[out.cntr];
+            pos.state = out.nxt0;
+        } else {
+            --ctr;
+            pos.state = out.nxt1;
+        }
+        return out;
+    }
+
+    /**
+     * Advance @p pos through up to @p max *comm-free* cycles — every
+     * state visited has all-zero buffer controls, so no tile drives
+     * or captures — exactly as that many Dou::step() calls would.
+     * Returns the cycles taken; fewer than @p max means the walk
+     * stopped at a state that drives or captures, or ran out of
+     * @p budget. Inert self-loops (both successors back to the
+     * state: the idle DOU, or a finished schedule's parking state)
+     * are consumed in O(1) by closed form; every other transition
+     * (a wait state's exit or a generic step) spends one unit of
+     * @p budget.
+     */
+    uint64_t walkCommFree(DouPosition &pos, uint64_t max,
+                          uint64_t &budget) const;
 };
 
 /**
@@ -109,74 +170,60 @@ struct DouProgram
 class Dou
 {
   public:
-    explicit Dou(unsigned column);
+    Dou();
 
+    /** Install a program; the DOU restarts from its reset position. */
     void load(const DouProgram &prog);
 
     /**
      * Outputs for this cycle, then advance. Defined inline: the
-     * reference phase calls this once per column per active tick.
+     * literal reference phase calls this once per column per tick.
      */
     const DouState &
     step()
     {
-        // A cached comm-free run covers this step: walkCommFree()
-        // mirrors step()'s transition rule exactly, so one real step
-        // consumes one slot of the proven run. Past the run's end
-        // nothing is known.
-        if (cf_run_ > 0) {
-            --cf_run_;
-            --cf_cap_;
-        } else {
-            cf_cap_ = 0;
-        }
         ++steps_;
-        const DouState &out = prog_.states[state_];
-        uint32_t &ctr = counters_[out.cntr];
-        if (ctr == 0) {
-            ctr = prog_.counter_init[out.cntr];
-            state_ = out.nxt0;
-        } else {
-            --ctr;
-            state_ = out.nxt1;
-        }
-        return out;
+        return prog_->step(pos_);
     }
 
     /** Outputs for this cycle without advancing. */
-    const DouState &current() const { return prog_.states[state_]; }
+    const DouState &current() const { return prog_->states[pos_.state]; }
 
     /**
-     * How many of the next @p max step() calls are *comm-free*: every
-     * state visited (including the current one) has all-zero buffer
-     * controls, so no tile drives or captures and a bus cycle against
-     * it is a guaranteed no-op. The walk goes through state
-     * transitions — wait states (nxt1 == self) and inert self-loops
-     * (both successors back to the state: the idle DOU, or a finished
-     * schedule's parking state) are consumed in O(1), other comm-free
-     * states one at a time — so a schedule that parks between its
-     * active slots reports the whole gap.
+     * The loaded program. Each load() installs a new one, and
+     * copyStateFrom() shares it, so pointer identity names a program
+     * set: the chip's bus timeline is valid while its DOUs hold the
+     * programs it was built from.
      */
-    uint64_t commFreeRun(uint64_t max) const;
+    const std::shared_ptr<const DouProgram> &
+    program() const
+    {
+        return prog_;
+    }
+
+    const DouPosition &position() const { return pos_; }
 
     /**
-     * Commit @p n comm-free cycles in one call: state and counters
-     * advance exactly as n step() calls would, and the step statistic
-     * is credited. @p n must not exceed commFreeRun(n) — the walk
-     * panics if it reaches a driving/capturing state early.
+     * Put the machine at @p pos and credit @p steps cycles to the
+     * step statistic — the chip's bus timeline does this when a run
+     * ends, having advanced the schedule without stepping the DOU.
      */
-    void fastForwardCommFree(uint64_t n);
+    void
+    place(const DouPosition &pos, uint64_t steps)
+    {
+        pos_ = pos;
+        steps_ += steps;
+    }
 
-    unsigned stateIndex() const { return state_; }
-    uint32_t counter(unsigned i) const { return counters_.at(i); }
+    unsigned stateIndex() const { return pos_.state; }
+    uint32_t counter(unsigned i) const { return pos_.counters.at(i); }
 
     void reset();
 
     /**
      * Snapshot @p other's program and machine position (state index,
-     * counters) into this DOU; the comm-free lookahead cache is
-     * dropped (it is re-proven on demand) and statistics are NOT
-     * copied. Chip::clone() drives this.
+     * counters) into this DOU; statistics are NOT copied.
+     * Chip::clone() drives this.
      */
     void copyStateFrom(const Dou &other);
 
@@ -184,37 +231,10 @@ class Dou
     const StatGroup &stats() const { return stats_; }
 
   private:
-    uint64_t walkCommFree(uint64_t max, unsigned &st,
-                          std::array<uint32_t, DouNumCounters> &ctrs)
-        const;
-
-    unsigned column_;
-    DouProgram prog_;
-    unsigned state_ = 0;
-    std::array<uint32_t, DouNumCounters> counters_{};
+    std::shared_ptr<const DouProgram> prog_;
+    DouPosition pos_;
     StatGroup stats_;
     Counter &steps_;
-
-    /**
-     * Comm-free lookahead cache: the next cf_run_ step() calls are
-     * proven comm-free against horizon cf_cap_ (cf_run_ < cf_cap_
-     * means the run's end is exact, not horizon-capped). Repeated
-     * probes over one quiet window — Chip::commFreeAdvance probes
-     * and then commits, the ParallelColumns scheduler sizes its
-     * window before advancing through it — then hit the cache
-     * instead of re-walking. Any other state change resets it.
-     *
-     * cf_end_* is the machine position after consuming the whole
-     * cached run. Whenever cf_run_ > 0 it is current: only a probe
-     * walk raises cf_run_ (and records the end), and every consuming
-     * path shortens the run from the front, which leaves the position
-     * after the remainder unchanged. fastForwardCommFree() snaps to
-     * it when asked to commit exactly the remaining run.
-     */
-    mutable uint64_t cf_run_ = 0;
-    mutable uint64_t cf_cap_ = 0;
-    mutable unsigned cf_end_state_ = 0;
-    mutable std::array<uint32_t, DouNumCounters> cf_end_ctrs_{};
 };
 
 } // namespace synchro::arch

@@ -153,7 +153,7 @@ FleetExecutor::admitStream(unsigned workload, uint64_t items,
             home = w;
     }
     const unsigned id = s->id;
-    results_.emplace_back();
+    results_.grow();
     workers_[home].q.push_back(std::move(s));
     work_cv_.notify_all();
     return id;
@@ -216,7 +216,10 @@ FleetExecutor::workerLoop(unsigned w)
         ++items_served_;
         items_abandoned_ += abandoned;
         if (done) {
-            results_[s->id] = std::move(s->res);
+            if (s->res.mismatches != 0 ||
+                s->res.items_done != s->res.items)
+                ++unverified_;
+            results_.entry(s->id) = std::move(s->res);
         } else {
             // Back at the FRONT of this worker's own deque: the next
             // pickup serves the next item on the same live,
@@ -367,12 +370,8 @@ FleetExecutor::drain()
         for (const auto &kv : w.counters)
             rep.totals.counters[kv.first] += kv.second;
     }
-    rep.stream_results.reserve(results_.size());
-    for (const FleetStreamResult &r : results_) {
-        rep.stream_results.push_back(r);
-        if (r.mismatches != 0 || r.items_done != r.items)
-            rep.all_verified = false;
-    }
+    rep.stream_results = results_;
+    rep.all_verified = unverified_ == 0;
     if (rep.wall_seconds > 0) {
         rep.chips_per_sec = double(rep.items) / rep.wall_seconds;
         rep.ticks_per_sec =

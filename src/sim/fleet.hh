@@ -147,6 +147,77 @@ struct FleetStreamResult
     std::vector<std::vector<uint8_t>> outputs;
 };
 
+class FleetExecutor;
+
+/**
+ * Per-stream results in admission order, read like a const vector.
+ * The history is append-only and shared in fixed-size chunks by the
+ * executor and every report drained from it: a result is stored once
+ * however many reports are kept, and a drain() copies no earlier
+ * stream's result.
+ */
+class StreamResults
+{
+  public:
+    size_t size() const { return size_; }
+
+    const FleetStreamResult &
+    operator[](size_t i) const
+    {
+        return chunks_[i / ChunkSize][i % ChunkSize];
+    }
+
+    /** Forward iteration, for range-for. */
+    class Iterator
+    {
+      public:
+        Iterator(const StreamResults &r, size_t i) : r_(&r), i_(i) {}
+        const FleetStreamResult &operator*() const { return (*r_)[i_]; }
+        Iterator &
+        operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        bool operator!=(const Iterator &o) const { return i_ != o.i_; }
+
+      private:
+        const StreamResults *r_;
+        size_t i_;
+    };
+
+    Iterator begin() const { return {*this, 0}; }
+    Iterator end() const { return {*this, size_}; }
+
+  private:
+    friend class FleetExecutor;
+    static constexpr size_t ChunkSize = 256;
+
+    /** Append a default entry (the executor, at admission). */
+    void
+    grow()
+    {
+        if (size_ % ChunkSize == 0)
+            chunks_.emplace_back(new FleetStreamResult[ChunkSize]);
+        ++size_;
+    }
+
+    /** Entry @p i, for the executor to fill once its stream is done. */
+    FleetStreamResult &
+    entry(size_t i)
+    {
+        return chunks_[i / ChunkSize][i % ChunkSize];
+    }
+
+    /**
+     * Chunks are allocated whole and never move. A report reads only
+     * entries below its size, all final before it was drained; the
+     * executor writes only entries at or past that size.
+     */
+    std::vector<std::shared_ptr<FleetStreamResult[]>> chunks_;
+    size_t size_ = 0;
+};
+
 /**
  * Everything the fleet has served, shards merged. Every field is
  * CUMULATIVE SINCE THE EXECUTOR WAS CONSTRUCTED: a second drain()
@@ -185,7 +256,7 @@ struct FleetReport
     SessionStats totals;
 
     /** Per-stream detail, in admission order. */
-    std::vector<FleetStreamResult> stream_results;
+    StreamResults stream_results;
 
     /** Items served by each worker (work-stealing visibility). */
     std::vector<uint64_t> items_by_worker;
@@ -308,7 +379,8 @@ class FleetExecutor
     std::vector<Worker> workers_;
     /** One per admitted stream, in admission order; a stream's
      * entry is final once the stream is done. */
-    std::vector<FleetStreamResult> results_;
+    StreamResults results_;
+    uint64_t unverified_ = 0; //!< done streams with a failure
     uint64_t items_admitted_ = 0;
     uint64_t items_served_ = 0;
     uint64_t items_abandoned_ = 0; //!< skipped after a hook threw

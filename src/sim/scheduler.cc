@@ -143,6 +143,17 @@ namespace
 {
 
 /**
+ * The last tick a run of @p max_ticks from @p now may reach,
+ * saturated so run(MaxTick) means "until the model halts" at any
+ * tick (MaxTick itself marks "not pending" in the edge walk).
+ */
+Tick
+budgetEnd(Tick now, Tick max_ticks)
+{
+    return max_ticks >= MaxTick - 1 - now ? MaxTick - 1 : now + max_ticks;
+}
+
+/**
  * The original formulation: one self-rescheduling event per clock
  * domain at ClockEdgePri, one reference-phase event per tick at
  * BusPri. Ordering within a tick therefore puts every domain edge
@@ -182,7 +193,7 @@ class EventQueueScheduler : public Scheduler
         if (!ref_event_->scheduled())
             eq_.schedule(ref_event_.get(), eq_.curTick());
 
-        eq_.run(eq_.curTick() + max_ticks);
+        eq_.run(budgetEnd(eq_.curTick(), max_ticks));
 
         if (model.allHalted())
             return SchedStop::AllHalted;
@@ -263,7 +274,7 @@ class EdgeWalk : public Scheduler
     run(SchedModel &model, Tick max_ticks) override
     {
         arm(model);
-        const Tick limit = cur_ + max_ticks;
+        const Tick limit = budgetEnd(cur_, max_ticks);
         while (true) {
             const Tick t = std::min(ref_next_, nextEdge());
             if (t == MaxTick)
@@ -598,14 +609,15 @@ class ColumnTeam
  * through the statically-scheduled bus, and delivery is self-timed,
  * so the single rendezvous a column needs is the next reference phase
  * that may move data. The scheduler probes that horizon with
- * commQuiet() — the same DOU comm-free proof the edge walk batches
- * phases with, derived from the per-edge slot schedules of
+ * commQuiet() — the same comm-free gap the edge walk batches phases
+ * with, derived from the per-edge slot schedules of
  * allocateEdgeSlots — and inside the proven window every domain's
- * work (issue slots via domainEdgeBlock/domainStallBlock/domainEdge,
- * its reference-phase share via domainRefAdvance) touches only
- * domain-private state (domainsIndependent()). Columns therefore
- * free-run through the window on team threads and rendezvous at the
- * epoch barrier before the next delivery slot runs serially.
+ * issue slots (domainEdgeBlock/domainStallBlock/domainEdge) touch
+ * only domain-private state (domainsIndependent()). Columns
+ * therefore free-run through the window on team threads and
+ * rendezvous at the epoch barrier; the leader advances the window's
+ * reference phases in one commFreeAdvance(), and the next delivery
+ * slot runs serially.
  *
  * Bit-exactness for any team size is by construction: each domain's
  * in-window slot decomposition depends only on that domain's own
@@ -617,7 +629,7 @@ class ColumnTeam
  * Halt accounting matches the serial contract (refPhase runs through
  * the tick on which allHalted() becomes true, inclusive): members
  * record each domain's halting slot tick, and after the rendezvous
- * the leader fast-forwards every domain's reference-phase share to
+ * the leader advances the reference phases (commFreeAdvance) to
  * max(halt ticks) when the whole model halted inside the window, or
  * to the window end otherwise.
  */
@@ -680,10 +692,9 @@ class ParallelColumnsScheduler : public EdgeWalk
             }
         }
 
-        // Leader-side halt resolution + the reference-phase share of
-        // the window: through the halting tick inclusive when
-        // everything halted in-window, through the window end
-        // otherwise.
+        // Leader-side halt resolution + the reference phases of the
+        // window: through the halting tick inclusive when everything
+        // halted in-window, through the window end otherwise.
         const bool all_halted = model.allHalted();
         Tick steps_end = win_end_;
         if (all_halted) {
@@ -695,8 +706,11 @@ class ParallelColumnsScheduler : public EdgeWalk
             steps_end = h;
         }
         if (steps_end > t) {
-            for (unsigned d = 0; d < n; ++d)
-                model.domainRefAdvance(d, steps_end - t);
+            const Tick k = model.commFreeAdvance(steps_end - t);
+            sync_assert(k == steps_end - t,
+                        "comm-quiet window of %llu phases advanced %llu",
+                        (unsigned long long)(steps_end - t),
+                        (unsigned long long)k);
         }
         cur_ = steps_end;
         ref_next_ = all_halted ? MaxTick : win_end_ + 1;

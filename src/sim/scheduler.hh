@@ -18,9 +18,10 @@
  *    each domain's next edge from its (divider, phase) pair and jumps
  *    straight to the next edge tick, issuing one slot-exact
  *    domainEdge() per edge. The reference phases between edges are
- *    fast-forwarded through DOU state transitions wherever no DOU can
- *    drive or capture (commFreeAdvance); phases that may move data
- *    run one at a time.
+ *    fast-forwarded wherever no DOU can drive or capture
+ *    (commFreeAdvance — for the chip, a cursor over its bus timeline,
+ *    the DOU schedule resolved once); phases that may move data run
+ *    one at a time.
  *
  *  - SchedulerKind::Compiled — the default: the same walk, plus
  *    issue-slot blocks: straight-line runs of a domain's steady-state
@@ -38,11 +39,11 @@
  *    which columns interact is an *active* reference phase (a bus
  *    cycle that may move data). The scheduler probes the comm-quiet
  *    window (commQuiet), lets every column free-run its issue
- *    slots and DOU phases through the window on its own team
- *    thread (column state is private while the fabric is quiet),
- *    and rendezvouses the team at an epoch barrier before each
- *    delivery slot runs serially. Bit-identical to the serial
- *    backends for any team size by construction.
+ *    slots through the window on its own team thread (column state
+ *    is private while the fabric is quiet), advances the window's
+ *    reference phases with one commFreeAdvance(), and runs the next
+ *    delivery slot serially. Bit-identical to the serial backends
+ *    for any team size by construction.
  *
  * All backends drive the model through the same narrow interface and
  * must produce identical architectural state and statistics; the
@@ -162,8 +163,8 @@ class SchedModel
      * provably comm-free (no DOU drives or captures in any of them),
      * crediting statistics exactly as max refPhase() calls would.
      * Returns the phases consumed (0 = the next phase may move data
-     * and must run via refPhase()). Walks through DOU state
-     * transitions, so it covers idle chips and active schedules
+     * and must run via refPhase()). The chip answers from its bus
+     * timeline in O(1), so it covers idle chips and active schedules
      * between their bus slots alike. The default batches nothing.
      */
     virtual Tick
@@ -217,9 +218,10 @@ class SchedModel
     /**
      * ParallelColumns hook: how many upcoming reference phases
      * (starting with the next one) are provably comm-free, up to
-     * @p max — a pure probe, nothing advances. Bounds the window in
-     * which columns free-run on the team: a stalled comm op cannot
-     * unblock before the next bus activity.
+     * @p max — a pure probe, nothing advances; commFreeAdvance()
+     * must then consume them. Bounds the window in which columns
+     * free-run on the team: a stalled comm op cannot unblock before
+     * the next bus activity.
      */
     virtual Tick
     commQuiet(Tick max) const
@@ -245,32 +247,18 @@ class SchedModel
 
     /**
      * ParallelColumns hook: true when the model's domains interact
-     * ONLY through refPhase() — domainEdge(d) and domainRefAdvance(d)
-     * touch domain-d-private state exclusively, so inside a window
-     * where every refPhase() is provably a no-op (commQuiet),
-     * different domains may execute concurrently on different
-     * threads. The chip satisfies this: issue slots touch only the
-     * column's own tiles and comm buffers, and the bus fabric — the
-     * one piece of shared state — moves nothing while every DOU is
-     * comm-free. Models that do not make this guarantee keep the
-     * default and the ParallelColumns backend runs them serially.
+     * ONLY through refPhase() — domainEdge(d) touches domain-d-private
+     * state exclusively, so inside a window where every refPhase() is
+     * provably a no-op (commQuiet), different domains may execute
+     * concurrently on different threads; the scheduler's leader then
+     * closes the window with one commFreeAdvance(). The chip
+     * satisfies this: issue slots touch only the column's own tiles
+     * and comm buffers, and the bus fabric — the one piece of shared
+     * state — moves nothing while no DOU drives or captures. Models
+     * that do not make this guarantee keep the default and the
+     * ParallelColumns backend runs them serially.
      */
     virtual bool domainsIndependent() const { return false; }
-
-    /**
-     * ParallelColumns hook: advance domain @p d's share of @p n
-     * reference phases inside a comm-quiet window proven by
-     * commQuiet() — for the chip, fast-forward the column's DOU
-     * through n comm-free cycles, crediting statistics exactly as n
-     * refPhase() calls would for that column. Called concurrently
-     * for different domains; must touch only domain-@p d state.
-     */
-    virtual void
-    domainRefAdvance(unsigned d, Tick n)
-    {
-        (void)d;
-        (void)n;
-    }
 };
 
 /** Why Scheduler::run() returned. */

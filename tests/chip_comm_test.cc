@@ -584,3 +584,39 @@ TEST(ChipComm, WireSpanShorterWithSegmentation)
     uint64_t flat = run_one(0x1);
     EXPECT_LT(segmented, flat);
 }
+
+TEST(ChipComm, SlotsWithoutAWordCountUnderrunsAndDeferrals)
+{
+    // Tile 0 drives lane 0 and tile 1 captures it on every cycle, but
+    // no word for lane 0 ever exists. With the write buffer empty,
+    // each cycle counts two underruns (the drive and the capture);
+    // with a word tagged for lane 1 pending, the drive defers instead
+    // and the capture still underruns. Nothing moves either way.
+    for (bool tagged : {false, true}) {
+        ChipConfig cfg;
+        cfg.dividers = {1};
+        cfg.tiles_per_column = 2;
+        Chip chip(cfg);
+        chip.column(0).controller().loadProgram(assemble(R"(
+            movi r0, 0
+            lsetup lc0, e, 20
+            addi r0, 1
+        e:
+            halt
+        )"));
+        chip.column(0).dou().load(steadyState(
+            {0x1, 0, 0, 0}, {driveOn(0), captureOn(0), {}, {}}));
+        if (tagged)
+            chip.column(0).tile(0).writeBuffer().push(7, 1);
+        ASSERT_EQ(chip.run(1'000).exit, RunExit::AllHalted);
+
+        const uint64_t cycles =
+            chip.column(0).dou().stats().value("steps");
+        const StatGroup &bus = chip.fabric().stats();
+        EXPECT_EQ(bus.value("underruns"), tagged ? cycles : 2 * cycles);
+        EXPECT_EQ(bus.value("deferrals"), tagged ? cycles : 0u);
+        EXPECT_EQ(bus.value("transfers"), 0u);
+        EXPECT_EQ(bus.value("captures"), 0u);
+        EXPECT_EQ(chip.column(0).tile(0).writeBuffer().valid(), tagged);
+    }
+}

@@ -72,7 +72,7 @@ TEST(DouProgram, ValidationCatchesBadPrograms)
 
 TEST(Dou, IdleLoopsForever)
 {
-    Dou dou(0);
+    Dou dou;
     for (int i = 0; i < 10; ++i) {
         dou.step();
         EXPECT_EQ(dou.stateIndex(), 0u);
@@ -96,7 +96,7 @@ TEST(Dou, CounterLoopSemantics)
     p.states = {s0, s1};
     p.counter_init = {3, 0, 0, 0};
 
-    Dou dou(0);
+    Dou dou;
     dou.load(p);
 
     // With init=3 the DOU stays in state 0 for 3 extra steps (counts
@@ -128,7 +128,7 @@ TEST(Dou, FourNestedCounters)
     p.states = {inner, outer, done};
     p.counter_init = {1, 2, 0, 0};
 
-    Dou dou(0);
+    Dou dou;
     dou.load(p);
     int steps = 0;
     while (dou.stateIndex() != 2 && steps < 100) {
@@ -144,7 +144,7 @@ TEST(Dou, LoadResetsState)
 {
     DouProgram p = DouProgram::idle();
     p.counter_init = {7, 0, 0, 0};
-    Dou dou(0);
+    Dou dou;
     dou.load(p);
     EXPECT_EQ(dou.counter(0), 7u);
     dou.step();

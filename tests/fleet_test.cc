@@ -471,6 +471,43 @@ TEST(Fleet, ThrowingFeedAbandonsStreamWithoutDeadlockingDrain)
     EXPECT_EQ(rep2.stream_results[3].first_failure, "");
 }
 
+TEST(Fleet, EarlierReportsOutliveLaterDrainsAndTheExecutor)
+{
+    // Reports share the executor's append-only stream history: a
+    // report keeps exactly what it saw while later streams, past
+    // several history chunks, are served and drained, and after the
+    // executor is gone.
+    sim::FleetReport first, second;
+    {
+        sim::FleetConfig cfg;
+        cfg.workers = 2;
+        cfg.keep_outputs = true;
+        sim::FleetExecutor fleet(cfg);
+        const unsigned id = fleet.addWorkload(sumWorkload(17));
+        for (uint64_t s = 0; s < 200; ++s)
+            fleet.admitStream(id, 1, s);
+        first = fleet.drain();
+        for (uint64_t s = 200; s < 600; ++s)
+            fleet.admitStream(id, 1, s);
+        second = fleet.drain();
+    }
+    ASSERT_EQ(first.stream_results.size(), 200u);
+    ASSERT_EQ(second.stream_results.size(), 600u);
+    EXPECT_TRUE(second.all_verified);
+    uint64_t n = 0;
+    for (const sim::FleetStreamResult &r : second.stream_results) {
+        EXPECT_EQ(r.item_base, n);
+        EXPECT_EQ(r.items_done, 1u);
+        ASSERT_EQ(r.outputs.size(), 1u);
+        if (n < 200) {
+            EXPECT_EQ(first.stream_results[n].item_base, n);
+            EXPECT_EQ(first.stream_results[n].outputs, r.outputs);
+        }
+        ++n;
+    }
+    EXPECT_EQ(n, 600u);
+}
+
 TEST(Fleet, MappedDdcStreamsMatchSoloSessionRuns)
 {
     // The tentpole end-to-end: a mapped DDC fleet, each stream's

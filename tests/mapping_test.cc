@@ -320,7 +320,7 @@ TEST(CommSchedule, CompiledProgramMatchesReferenceTrace)
     arch::DouProgram prog = compileSchedule(sched);
     EXPECT_LE(prog.states.size(), size_t(arch::DouMaxStates));
 
-    arch::Dou dou(0);
+    arch::Dou dou;
     dou.load(prog);
     for (uint64_t cycle = 0; cycle < 5 + 12 * 5; ++cycle) {
         arch::DouState want = scheduleOutputAt(sched, cycle);

@@ -203,10 +203,12 @@ class SkewStressModel : public SchedModel
 
     bool domainsIndependent() const override { return true; }
 
-    void
-    domainRefAdvance(unsigned d, Tick n) override
+    Tick
+    commFreeAdvance(Tick max) override
     {
-        phases_[d] += n;
+        for (auto &p : phases_)
+            p += max;
+        return max;
     }
 
     Tick

@@ -228,7 +228,7 @@ TEST(Fuzz, RandomDouSchedulesCompileFaithfully)
         } catch (const FatalError &) {
             continue; // counter overflow on chained waits etc.
         }
-        arch::Dou dou(0);
+        arch::Dou dou;
         dou.load(prog);
         for (uint64_t cycle = 0;
              cycle < sched.prologue + 4 * sched.period; ++cycle) {

@@ -70,7 +70,7 @@ TEST(ClockEdges, NextEdgeIsStrictlyAfterAndOnEdge)
 }
 
 // ---------------------------------------------------------------
-// Dou::fastForwardCommFree must be arithmetically identical to n
+// DouProgram::walkCommFree must be arithmetically identical to n
 // step() calls, including through an inert self-loop's counter wrap.
 
 TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
@@ -80,27 +80,25 @@ TEST(DouSkip, MatchesSteppedExecutionAcrossCounterWrap)
             DouProgram p = DouProgram::idle();
             p.counter_init[0] = init;
 
-            Dou stepped(0), skipped(1);
+            Dou stepped;
             stepped.load(p);
-            skipped.load(p);
-
             for (uint64_t i = 0; i < n; ++i)
                 stepped.step();
-            skipped.fastForwardCommFree(n);
 
-            EXPECT_EQ(skipped.counter(0), stepped.counter(0))
+            DouPosition walked = p.resetPosition();
+            uint64_t budget = 0; // a self-loop costs no budget
+            EXPECT_EQ(p.walkCommFree(walked, n, budget), n);
+            EXPECT_EQ(walked, stepped.position())
                 << "init " << init << " n " << n;
-            EXPECT_EQ(skipped.stateIndex(), stepped.stateIndex());
-            EXPECT_EQ(skipped.stats().value("steps"),
-                      stepped.stats().value("steps"));
         }
     }
 }
 
-TEST(DouSkip, RefusesWalkIntoDrivingState)
+TEST(DouSkip, StopsAtDrivingState)
 {
     // One comm-free cycle, then a state that drives tile 0: the walk
-    // reaches the non-zero buffer control and must refuse.
+    // stops on the non-zero buffer control, where step() would
+    // output it.
     DouProgram p;
     DouState s0;
     s0.nxt0 = s0.nxt1 = 1;
@@ -108,10 +106,29 @@ TEST(DouSkip, RefusesWalkIntoDrivingState)
     s1.buf[0] = 1;
     s1.nxt0 = s1.nxt1 = 1;
     p.states = {s0, s1};
-    Dou dou(0);
-    dou.load(p);
-    EXPECT_EQ(dou.commFreeRun(3), 1u);
-    EXPECT_THROW(dou.fastForwardCommFree(3), PanicError);
+    DouPosition pos = p.resetPosition();
+    uint64_t budget = 8;
+    EXPECT_EQ(p.walkCommFree(pos, 3, budget), 1u);
+    EXPECT_EQ(pos.state, 1u);
+    EXPECT_EQ(budget, 7u);
+}
+
+TEST(DouSkip, StopsWhenTheBudgetRunsOut)
+{
+    // A two-state comm-free cycle never parks: each transition costs
+    // one unit of budget, so the walk ends when the budget does, at
+    // exactly the position that many steps reach.
+    DouProgram p;
+    DouState a, b;
+    a.cntr = b.cntr = 3;
+    a.nxt0 = a.nxt1 = 1;
+    b.nxt0 = b.nxt1 = 0;
+    p.states = {a, b};
+    DouPosition pos = p.resetPosition();
+    uint64_t budget = 5;
+    EXPECT_EQ(p.walkCommFree(pos, 1000, budget), 5u);
+    EXPECT_EQ(budget, 0u);
+    EXPECT_EQ(pos.state, 1u);
 }
 
 // ---------------------------------------------------------------
@@ -243,6 +260,66 @@ TEST(SchedulerHooks, OnlyCompiledTakesIssueSlotBlocks)
         EXPECT_EQ(m.stalls[1], ref.stalls[1]) << name;
         EXPECT_EQ(m.phases, ref.phases) << name;
         EXPECT_EQ(s->curTick(), rs->curTick()) << name;
+    }
+}
+
+namespace
+{
+
+/** One slow domain with a quota of edges; counts executed phases. */
+class SparseEdgeModel : public SchedModel
+{
+  public:
+    static constexpr uint64_t kEdges = 20;
+    static constexpr Tick kDivider = 1000;
+
+    unsigned numDomains() const override { return 1; }
+    const ClockDomain &domainClock(unsigned) const override
+    {
+        return clock_;
+    }
+    bool domainHalted(unsigned) const override { return edges >= kEdges; }
+    bool allHalted() const override { return edges >= kEdges; }
+    void domainEdge(unsigned) override { ++edges; }
+    void
+    refPhase() override
+    {
+        ++phases;
+        ++executed;
+    }
+    Tick
+    commFreeAdvance(Tick max) override
+    {
+        phases += max;
+        return max;
+    }
+
+    uint64_t edges = 0;
+    uint64_t phases = 0;   //!< executed and batched
+    uint64_t executed = 0; //!< refPhase() calls
+
+  private:
+    ClockDomain clock_{600e6, unsigned(kDivider), 0};
+};
+
+} // namespace
+
+TEST(SchedulerHooks, RunMaxTickStillBatchesQuietPhases)
+{
+    // The end of a run(MaxTick) budget must not wrap: a fresh walk
+    // executes one reference phase per edge and batches the rest,
+    // instead of running every phase one at a time.
+    for (SchedulerKind kind :
+         {SchedulerKind::FastEdge, SchedulerKind::Compiled}) {
+        SparseEdgeModel m;
+        auto s = makeScheduler(kind);
+        ASSERT_EQ(int(s->run(m, MaxTick)), int(SchedStop::AllHalted));
+        const Tick last = (SparseEdgeModel::kEdges - 1) *
+                          SparseEdgeModel::kDivider;
+        EXPECT_EQ(s->curTick(), last) << schedulerName(kind);
+        EXPECT_EQ(m.phases, last + 1) << schedulerName(kind);
+        EXPECT_EQ(m.executed, SparseEdgeModel::kEdges)
+            << schedulerName(kind);
     }
 }
 
@@ -539,6 +616,49 @@ TEST(SchedulerEquivalence, TickLimitAndResume)
                 << schedulerName(kind) << " resume step " << i;
             EXPECT_EQ(allStats(*chip), allStats(*ref2))
                 << schedulerName(kind);
+        }
+    }
+}
+
+TEST(SchedulerEquivalence, RunMaxTickRunsToHaltFreshAndResumed)
+{
+    // run(MaxTick) means "until the model halts" from any tick: the
+    // end of the budget saturates instead of wrapping past MaxTick,
+    // which on a resumed chip used to stop the run where it began.
+    auto build = [](SchedulerKind kind) {
+        ChipConfig cfg;
+        cfg.dividers = {3, 5};
+        cfg.scheduler = kind;
+        auto chip = std::make_unique<Chip>(cfg);
+        for (unsigned c = 0; c < 2; ++c) {
+            chip->column(c).controller().loadProgram(assemble(R"(
+                movi r0, 0
+                lsetup lc0, e, 300
+                addi r0, 1
+            e:
+                halt
+            )"));
+        }
+        return chip;
+    };
+    auto ref = build(SchedulerKind::EventQueue);
+    ASSERT_EQ(int(ref->run(100).exit), int(RunExit::TickLimit));
+    ASSERT_EQ(int(ref->run(MaxTick).exit), int(RunExit::AllHalted));
+
+    for (SchedulerKind kind : AllSchedulerKinds) {
+        for (bool resumed : {false, true}) {
+            auto chip = build(kind);
+            const std::string what = std::string(schedulerName(kind)) +
+                                     (resumed ? " resumed" : " fresh");
+            if (resumed) {
+                ASSERT_EQ(int(chip->run(100).exit),
+                          int(RunExit::TickLimit))
+                    << what;
+            }
+            auto res = chip->run(MaxTick);
+            EXPECT_EQ(int(res.exit), int(RunExit::AllHalted)) << what;
+            EXPECT_EQ(res.ticks, ref->curTick()) << what;
+            EXPECT_EQ(allStats(*chip), allStats(*ref)) << what;
         }
     }
 }

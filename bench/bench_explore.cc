@@ -4,7 +4,7 @@
  * mapped Table 4 workloads (DDC, 802.11a, stereo vision, MPEG-4
  * motion estimation), enumerate plan variants around the
  * AutoMapper's pick, run the whole candidate batch concurrently on
- * one heterogeneous SimSession, and reduce the measurements to a
+ * one sim::FleetExecutor, and reduce the measurements to a
  * power-vs-throughput Pareto frontier. Every frontier point is
  * bit-exact against its dsp:: golden and cross-checked on the
  * EventQueue backend; the analytic Optimizer's pick must sit on (or

@@ -5,8 +5,8 @@
  * 1024 concurrent user streams), every item golden-verified, plus
  * the snapshot/clone warm-start comparison against a from-scratch
  * plan + codegen + program load. At the 256-stream scale every served item
- * is additionally re-run solo through SimSession::admit on a clone
- * of the same template and compared byte for byte. Appends
+ * is additionally re-run solo on the calling thread on a clone of
+ * the same template and compared byte for byte. Appends
  * chips/sec, aggregate ticks/sec and the warm-start speedup to
  * BENCH_fleet.json so the trajectory is tracked across PRs.
  */
@@ -78,45 +78,21 @@ serveFleet(const std::vector<sim::FleetWorkload> &workloads,
 }
 
 /**
- * Re-run every (stream, item) the fleet served as a solo
- * SimSession::admit batch on clones of the same templates and
- * compare byte for byte — the serving layer must be invisible in
- * the results. Batched to bound peak chip count.
+ * Re-run every (stream, item) the fleet served solo, one at a time on
+ * a clone of the same template on the calling thread, and compare
+ * byte for byte — the serving layer must be invisible in the results.
  */
 bool
 soloCrossCheck(sim::FleetExecutor &fleet, const sim::FleetReport &rep)
 {
-    struct Pending
-    {
-        unsigned workload;
-        uint64_t item;
-        const std::vector<uint8_t> *want;
-    };
-    std::vector<Pending> all;
     for (const auto &s : rep.stream_results) {
-        for (uint64_t i = 0; i < s.items; ++i)
-            all.push_back(
-                {s.workload, s.item_base + i, &s.outputs[i]});
-    }
-
-    constexpr size_t Batch = 128;
-    for (size_t at = 0; at < all.size(); at += Batch) {
-        size_t n = std::min(Batch, all.size() - at);
-        sim::SimSession session;
-        for (size_t i = 0; i < n; ++i) {
-            const Pending &p = all[at + i];
-            const sim::FleetWorkload &wl = fleet.workload(p.workload);
-            auto chip = fleet.templateChip(p.workload).clone();
-            wl.feed(*chip, p.item);
-            session.admit(sim::ChipSpec(std::move(chip))
-                              .tickLimit(wl.tick_limit));
-        }
-        auto results = session.runAll();
-        for (size_t i = 0; i < n; ++i) {
-            const Pending &p = all[at + i];
-            const sim::FleetWorkload &wl = fleet.workload(p.workload);
-            if (results[i].exit != arch::RunExit::AllHalted ||
-                wl.read_output(session.chip(unsigned(i))) != *p.want)
+        const sim::FleetWorkload &wl = fleet.workload(s.workload);
+        for (uint64_t i = 0; i < s.items; ++i) {
+            auto chip = fleet.templateChip(s.workload).clone();
+            wl.feed(*chip, s.item_base + i);
+            if (chip->run(wl.tick_limit).exit !=
+                    arch::RunExit::AllHalted ||
+                wl.read_output(*chip) != s.outputs[i])
                 return false;
         }
     }

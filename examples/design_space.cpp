@@ -3,7 +3,7 @@
  * Measured design-space exploration (mapping/explorer.hh): enumerate
  * plan variants around the AutoMapper's pick for the DDC receiver
  * and the MPEG-4 motion-estimation farm, lower and run every
- * candidate concurrently on one heterogeneous SimSession, and reduce
+ * candidate concurrently on one sim::FleetExecutor, and reduce
  * the measurements to a power-vs-throughput Pareto frontier with an
  * agreement verdict for the analytic Optimizer — what the paper's
  * Section 4.1 flow picks from a model, measured cycle-accurately.

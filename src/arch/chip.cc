@@ -186,19 +186,6 @@ Chip::placeDous()
         columns_[c]->dou().place(placed_[c], cursor_phases_);
 }
 
-void
-Chip::setSchedulerKind(SchedulerKind kind)
-{
-    if (kind == cfg_.scheduler)
-        return;
-    if (sched_->curTick() != 0)
-        fatal("cannot switch scheduler backend at tick %llu; the "
-              "chip has already run",
-              (unsigned long long)sched_->curTick());
-    cfg_.scheduler = kind;
-    sched_ = makeScheduler(kind, cfg_.parallel_columns);
-}
-
 std::unique_ptr<Chip>
 Chip::clone() const
 {

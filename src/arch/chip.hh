@@ -71,7 +71,7 @@ struct ChipConfig
     /**
      * Column team size for SchedulerKind::ParallelColumns: 0 sizes
      * the team automatically (hardware concurrency clamped to the
-     * column count, degrading to serial on a SimSession/fleet pool
+     * column count, degrading to serial on a fleet pool
      * worker — see inWorkerPool()), 1 forces serial execution, and
      * larger values request that many team threads (clamped to the
      * column count; explicit sizes nest inside pools deliberately).
@@ -122,15 +122,6 @@ class Chip : private SchedModel
     SchedulerKind schedulerKind() const { return cfg_.scheduler; }
 
     /**
-     * Swap the scheduler backend of a not-yet-run chip — lets a
-     * session or explorer override the kind baked into the config at
-     * construction (e.g. to mix compiled and FastEdge chips in one
-     * pool). fatal() once the chip has advanced past tick 0, since
-     * the backends' pending-work state is not transferable.
-     */
-    void setSchedulerKind(SchedulerKind kind);
-
-    /**
      * The bus timeline of this chip's DOU programs, which its fast
      * backends follow. Created on first use, resolved on the first
      * run, shared with every clone, kept across restart() and
@@ -149,8 +140,8 @@ class Chip : private SchedModel
      * without re-running any of it. The clone gets fresh statistics
      * (all zero, like a freshly built chip) and its own scheduler,
      * and is bit-identical to a fresh build + load on every backend.
-     * fatal() once this chip has advanced past tick 0: run state is
-     * not transferable (same invariant as setSchedulerKind()).
+     * fatal() once this chip has advanced past tick 0: run state,
+     * including the backends' pending work, is not transferable.
      *
      * clone() is const and safe to call concurrently from several
      * worker threads on one template chip.
@@ -197,7 +188,7 @@ class Chip : private SchedModel
      * Visit every statistic of the chip under a dotted hierarchical
      * name: "bus.<stat>", "colC.ctrl.<stat>", "colC.dou.<stat>",
      * "colC.tileT.<stat>". Names are visited in a deterministic
-     * order; SimSession aggregates across chips with this.
+     * order; FleetExecutor aggregates across chips with this.
      */
     void forEachStat(
         const std::function<void(const std::string &, uint64_t)> &fn)

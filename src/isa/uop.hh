@@ -12,7 +12,7 @@
  * via one switch on a compact UopKind.
  *
  * Decoded programs are cached per content hash (decodeProgram), so
- * re-loading the same kernel (parameter sweeps, batch sessions,
+ * re-loading the same kernel (parameter sweeps, fleet streams,
  * benches) costs a lookup instead of a decode. Decode-time validation
  * also closes a latent UB hole: a hand-built Inst with an
  * out-of-range register index previously indexed tile register files

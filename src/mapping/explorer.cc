@@ -8,7 +8,7 @@
 
 #include "arch/chip.hh"
 #include "common/log.hh"
-#include "sim/session.hh"
+#include "sim/fleet.hh"
 
 namespace synchro::mapping
 {
@@ -129,37 +129,82 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
     ExplorationResult res;
     res.app = app.name;
     res.baseline_index = 0;
+    res.points.resize(variants.size());
 
-    // Lower every candidate and stage one chip on opt.scheduler per
-    // successful lowering on a single heterogeneous session — each
-    // chip its own configuration, program and tick budget.
-    struct Prep
+    // One fleet runs every chip of this exploration: each lowered
+    // candidate is a workload whose template is its cold build, served
+    // as one single-item stream. The worker that ran a point measures
+    // it in the read_output hook, writing only that point's slot, so
+    // the slots need no lock; drain() publishes them.
+    struct Slot
     {
-        size_t point = 0;
-        unsigned session_id = 0;
         PipelineProgram prog;
-        std::unique_ptr<arch::Chip> chip;
+        bool lowered = false;
+        unsigned workload = 0;
+        unsigned stream = 0;
+        std::map<std::string, uint64_t> stats; //!< for the cross-check
     };
-    std::vector<Prep> preps;
-    sim::SessionConfig scfg;
-    scfg.threads = opt.threads;
-    sim::SimSession session(scfg);
+    std::vector<Slot> slots(variants.size());
 
-    for (const auto &v : variants) {
-        MeasuredPoint pt;
+    auto measure = [&](size_t i, arch::Chip &chip) {
+        MeasuredPoint &pt = res.points[i];
+        uint64_t overruns = chip.fabric().stats().value("overruns");
+        uint64_t conflicts = chip.fabric().stats().value("conflicts");
+        if (overruns != 0 || conflicts != 0) {
+            pt.failure = strprintf(
+                "unclean fabric: %llu overruns, %llu conflicts",
+                (unsigned long long)overruns,
+                (unsigned long long)conflicts);
+            return;
+        }
+        pt.ran = true;
+        pt.ticks = chip.curTick();
+        pt.deferrals = chip.fabric().stats().value("deferrals");
+        pt.achieved_items_per_sec = double(app.priced_items) *
+                                    pt.plan.ref_freq_mhz * 1e6 /
+                                    double(pt.ticks);
+        pt.power = power::priceSimulationComparison(
+            chip, app.priced_items, pt.achieved_items_per_sec,
+            levels, model);
+        pt.total_mw = pt.power.multi_v.total();
+        std::string mismatch = app.verify(chip, slots[i].prog);
+        pt.bit_exact = mismatch.empty();
+        if (!pt.bit_exact)
+            pt.failure = mismatch;
+        slots[i].stats = chipStats(chip);
+    };
+
+    // Declared after everything its hooks reference, so it is
+    // destroyed (its workers joined) first.
+    sim::FleetConfig fcfg;
+    fcfg.workers = opt.threads;
+    fcfg.scheduler = opt.scheduler;
+    fcfg.verify = false;
+    sim::FleetExecutor fleet(fcfg);
+
+    for (size_t i = 0; i < variants.size(); ++i) {
+        const PlanVariant &v = variants[i];
+        MeasuredPoint &pt = res.points[i];
         pt.label = v.label;
         pt.plan = v.plan;
         pt.target_iterations_per_sec = v.iterations_per_sec;
         try {
-            Prep prep;
-            prep.point = res.points.size();
-            prep.prog = app.lower(v.plan, v.iterations_per_sec);
-            prep.chip = buildChip(v.plan, prep.prog,
-                                  opt.scheduler);
-            prep.session_id = session.admit(
-                sim::ChipSpec(*prep.chip)
-                    .tickLimit(app.tick_limit(v.plan, prep.prog)));
-            preps.push_back(std::move(prep));
+            Slot &slot = slots[i];
+            slot.prog = app.lower(v.plan, v.iterations_per_sec);
+            sim::FleetWorkload wl;
+            wl.name = v.label;
+            wl.tick_limit = app.tick_limit(v.plan, slot.prog);
+            wl.build = [&v, &slot](SchedulerKind kind) {
+                return buildChip(v.plan, slot.prog, kind);
+            };
+            // A fresh clone of the template is the item.
+            wl.feed = [](arch::Chip &, uint64_t) {};
+            wl.read_output = [&measure, i](arch::Chip &chip) {
+                measure(i, chip);
+                return std::vector<uint8_t>();
+            };
+            slot.workload = fleet.addWorkload(std::move(wl));
+            slot.lowered = true;
         } catch (const FatalError &e) {
             pt.failure = strprintf("did not lower: %s", e.what());
             // The codegen verifier gate rejected the candidate
@@ -170,45 +215,30 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
                 ++res.statically_rejected;
             }
         }
-        res.points.push_back(std::move(pt));
     }
 
-    // The whole batch, concurrently; per-chip budgets govern.
-    session.runAll();
-
-    for (auto &prep : preps) {
-        MeasuredPoint &pt = res.points[prep.point];
-        const arch::RunResult &r = session.results()[prep.session_id];
-        arch::Chip &chip = *prep.chip;
-        if (r.exit != arch::RunExit::AllHalted) {
-            pt.failure = r.exit == arch::RunExit::Deadlock
+    // Every candidate is lowered before any chip runs, so lowering
+    // never competes with the runs for cores. Runs that did not drain
+    // never reach the measuring hook, and a hook or run that threw
+    // left its failure in the stream's result.
+    for (Slot &slot : slots) {
+        if (slot.lowered)
+            slot.stream = fleet.admitStream(slot.workload, 1);
+    }
+    sim::FleetReport rep = fleet.drain();
+    for (size_t i = 0; i < slots.size(); ++i) {
+        if (!slots[i].lowered)
+            continue;
+        MeasuredPoint &pt = res.points[i];
+        const sim::FleetStreamResult &sr =
+            rep.stream_results[slots[i].stream];
+        if (sr.last_exit != arch::RunExit::AllHalted) {
+            pt.failure = sr.last_exit == arch::RunExit::Deadlock
                              ? "deadlocked"
                              : "tick budget exhausted";
-            continue;
+        } else if (!sr.first_failure.empty()) {
+            pt.failure = sr.first_failure;
         }
-        uint64_t overruns = chip.fabric().stats().value("overruns");
-        uint64_t conflicts = chip.fabric().stats().value("conflicts");
-        if (overruns != 0 || conflicts != 0) {
-            pt.failure = strprintf(
-                "unclean fabric: %llu overruns, %llu conflicts",
-                (unsigned long long)overruns,
-                (unsigned long long)conflicts);
-            continue;
-        }
-        pt.ran = true;
-        pt.ticks = r.ticks;
-        pt.deferrals = chip.fabric().stats().value("deferrals");
-        pt.achieved_items_per_sec = double(app.priced_items) *
-                                    pt.plan.ref_freq_mhz * 1e6 /
-                                    double(pt.ticks);
-        pt.power = power::priceSimulationComparison(
-            chip, app.priced_items, pt.achieved_items_per_sec,
-            levels, model);
-        pt.total_mw = pt.power.multi_v.total();
-        std::string mismatch = app.verify(chip, prep.prog);
-        pt.bit_exact = mismatch.empty();
-        if (!pt.bit_exact)
-            pt.failure = mismatch;
     }
 
     // Pareto reduction over the measurable points: a point survives
@@ -240,8 +270,10 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
     std::reverse(res.frontier.begin(), res.frontier.end());
 
     // Cross-check the frontier (and the baseline) on the EventQueue
-    // backend: identical final tick, identical statistics, and the
-    // golden check passing again on the second chip.
+    // backend, on the same fleet: each checked point is rebuilt cold
+    // from its lowered program, independent of the measured chip, and
+    // must reach the identical final tick, identical statistics, and
+    // pass the golden check again.
     bool crosschecks_ok = true;
     if (opt.crosscheck_frontier) {
         std::vector<size_t> check = res.frontier;
@@ -249,41 +281,28 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
         if (base.ran && base.bit_exact && !base.on_frontier)
             check.push_back(res.baseline_index);
 
-        struct Recheck
-        {
-            Prep *prep;
-            std::unique_ptr<arch::Chip> chip;
-            unsigned session_id = 0;
-        };
-        std::vector<Recheck> rechecks;
-        sim::SimSession xsession(scfg);
         for (size_t idx : check) {
-            auto it = std::find_if(preps.begin(), preps.end(),
-                                   [idx](const Prep &p) {
-                                       return p.point == idx;
-                                   });
-            sync_assert(it != preps.end(),
-                        "frontier point with no prepared chip");
-            Recheck rc;
-            rc.prep = &*it;
-            rc.chip = buildChip(res.points[idx].plan, it->prog,
-                                SchedulerKind::EventQueue);
-            rc.session_id = xsession.admit(
-                sim::ChipSpec(*rc.chip)
-                    .tickLimit(app.tick_limit(res.points[idx].plan,
-                                              it->prog)));
-            rechecks.push_back(std::move(rc));
+            MeasuredPoint &pt = res.points[idx];
+            const Slot &slot = slots[idx];
+            sim::FleetWorkload wl;
+            wl.name = pt.label + " (EventQueue)";
+            wl.tick_limit = app.tick_limit(pt.plan, slot.prog);
+            wl.build = [&pt, &slot](SchedulerKind) {
+                return buildChip(pt.plan, slot.prog,
+                                 SchedulerKind::EventQueue);
+            };
+            wl.feed = [](arch::Chip &, uint64_t) {};
+            wl.read_output = [&app, &pt, &slot](arch::Chip &chip) {
+                pt.crosschecked = chip.curTick() == pt.ticks &&
+                                  chipStats(chip) == slot.stats &&
+                                  app.verify(chip, slot.prog).empty();
+                return std::vector<uint8_t>();
+            };
+            fleet.admitStream(fleet.addWorkload(std::move(wl)), 1);
         }
-        xsession.runAll();
-        for (auto &rc : rechecks) {
-            MeasuredPoint &pt = res.points[rc.prep->point];
-            const arch::RunResult &r =
-                xsession.results()[rc.session_id];
-            pt.crosschecked =
-                r.exit == arch::RunExit::AllHalted &&
-                r.ticks == pt.ticks &&
-                chipStats(*rc.chip) == chipStats(*rc.prep->chip) &&
-                app.verify(*rc.chip, rc.prep->prog).empty();
+        fleet.drain();
+        for (size_t idx : check) {
+            MeasuredPoint &pt = res.points[idx];
             if (!pt.crosschecked) {
                 crosschecks_ok = false;
                 if (pt.failure.empty())

@@ -4,7 +4,7 @@
  * analytic mapping flow (Section 4.1, Tables 3/4) could not: instead
  * of trusting the power model's pick, enumerate candidate chip plans
  * around it, lower every candidate through real codegen, run the
- * whole batch cycle-accurately on SimSession's worker pool, verify
+ * whole batch cycle-accurately on one sim::FleetExecutor, verify
  * each run bit-exactly against the application's dsp:: golden, and
  * price each with power::priceSimulationComparison. The output is a
  * *measured* power-vs-throughput Pareto frontier per application and
@@ -105,7 +105,7 @@ struct ExploreOptions
      *  identical ticks, stats and outputs. */
     bool crosscheck_frontier = true;
 
-    /** Worker threads for the batch (0 = hardware concurrency). */
+    /** Fleet workers for the batch (0 = hardware concurrency). */
     unsigned threads = 0;
 
     /** Max % the baseline's measured power may sit above the
@@ -208,10 +208,12 @@ std::vector<PlanVariant> enumeratePlanVariants(
 /**
  * The measured evaluator: enumerate (plus the app's shard variants),
  * lower every candidate, run the whole batch concurrently on one
- * SimSession, verify bit-exactness, price each run, and reduce to a
- * Pareto frontier (mW vs achieved rate) with the Optimizer-agreement
- * verdict. Candidates that fail to lower or drain become non-ran
- * points (with their failure recorded), never errors.
+ * sim::FleetExecutor (one single-item stream per candidate, measured
+ * by the worker that ran it), verify bit-exactness, price each run,
+ * and reduce to a Pareto frontier (mW vs achieved rate) with the
+ * Optimizer-agreement verdict. Candidates that fail to lower or
+ * drain, or whose run or verify hook throws, become failed points
+ * (with their failure recorded), never errors.
  */
 ExplorationResult explorePlans(const ExplorableApp &app,
                                const ExploreOptions &opt = {});

@@ -251,6 +251,7 @@ FleetExecutor::serveOneItem(Stream &s, Worker &shard)
         }
         wl.feed(*s.chip, item);
         const arch::RunResult r = s.chip->run(wl.tick_limit);
+        s.res.last_exit = r.exit;
         shard.ticks += r.ticks;
         s.res.ticks += r.ticks;
         shard.max_ticks_reached =
@@ -327,8 +328,16 @@ FleetExecutor::finishStream(Stream &s, Worker &shard)
             [&shard](const std::string &name, uint64_t v) {
                 shard.counters[name] += v;
             });
-        if (s.wl->release)
-            s.wl->release(*s.chip);
+        try {
+            if (s.wl->release)
+                s.wl->release(*s.chip);
+        } catch (const std::exception &e) {
+            ++s.res.mismatches;
+            if (s.res.first_failure.empty()) {
+                s.res.first_failure = strprintf(
+                    "%s release: %s", s.wl->name.c_str(), e.what());
+            }
+        }
         s.chip.reset();
     }
 }

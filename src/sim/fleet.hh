@@ -1,14 +1,16 @@
 /**
  * @file
- * FleetExecutor — the streaming serving layer over SimSession's
- * batch facade.
+ * FleetExecutor — the one worker pool that runs many independent
+ * Synchroscalar chips.
  *
- * SimSession::runAll() is a barrier: stage N chips, run them all,
- * harvest. A basestation does not work like that — hundreds of
- * per-user chip streams (DDC channels, 802.11a receivers) each
- * receive an open-ended sequence of work items (sample blocks, OFDM
- * symbols), and new streams arrive while old ones are still
- * draining. FleetExecutor serves that shape:
+ * The chip model is single-threaded and deterministic, so the unit of
+ * scale is *many chips*, each an isolated simulation. A basestation
+ * serves hundreds of per-user chip streams (DDC channels, 802.11a
+ * receivers), each fed an open-ended sequence of work items (sample
+ * blocks, OFDM symbols), with new streams arriving while old ones are
+ * still draining; a batch study (the design-space explorer) is the
+ * special case of one single-item stream per candidate chip.
+ * FleetExecutor serves both shapes:
  *
  *  - a *workload* packages an app's plan/program hooks once
  *    (FleetWorkload; apps::AppRegistry's fleet() view derives one
@@ -34,8 +36,8 @@
  *    drain() — no shared counters, no locks on the serving path.
  *
  * drain() blocks until every admitted item has been served and
- * returns a FleetReport whose totals reuse the session vocabulary
- * (SessionStats: per-exit counts, tick sums, merged counters).
+ * returns a FleetReport: per-stream results plus FleetTotals
+ * (per-exit counts, tick sums, merged counters).
  */
 
 #ifndef SYNC_SIM_FLEET_HH
@@ -54,7 +56,6 @@
 #include <vector>
 
 #include "arch/chip.hh"
-#include "sim/session.hh"
 
 namespace synchro::sim
 {
@@ -113,7 +114,8 @@ struct FleetWorkload
     /**
      * Optional: called on a stream's chip after its last item, just
      * before the fleet frees the chip, so a workload that keeps
-     * per-stream state keyed on the chip can drop it.
+     * per-stream state keyed on the chip can drop it. A throw is
+     * recorded as the stream's failure; the chip is freed anyway.
      */
     std::function<void(arch::Chip &)> release;
 };
@@ -133,6 +135,19 @@ struct FleetConfig
     bool keep_outputs = false;
 };
 
+/** Every item the fleet served, summed across workers. */
+struct FleetTotals
+{
+    uint64_t chips = 0;        //!< chip runs (= items served)
+    uint64_t halted = 0;       //!< runs that reached AllHalted
+    uint64_t tick_limited = 0; //!< runs that hit the tick budget
+    uint64_t deadlocked = 0;
+    Tick max_ticks_reached = 0; //!< slowest run's final tick
+    uint64_t total_ticks = 0;   //!< sum of final ticks
+    /** Chip counters summed across the fleet, by dotted name. */
+    std::map<std::string, uint64_t> counters;
+};
+
 /** What one stream's service produced. */
 struct FleetStreamResult
 {
@@ -142,6 +157,8 @@ struct FleetStreamResult
     uint64_t items_done = 0;
     uint64_t ticks = 0;      //!< summed over the stream's items
     uint64_t mismatches = 0; //!< golden-verify failures
+    /** How the last item's run ended (AllHalted until one ends). */
+    arch::RunExit last_exit = arch::RunExit::AllHalted;
     std::string first_failure; //!< "" if every item served clean
     /** Per-item output bytes (FleetConfig::keep_outputs). */
     std::vector<std::vector<uint8_t>> outputs;
@@ -249,11 +266,10 @@ struct FleetReport
     uint64_t clones = 0;      //!< template clones (one per stream)
 
     /**
-     * The session-vocabulary totals: chips = items served, per-exit
-     * counts, tick sums, and the per-worker counter shards merged by
-     * dotted name.
+     * Items served, per-exit counts, tick sums, and the per-worker
+     * counter shards merged by dotted name.
      */
-    SessionStats totals;
+    FleetTotals totals;
 
     /** Per-stream detail, in admission order. */
     StreamResults stream_results;
@@ -294,10 +310,9 @@ class FleetExecutor
 
     /**
      * Admit one stream of @p items work items (indices item_base ..
-     * item_base+items-1) of @p workload — the streaming analogue of
-     * SimSession::admit. Serving starts immediately on the worker
-     * pool; admission is safe while earlier streams are still being
-     * served. Returns the stream id.
+     * item_base+items-1) of @p workload. Serving starts immediately
+     * on the worker pool; admission is safe while earlier streams
+     * are still being served. Returns the stream id.
      */
     unsigned admitStream(unsigned workload, uint64_t items,
                          uint64_t item_base = 0);

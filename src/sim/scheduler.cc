@@ -115,7 +115,7 @@ namespace
 {
 
 // Nested-parallelism policy flag: set while the current thread is a
-// SimSession / FleetExecutor pool worker, so the automatic
+// FleetExecutor pool worker, so the automatic
 // ParallelColumns team size degrades to serial instead of spawning
 // pool × team threads. thread_local, so concurrent pools and teams
 // never observe each other.

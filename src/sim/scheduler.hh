@@ -302,14 +302,13 @@ std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind,
                                          unsigned team_threads = 0);
 
 /**
- * Nested-parallelism policy. SimSession and FleetExecutor workers
- * mark themselves with a WorkerPoolScope; the automatic
- * ParallelColumns team size (team_threads == 0) collapses to 1 on a
- * marked thread so a fleet of parallel-columns chips does not
- * oversubscribe the machine with pool × team threads. An explicit
- * team size is always honored (nested pools) — that is how the
- * fleet × parallel-columns composition tests exercise both layers
- * at once.
+ * Nested-parallelism policy. FleetExecutor workers mark themselves
+ * with a WorkerPoolScope; the automatic ParallelColumns team size
+ * (team_threads == 0) collapses to 1 on a marked thread so a fleet
+ * of parallel-columns chips does not oversubscribe the machine with
+ * pool × team threads. An explicit team size is always honored
+ * (nested pools) — that is how the fleet × parallel-columns
+ * composition tests exercise both layers at once.
  */
 bool inWorkerPool();
 

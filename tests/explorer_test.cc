@@ -1,10 +1,15 @@
 /** @file Design-space explorer: variant enumeration feasibility,
- * measured Pareto frontiers over heterogeneous SimSession batches,
- * optimizer agreement, and determinism across pool widths. */
+ * measured Pareto frontiers over fleet-served candidate batches,
+ * optimizer agreement, determinism across pool widths, and
+ * candidates that lower but then fail. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "apps/app_registry.hh"
 #include "apps/motion_runner.hh"
@@ -34,6 +39,58 @@ quickOptions()
     opt.rate_factors = {0.8, 1.2};
     opt.divider_steps = 1;
     return opt;
+}
+
+/**
+ * The dividers of a measured, off-frontier, non-baseline point of
+ * @p res that no other point shares — a candidate a test can pick out
+ * by its chip's clocks and break without moving the frontier.
+ */
+std::vector<unsigned>
+offFrontierVictim(const ExplorationResult &res, std::string &label)
+{
+    for (size_t i = 0; i < res.points.size(); ++i) {
+        const MeasuredPoint &pt = res.points[i];
+        if (i == res.baseline_index || !pt.ran || pt.on_frontier)
+            continue;
+        const std::vector<unsigned> d = pt.plan.dividers();
+        if (std::count_if(res.points.begin(), res.points.end(),
+                          [&d](const MeasuredPoint &o) {
+                              return o.plan.dividers() == d;
+                          }) == 1) {
+            label = pt.label;
+            return d;
+        }
+    }
+    ADD_FAILURE() << "no off-frontier point with unique dividers";
+    return {};
+}
+
+/** Everything but @p skip matches between two explorations. */
+void
+expectSamePointsExcept(const ExplorationResult &a,
+                       const ExplorationResult &b,
+                       const std::string &skip)
+{
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (size_t i = 0; i < a.points.size(); ++i) {
+        const MeasuredPoint &pa = a.points[i];
+        const MeasuredPoint &pb = b.points[i];
+        EXPECT_EQ(pa.label, pb.label);
+        if (pa.label == skip)
+            continue;
+        EXPECT_EQ(pa.ran, pb.ran) << pa.label;
+        EXPECT_EQ(pa.failure, pb.failure) << pa.label;
+        EXPECT_EQ(pa.bit_exact, pb.bit_exact) << pa.label;
+        EXPECT_EQ(pa.crosschecked, pb.crosschecked) << pa.label;
+        EXPECT_EQ(pa.ticks, pb.ticks) << pa.label;
+        EXPECT_EQ(pa.deferrals, pb.deferrals) << pa.label;
+        EXPECT_DOUBLE_EQ(pa.total_mw, pb.total_mw) << pa.label;
+        EXPECT_EQ(pa.on_frontier, pb.on_frontier) << pa.label;
+    }
+    EXPECT_EQ(a.frontier, b.frontier);
+    EXPECT_DOUBLE_EQ(a.baseline_gap_pct, b.baseline_gap_pct);
+    EXPECT_EQ(a.agreement, b.agreement);
 }
 
 } // namespace
@@ -215,4 +272,72 @@ TEST(Explorer, MotionShardVariantsWidenTheSearch)
             ++measured_shards;
     }
     EXPECT_GT(measured_shards, 0u);
+}
+
+TEST(Explorer, StarvedCandidateFailsAloneOffTheFrontier)
+{
+    const apps::AppDescriptor &ddc =
+        apps::AppRegistry::instance().at("ddc");
+    const ExplorationResult clean =
+        explorePlans(ddc.explorable(smallDdc()), quickOptions());
+    std::string victim;
+    const std::vector<unsigned> dividers =
+        offFrontierVictim(clean, victim);
+    ASSERT_FALSE(dividers.empty());
+
+    // One candidate's budget is far too short to drain.
+    ExplorableApp app = ddc.explorable(smallDdc());
+    app.tick_limit = [inner = app.tick_limit, dividers](
+                         const ChipPlan &plan,
+                         const PipelineProgram &prog) {
+        return plan.dividers() == dividers ? Tick(100)
+                                           : inner(plan, prog);
+    };
+    const ExplorationResult res = explorePlans(app, quickOptions());
+
+    for (const MeasuredPoint &pt : res.points) {
+        if (pt.label != victim)
+            continue;
+        EXPECT_FALSE(pt.ran);
+        EXPECT_EQ(pt.failure, "tick budget exhausted");
+        EXPECT_FALSE(pt.on_frontier);
+    }
+    expectSamePointsExcept(clean, res, victim);
+    EXPECT_TRUE(res.all_bit_exact);
+}
+
+TEST(Explorer, ThrowingVerifyIsRecordedOnItsPoint)
+{
+    const apps::AppDescriptor &ddc =
+        apps::AppRegistry::instance().at("ddc");
+    const ExplorationResult clean =
+        explorePlans(ddc.explorable(smallDdc()), quickOptions());
+    std::string victim;
+    const std::vector<unsigned> dividers =
+        offFrontierVictim(clean, victim);
+    ASSERT_FALSE(dividers.empty());
+
+    // The verify hook runs on the fleet worker that ran the point; a
+    // throw there becomes that point's failure, not the caller's.
+    ExplorableApp app = ddc.explorable(smallDdc());
+    app.verify = [inner = app.verify, dividers](
+                     arch::Chip &chip, const PipelineProgram &prog) {
+        if (chip.config().dividers == dividers)
+            throw std::runtime_error("verify hook failed");
+        return inner(chip, prog);
+    };
+    const ExplorationResult res = explorePlans(app, quickOptions());
+
+    for (const MeasuredPoint &pt : res.points) {
+        if (pt.label != victim)
+            continue;
+        EXPECT_TRUE(pt.ran); // it drained; its output went unchecked
+        EXPECT_FALSE(pt.bit_exact);
+        EXPECT_FALSE(pt.on_frontier);
+        EXPECT_NE(pt.failure.find("verify hook failed"),
+                  std::string::npos)
+            << pt.failure;
+    }
+    expectSamePointsExcept(clean, res, victim);
+    EXPECT_FALSE(res.all_bit_exact);
 }

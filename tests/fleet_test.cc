@@ -368,18 +368,35 @@ TEST(Fleet, FailuresAreRecordedNotThrown)
     bad.golden = [](uint64_t) {
         return std::vector<uint8_t>{0xde, 0xad};
     };
+    sim::FleetWorkload starved = sumWorkload(9);
+    starved.name = "starved";
+    starved.tick_limit = 5;
     unsigned b = fleet.addWorkload(bad);
     unsigned ok = fleet.addWorkload(sumWorkload(9));
+    unsigned st = fleet.addWorkload(starved);
     fleet.admitStream(b, 2, 0);
     fleet.admitStream(ok, 2, 0);
+    fleet.admitStream(st, 2, 0);
 
     sim::FleetReport rep = fleet.drain();
     EXPECT_FALSE(rep.all_verified);
-    ASSERT_EQ(rep.stream_results.size(), 2u);
+    ASSERT_EQ(rep.stream_results.size(), 3u);
     EXPECT_GT(rep.stream_results[0].mismatches, 0u);
     EXPECT_NE(rep.stream_results[0].first_failure, "");
     EXPECT_EQ(rep.stream_results[1].mismatches, 0u);
     EXPECT_EQ(rep.stream_results[1].first_failure, "");
+    EXPECT_EQ(int(rep.stream_results[1].last_exit),
+              int(RunExit::AllHalted));
+
+    // A run that hits its budget is a recorded failure too, and the
+    // stream remembers how its last run ended.
+    EXPECT_EQ(rep.stream_results[2].mismatches, 2u);
+    EXPECT_EQ(int(rep.stream_results[2].last_exit),
+              int(RunExit::TickLimit));
+    EXPECT_NE(rep.stream_results[2].first_failure.find("tick limit"),
+              std::string::npos);
+    EXPECT_EQ(rep.totals.halted, 4u);
+    EXPECT_EQ(rep.totals.tick_limited, 2u);
 }
 
 TEST(Fleet, AddWorkloadWhileServingIsSafe)
@@ -471,6 +488,48 @@ TEST(Fleet, ThrowingFeedAbandonsStreamWithoutDeadlockingDrain)
     EXPECT_EQ(rep2.stream_results[3].first_failure, "");
 }
 
+TEST(Fleet, ThrowingReleaseIsRecordedAndDrainCompletes)
+{
+    // release runs after a stream's last item, outside the item's
+    // hooks; a throw there must be recorded like any hook failure
+    // instead of leaving the worker thread.
+    sim::FleetConfig fc;
+    fc.workers = 2;
+    sim::FleetExecutor fleet(fc);
+
+    sim::FleetWorkload bad = sumWorkload(23);
+    bad.name = "throws-release";
+    unsigned released = 0;
+    bad.release = [&released](Chip &) {
+        ++released;
+        throw std::runtime_error("release rejected chip");
+    };
+    unsigned b = fleet.addWorkload(bad);
+    unsigned ok = fleet.addWorkload(sumWorkload(23));
+    fleet.admitStream(b, 3, 0);
+    fleet.admitStream(ok, 2, 0);
+
+    sim::FleetReport rep = fleet.drain();
+    EXPECT_FALSE(rep.all_verified);
+    EXPECT_EQ(rep.items, 5u);
+    EXPECT_EQ(rep.items_abandoned, 0u);
+    EXPECT_EQ(rep.totals.halted, 5u);
+    EXPECT_EQ(released, 1u);
+    ASSERT_EQ(rep.stream_results.size(), 2u);
+    EXPECT_EQ(rep.stream_results[0].items_done, 3u);
+    EXPECT_NE(rep.stream_results[0].first_failure.find(
+                  "release rejected chip"),
+              std::string::npos);
+    EXPECT_EQ(rep.stream_results[1].first_failure, "");
+
+    // The worker survived: the fleet still serves.
+    fleet.admitStream(ok, 1, 5);
+    sim::FleetReport rep2 = fleet.drain();
+    EXPECT_EQ(rep2.items, 6u);
+    EXPECT_EQ(rep2.stream_results[2].items_done, 1u);
+    EXPECT_EQ(rep2.stream_results[2].first_failure, "");
+}
+
 TEST(Fleet, EarlierReportsOutliveLaterDrainsAndTheExecutor)
 {
     // Reports share the executor's append-only stream history: a
@@ -508,11 +567,11 @@ TEST(Fleet, EarlierReportsOutliveLaterDrainsAndTheExecutor)
     EXPECT_EQ(n, 600u);
 }
 
-TEST(Fleet, MappedDdcStreamsMatchSoloSessionRuns)
+TEST(Fleet, MappedDdcStreamsMatchSoloRuns)
 {
     // The tentpole end-to-end: a mapped DDC fleet, each stream's
-    // items golden-verified inside the fleet, then re-checked
-    // against solo SimSession::admit runs of warm-start clones.
+    // items golden-verified inside the fleet, then re-checked against
+    // solo runs of warm-start clones on the calling thread.
     apps::DdcPipelineParams p;
     p.samples = 64;
     sim::FleetConfig fc;
@@ -530,22 +589,15 @@ TEST(Fleet, MappedDdcStreamsMatchSoloSessionRuns)
     EXPECT_EQ(rep.items, 5u);
 
     const sim::FleetWorkload &wl = fleet.workload(w);
-    sim::SimSession session;
-    std::vector<std::pair<unsigned, std::vector<uint8_t>>> expect;
     for (const auto &s : rep.stream_results) {
         for (uint64_t i = 0; i < s.items; ++i) {
             auto chip = fleet.templateChip(w).clone();
             wl.feed(*chip, s.item_base + i);
-            unsigned id = session.admit(
-                sim::ChipSpec(std::move(chip))
-                    .tickLimit(wl.tick_limit));
-            expect.push_back({id, s.outputs[i]});
+            EXPECT_EQ(int(chip->run(wl.tick_limit).exit),
+                      int(RunExit::AllHalted));
+            EXPECT_EQ(wl.read_output(*chip), s.outputs[i])
+                << "item " << s.item_base + i;
         }
-    }
-    auto results = session.runAll();
-    for (const auto &[id, out] : expect) {
-        EXPECT_EQ(int(results[id].exit), int(RunExit::AllHalted));
-        EXPECT_EQ(wl.read_output(session.chip(id)), out) << id;
     }
 }
 

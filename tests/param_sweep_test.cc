@@ -12,7 +12,6 @@
 #include "dsp/fir.hh"
 #include "mapping/rate_match.hh"
 #include "power/vf_model.hh"
-#include "sim/session.hh"
 #include "test_util.hh"
 
 using namespace synchro;
@@ -176,52 +175,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{3u, 7u}, std::pair{9u, 10u},
                       std::pair{1u, 1000u}, std::pair{499u, 500u}));
 
-TEST(ZormBatch, SimSessionSweepsAllPairsInOneRun)
-{
-    // The same (nops, period) sweep as ZormPairs, but batched: one
-    // chip per configuration in a SimSession, all run across the
-    // worker pool in a single runAll() call.
-    const std::vector<std::pair<unsigned, unsigned>> pairs = {
-        {1, 2}, {1, 7}, {3, 7}, {9, 10}, {1, 1000}, {499, 500}};
-
-    sim::SimSession session;
-    for (auto [nops, period] : pairs) {
-        arch::ChipConfig cfg;
-        cfg.dividers = {1};
-        unsigned id = session.admit(sim::ChipSpec(cfg));
-        session.chip(id).column(0).controller().loadProgram(
-            isa::assemble(R"(
-            movi r0, 0
-            lsetup lc0, e, 2000
-            addi r0, 1
-        e:
-            halt
-        )"));
-        session.chip(id).column(0).controller().setRateMatch(nops,
-                                                             period);
-    }
-
-    auto results = session.runAll(10'000'000);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-        ASSERT_EQ(int(results[i].exit),
-                  int(arch::RunExit::AllHalted))
-            << i;
-        auto [nops, period] = pairs[i];
-        const auto &st =
-            session.chip(unsigned(i)).column(0).controller().stats();
-        uint64_t real = st.value("issued");
-        uint64_t pad = st.value("zormNops");
-        double useful = double(real) / double(real + pad);
-        EXPECT_NEAR(useful, double(period - nops) / period,
-                    2.0 / double(real + pad))
-            << "pair " << i;
-    }
-
-    auto agg = session.aggregate();
-    EXPECT_EQ(agg.halted, pairs.size());
-    EXPECT_GT(agg.counters.at("col0.ctrl.issued"),
-              2000u * pairs.size());
-}
 
 // ---------------------------------------------------------------
 // Supply-level / V-f consistency over a frequency grid

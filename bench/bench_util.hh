@@ -2,7 +2,7 @@
  * @file
  * Shared output helpers for the table/figure regeneration benches.
  * Every bench prints the paper's published values next to the
- * model's, so `for b in build/bench/*; do $b; done` produces a
+ * model's, so running every binary in build/bench produces a
  * self-contained paper-vs-measured report (EXPERIMENTS.md archives
  * one such run).
  */

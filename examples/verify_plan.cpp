@@ -6,8 +6,10 @@
  * pass/fail plus every finding — for exactly the lowered artifacts
  * the mapped runners execute (DDC receiver, 802.11a receiver, stereo
  * disparity, MPEG-4 motion estimation), without running a single
- * tick. Exits non-zero if any committed lowering fails to verify;
- * CI smoke-runs it under the "example" ctest label.
+ * tick. All four run on the self-timed bus, so the "tokens" check is
+ * the same Kahn-network deadlock proof for each. Exits non-zero if
+ * any committed lowering fails to verify; CI smoke-runs it under the
+ * "example" ctest label.
  */
 
 #include <cstdio>
@@ -28,10 +30,9 @@ main()
             apps::AppRegistry::instance().at(name).verifiable();
         const mapping::VerifyReport rep = art.verify();
         all_ok = all_ok && rep.ok();
-        std::printf("=== %s (%zu columns, period %u, %s bus) ===\n",
+        std::printf("=== %s (%zu columns, period %u) ===\n",
                     art.name.c_str(), art.prog.columns.size(),
-                    art.prog.period,
-                    art.prog.self_timed ? "self-timed" : "legacy");
+                    art.prog.period);
         std::printf("%s\n", rep.render().c_str());
     }
 

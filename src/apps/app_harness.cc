@@ -16,9 +16,8 @@ mapping::PipelineProgram
 lowerOnto(const AppSpec &spec, const mapping::ChipPlan &plan,
           double rate)
 {
-    return spec.lower ? spec.lower(plan, rate)
-                      : mapping::lowerDag(spec.dag(spec.seed, plan),
-                                          plan, rate, spec.slack);
+    return mapping::lowerDag(spec.dag(spec.seed, plan), plan, rate,
+                             spec.slack);
 }
 
 /**
@@ -157,9 +156,10 @@ MappedApp::run()
         run.stats[name] = v;
     });
 
+    run.golden = spec_.golden(spec_.seed);
     std::string diff = describeMismatch(
-        spec_.output_label, spec_.read_output(*chip_, prog_),
-        spec_.golden(spec_.seed), spec_.output_width);
+        spec_.output_label, spec_.read_output(*chip_, prog_), run.golden,
+        spec_.output_width);
     run.bit_exact = diff.empty();
     if (!run.bit_exact)
         warn("%s", diff.c_str());
@@ -175,10 +175,8 @@ lowerApp(const AppSpec &spec)
     art.plan = spec.plan;
     art.iterations_per_sec = spec.iterations_per_sec;
     art.slack = spec.slack;
-    art.prog = spec.lower ? spec.lower(art.plan, art.iterations_per_sec)
-                          : mapping::lowerDag(art.spec, art.plan,
-                                              art.iterations_per_sec,
-                                              art.slack);
+    art.prog = mapping::lowerDag(art.spec, art.plan,
+                                 art.iterations_per_sec, art.slack);
     return art;
 }
 

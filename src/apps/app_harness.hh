@@ -17,12 +17,13 @@
  *
  * Each app describes itself once, as an AppSpec: its baseline plan
  * and rates plus the few closures that are genuinely its own — the
- * seeded DAG (and, for the DDC, its legacy-bus lowering), the tick
- * budget, how to read its output back out of tile SRAM, and which
- * golden chain to compare against. Every other view of the app —
- * the explorer's ExplorableApp, the verifier's LoweredArtifact, the
- * fleet's FleetWorkload, the governor's DvfsAppHooks and the common
- * part of runMappedX (MappedApp) — is derived here, once.
+ * seeded DAG, the tick budget, how to read its output back out of
+ * tile SRAM, and which golden chain to compare against. Every app's
+ * DAG is lowered the same way, by mapping::lowerDag onto the
+ * self-timed bus. Every other view of the app — the explorer's
+ * ExplorableApp, the verifier's LoweredArtifact, the fleet's
+ * FleetWorkload, the governor's DvfsAppHooks and the common part of
+ * runMappedX (MappedApp) — is derived here, once.
  */
 
 #ifndef SYNC_APPS_APP_HARNESS_HH
@@ -53,6 +54,9 @@ struct MappedAppRun
 {
     mapping::ChipPlan plan;
     arch::RunResult result{};
+
+    /** The golden of the app's own seed (AppSpec::golden), as bytes. */
+    std::vector<uint8_t> golden;
 
     /** The output read back from the chip matched the golden. */
     bool bit_exact = false;
@@ -127,14 +131,6 @@ struct AppSpec
     std::function<mapping::DagSpec(uint32_t seed,
                                    const mapping::ChipPlan &plan)>
         dag;
-
-    /**
-     * Lower the app's own-seed inputs onto @p plan at @p rate. Unset
-     * means mapping::lowerDag of dag(seed, plan) at this slack.
-     */
-    std::function<mapping::PipelineProgram(
-        const mapping::ChipPlan &plan, double rate)>
-        lower;
 
     /** Tick budget for one run of @p prog lowered onto @p plan. */
     std::function<Tick(const mapping::ChipPlan &plan,

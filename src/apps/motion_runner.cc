@@ -456,11 +456,7 @@ runMappedMotion(const MotionPipelineParams &p)
 {
     checkParams(p);
     MappedMotionRun run;
-    dsp::Image cur(W, H), ref(W, H);
-    motionScene(p, cur, ref);
-
     auto cands = motionCandidates();
-    run.golden_keys = motionGoldenKeys(cur, ref);
 
     MappedApp app(motionSpec(p), p.scheduler, p.parallel_team);
     static_cast<MappedAppRun &>(run) = app.run();

@@ -108,7 +108,6 @@ struct MappedMotionRun : MappedAppRun
 {
     /** Packed (SAD << 7 | candidate index) keys, macroblock order. */
     std::vector<int32_t> output_keys;
-    std::vector<int32_t> golden_keys; //!< same, from dsp::fullSearch
 
     /** The chip's keys decoded back to vectors. */
     std::vector<dsp::MotionVector> vectors;

@@ -410,11 +410,6 @@ ddcSpec(const DdcPipelineParams &p)
     s.dag = [p, input](uint32_t seed, const mapping::ChipPlan &) {
         return mapping::linearDagSpec(ddcStages(p, input(seed)));
     };
-    // The receiver keeps the linear lowering on the legacy bus.
-    s.lower = [p, input](const mapping::ChipPlan &plan, double rate) {
-        return mapping::lowerPipeline(ddcStages(p, input(p.seed)), plan,
-                                      rate, p.slack);
-    };
     // Generous: the delivery grid paces one sample per slot_spacing
     // ticks, plus pipeline fill and drain.
     s.tick_limit = [p](const mapping::ChipPlan &,
@@ -436,8 +431,6 @@ MappedDdcRun
 runMappedDdc(const DdcPipelineParams &p)
 {
     MappedDdcRun run;
-    run.golden = ddcGolden(p, ddcInput(p));
-
     MappedApp app(ddcSpec(p), p.scheduler, p.parallel_team);
     static_cast<MappedAppRun &>(run) = app.run();
     run.achieved_sample_rate_hz = run.achieved_items_per_sec;

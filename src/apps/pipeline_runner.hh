@@ -68,7 +68,6 @@ struct DdcPipelineParams
 struct MappedDdcRun : MappedAppRun
 {
     std::vector<int16_t> output; //!< demod output read from the chip
-    std::vector<int16_t> golden; //!< dsp:: reference chain
 
     /** Input throughput the run actually sustained. */
     double achieved_sample_rate_hz = 0;
@@ -93,8 +92,8 @@ mapping::SdfGraph ddcGraph(
 std::optional<mapping::ChipPlan> planDdc(const DdcPipelineParams &p);
 
 /**
- * The kernel stages ready for mapping::lowerPipeline (exposed for
- * tests that want to lower onto hand-built plans).
+ * The kernel stages, in dataflow order; the app lowers
+ * mapping::linearDagSpec of them.
  */
 std::vector<mapping::PipelineStage> ddcStages(
     const DdcPipelineParams &p, const std::vector<int16_t> &x);

@@ -496,7 +496,6 @@ runMappedStereo(const StereoPipelineParams &p)
     dsp::Image left(W, H), right(W, H);
     std::vector<uint8_t> truth;
     stereoScene(p, left, right, &truth);
-    run.golden = dsp::stereoBlockDisparities(left, right, B, D);
 
     MappedApp app(stereoSpec(p), p.scheduler, p.parallel_team);
     static_cast<MappedAppRun &>(run) = app.run();

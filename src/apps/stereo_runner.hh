@@ -100,7 +100,6 @@ struct StereoPipelineParams
 struct MappedStereoRun : MappedAppRun
 {
     std::vector<uint8_t> output; //!< per-block disparity from the chip
-    std::vector<uint8_t> golden; //!< dsp::stereoBlockDisparities
 
     /** Blocks correlated per second, as actually sustained. */
     double achieved_block_rate_hz = 0;

@@ -568,8 +568,6 @@ runMappedWifi(const WifiPipelineParams &p)
     MappedWifiRun run;
     run.tx_bits = wifiPayload(p);
     auto carriers = wifiCarriers(p, run.tx_bits);
-    run.golden = wifiGolden(p, carriers);
-    run.golden_matches_tx = run.golden == run.tx_bits;
 
     // Cross-check the integer demap against the floating-point
     // dsp:: demap of the unquantized symbols (they agree whenever
@@ -588,6 +586,7 @@ runMappedWifi(const WifiPipelineParams &p)
     MappedApp app(wifiSpec(p), p.scheduler, p.parallel_team);
     static_cast<MappedAppRun &>(run) = app.run();
     run.achieved_bit_rate_hz = run.achieved_items_per_sec;
+    run.golden_matches_tx = run.golden == run.tx_bits;
 
     run.output = readWifiOutput(app.chip(), app.program(), p.symbols);
     return run;

@@ -102,7 +102,6 @@ struct MappedWifiRun : MappedAppRun
 {
     std::vector<uint8_t> tx_bits; //!< transmitted payload bits
     std::vector<uint8_t> output;  //!< decoded bits read from the chip
-    std::vector<uint8_t> golden;  //!< dsp:: reference chain
 
     /** Integer demap agreed with the floating-point dsp::qamDemap. */
     bool demap_matches_float = false;

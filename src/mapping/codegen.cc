@@ -64,11 +64,9 @@ PipelineProgram::load(arch::Chip &chip) const
     sync_assert(chip.numColumns() >= total_columns,
                 "pipeline needs %u columns; chip has %u",
                 total_columns, chip.numColumns());
-    sync_assert(chip.fabric().selfTimed() == self_timed,
-                "pipeline program wants a %s bus; build the chip "
-                "with ChipConfig::self_timed_bus = %s",
-                self_timed ? "self-timed" : "legacy",
-                self_timed ? "true" : "false");
+    sync_assert(chip.fabric().selfTimed(),
+                "pipeline programs run on the self-timed bus; build "
+                "the chip with ChipConfig::self_timed_bus = true");
     for (const auto &col : columns) {
         arch::Column &c = chip.column(col.column);
         c.controller().loadProgram(col.program);
@@ -93,7 +91,7 @@ buildChip(const ChipPlan &plan, const PipelineProgram &prog,
     cfg.dividers = plan.dividers();
     cfg.scheduler = scheduler;
     cfg.parallel_columns = parallel_team;
-    cfg.self_timed_bus = prog.self_timed;
+    cfg.self_timed_bus = true;
     auto chip = std::make_unique<arch::Chip>(cfg);
     prog.load(*chip);
     return chip;
@@ -110,26 +108,9 @@ PipelineProgram::columnFor(const std::string &actor) const
           actor.c_str());
 }
 
-/**
- * The static verifier gate every lowering passes through: a lowered
- * artifact with a provable safety violation never reaches a chip.
- */
-static void
-gateLowered(const DagSpec &spec, const ChipPlan &plan,
-            const PipelineProgram &prog, double iterations_per_sec,
-            double slack)
-{
-    VerifyReport rep =
-        verifyLowered(spec, plan, prog, iterations_per_sec, slack);
-    if (!rep.ok())
-        fatal("codegen: statically rejected: %s",
-              rep.errorSummary().c_str());
-}
-
-/** lowerDag() minus the verifier gate (shared with lowerPipeline). */
-static PipelineProgram
-lowerDagImpl(const DagSpec &spec, const ChipPlan &plan,
-             double iterations_per_sec, double slack)
+PipelineProgram
+lowerDag(const DagSpec &spec, const ChipPlan &plan,
+         double iterations_per_sec, double slack)
 {
     const std::vector<DagStage> &stages = spec.stages;
     if (stages.size() < 2)
@@ -248,30 +229,6 @@ lowerDagImpl(const DagSpec &spec, const ChipPlan &plan,
     out.period = slots.period;
     out.slot_spacing = slots.period;
     out.lanes = slots.lane;
-    out.self_timed = true;
-
-    // Lookahead horizon for the parallel-columns runtime: the
-    // shortest run of delivery-free bus cycles between consecutive
-    // active slots on the period grid, circular over one period.
-    // Every edge's slots count — the columns free-run only while the
-    // whole bus is quiet.
-    {
-        std::vector<unsigned> offs;
-        for (const auto &per_edge : slots.offsets)
-            offs.insert(offs.end(), per_edge.begin(),
-                        per_edge.end());
-        std::sort(offs.begin(), offs.end());
-        offs.erase(std::unique(offs.begin(), offs.end()),
-                   offs.end());
-        unsigned horizon = slots.period;
-        for (size_t i = 0; i < offs.size(); ++i) {
-            unsigned next = i + 1 < offs.size()
-                                ? offs[i + 1]
-                                : offs[0] + slots.period;
-            horizon = std::min(horizon, next - offs[i] - 1);
-        }
-        out.lookahead_horizon = horizon;
-    }
 
     // One CommSchedule per stage; edge e rides lane e at its
     // staggered slot.
@@ -330,22 +287,29 @@ lowerDagImpl(const DagSpec &spec, const ChipPlan &plan,
                       out.columns[a].column);
         }
     }
-    return out;
-}
 
-PipelineProgram
-lowerDag(const DagSpec &spec, const ChipPlan &plan,
-         double iterations_per_sec, double slack)
-{
-    PipelineProgram out =
-        lowerDagImpl(spec, plan, iterations_per_sec, slack);
-    gateLowered(spec, plan, out, iterations_per_sec, slack);
+    // The static verifier gate: a lowered artifact with a provable
+    // safety violation never reaches a chip.
+    VerifyReport rep =
+        verifyLowered(spec, plan, out, iterations_per_sec, slack);
+    if (!rep.ok())
+        fatal("codegen: statically rejected: %s",
+              rep.errorSummary().c_str());
     return out;
 }
 
 DagSpec
 linearDagSpec(const std::vector<PipelineStage> &stages)
 {
+    if (stages.size() < 2)
+        fatal("codegen: a pipeline needs at least two stages");
+    if (stages.front().reads_per_firing != 0)
+        fatal("codegen: source stage '%s' cannot read upstream",
+              stages.front().actor.c_str());
+    if (stages.back().writes_per_firing != 0)
+        fatal("codegen: sink stage '%s' cannot write downstream",
+              stages.back().actor.c_str());
+
     DagSpec spec;
     for (const auto &s : stages) {
         DagStage d;
@@ -366,33 +330,6 @@ linearDagSpec(const std::vector<PipelineStage> &stages)
         spec.edges.push_back(std::move(edge));
     }
     return spec;
-}
-
-PipelineProgram
-lowerPipeline(const std::vector<PipelineStage> &stages,
-              const ChipPlan &plan, double iterations_per_sec,
-              double slack)
-{
-    if (stages.size() < 2)
-        fatal("codegen: a pipeline needs at least two stages");
-    if (stages.front().reads_per_firing != 0)
-        fatal("codegen: source stage '%s' cannot read upstream",
-              stages.front().actor.c_str());
-    if (stages.back().writes_per_firing != 0)
-        fatal("codegen: sink stage '%s' cannot write downstream",
-              stages.back().actor.c_str());
-
-    const DagSpec spec = linearDagSpec(stages);
-    PipelineProgram out =
-        lowerDagImpl(spec, plan, iterations_per_sec, slack);
-    // Linear chains keep the legacy drop-new bus: bodies use
-    // untagged crd/cwr and every column has at most one edge per
-    // direction, so slot-order binding is already unambiguous.
-    out.self_timed = false;
-    // Gate the FINAL artifact — legacy bus semantics change what the
-    // "tokens" check must prove, so verify after the flip.
-    gateLowered(spec, plan, out, iterations_per_sec, slack);
-    return out;
 }
 
 } // namespace synchro::mapping

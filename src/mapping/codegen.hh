@@ -6,14 +6,12 @@
  * statically schedule all data transfers, program the DOUs) and the
  * cycle-accurate simulation of step 6.
  *
- * Two entry points share all machinery:
- *
- *  - lowerDag() takes an arbitrary *acyclic* SDF DAG: fork fan-out
- *    (one producer feeding several consumer columns on separate bus
- *    lanes), multi-input join actors, and per-edge multi-rate token
- *    counts.
- *  - lowerPipeline() is the linear-chain convenience wrapper the DDC
- *    receiver uses; it builds the equivalent two-terminal DAG.
+ * lowerDag() takes an arbitrary *acyclic* SDF DAG: fork fan-out (one
+ * producer feeding several consumer columns on separate bus lanes),
+ * multi-input join actors, and per-edge multi-rate token counts. A
+ * linear chain such as the DDC receiver is described as
+ * PipelineStages and lowered as its two-terminal DAG,
+ * lowerDag(linearDagSpec(stages), ...).
  *
  * Each stage carries a hand-scheduled SyncBF kernel body for one
  * actor firing (with its `crd`/`cwr` communication inlined, like the
@@ -33,18 +31,19 @@
  * to move simply idles (a counted underrun or deferral, not an
  * error).
  *
- * Delivery is *self-timed* (latency-insensitive): kernels tag their
- * `cwr`/`crd` with the edge's lane, a drive slot only pops a word
- * tagged for its lane, and a transfer whose destination read buffer
- * is still full defers — producer-side backpressure then times the
- * whole DAG, and a join fires only once every input lane's buffer
- * has delivered (`crd rd, lane` stalls per lane). The one contract
- * codegen cannot check statically: with single-entry buffers, each
- * producer must emit its out-edge tokens in the same global order
- * its consumers (transitively) demand them — kernels that violate it
- * deadlock at run time, which the runner reports. The run must
- * finish with zero read-buffer overruns and zero lane conflicts,
- * which the runners and tests assert.
+ * Delivery is *self-timed* (latency-insensitive) for every lowered
+ * program: kernels tag their `cwr`/`crd` with the edge's lane (a
+ * column with one edge per direction may use the untagged forms), a
+ * drive slot only pops a word tagged for its lane, and a transfer
+ * whose destination read buffer is still full defers instead of
+ * overwriting it. Producer-side backpressure then times the whole
+ * DAG, and a join fires only once every input lane's buffer has
+ * delivered (`crd rd, lane` stalls per lane). With single-entry
+ * buffers each producer must emit its out-edge tokens in the order
+ * its consumers (transitively) demand them; the verifier gate's
+ * token-network replay rejects kernels that cannot complete. The
+ * run must finish with zero read-buffer overruns and zero lane
+ * conflicts, which the runners and tests assert.
  */
 
 #ifndef SYNC_MAPPING_CODEGEN_HH
@@ -151,27 +150,6 @@ struct PipelineProgram
     std::vector<unsigned> lanes; //!< bus lane per DAG edge
 
     /**
-     * Static floor of the comm-quiet window the parallel-columns
-     * runtime may trust: the shortest run of delivery-free bus
-     * cycles between consecutive active slots of the period grid
-     * (circular over one period), computed from the same
-     * allocateEdgeSlots() schedule the DOU programs encode. The
-     * verifier recomputes this from the slot schedules and rejects
-     * a program whose declared value disagrees (checkSlots); the
-     * runtime's dynamic commQuiet() probe can only ever see windows
-     * at least this wide between delivery slots.
-     */
-    unsigned lookahead_horizon = 0;
-
-    /**
-     * Whether the chip must run with the self-timed (deferring) bus:
-     * true for DAG programs, false for the legacy linear lowering.
-     * Apply as ChipConfig::self_timed_bus before constructing the
-     * chip.
-     */
-    bool self_timed = false;
-
-    /**
      * Load programs, DOU schedules, ZORM settings and memory images
      * onto @p chip, and supply-gate the tiles the pipeline does not
      * use. The chip must have been built with the plan's dividers.
@@ -184,7 +162,7 @@ struct PipelineProgram
 
 /**
  * The chip @p plan and @p prog ask for — the plan's reference clock
- * and dividers, the bus semantics the program was lowered for,
+ * and dividers, the self-timed bus every lowered program runs on,
  * @p scheduler with a ParallelColumns team of @p parallel_team (see
  * arch::ChipConfig::parallel_columns) — with @p prog loaded, ready
  * to run from tick 0.
@@ -212,8 +190,8 @@ std::unique_ptr<arch::Chip> buildChip(const ChipPlan &plan,
  * Every lowering additionally passes through the static verifier
  * (mapping/verifier.hh) as a mandatory post-lowering gate: an
  * artifact with a provable safety violation (slot conflict, lane-tag
- * mismatch, uninitialized register read, reachable overrun, ZORM
- * inconsistency) is rejected with
+ * mismatch, uninitialized register read, token-network deadlock,
+ * ZORM inconsistency) is rejected with
  * fatal("codegen: statically rejected: ...").
  */
 PipelineProgram lowerDag(const DagSpec &spec, const ChipPlan &plan,
@@ -232,7 +210,8 @@ struct PipelineStage
     /**
      * Kernel body for ONE firing. Must execute exactly
      * reads_per_firing `crd`s and writes_per_firing `cwr`s (the
-     * untagged legacy forms), spread through the computation.
+     * untagged forms: each column has at most one edge per
+     * direction), spread through the computation.
      */
     std::string body;
 
@@ -253,28 +232,12 @@ struct PipelineStage
 };
 
 /**
- * The two-terminal DAG equivalent to the linear chain @p stages —
- * the spec lowerPipeline() lowers, exposed so verification hooks can
- * re-derive the exact (spec, plan, program) triple of a linear
- * lowering without duplicating the edge construction.
+ * The two-terminal DAG equivalent to the linear chain @p stages (in
+ * dataflow order), ready for lowerDag(): edge e joins stage e to
+ * stage e+1 and rides lane e. fatal() on fewer than two stages, a
+ * source stage that reads or a sink stage that writes.
  */
 DagSpec linearDagSpec(const std::vector<PipelineStage> &stages);
-
-/**
- * Lower @p stages (a linear chain, in dataflow order) onto the
- * columns @p plan assigned them — the two-terminal special case of
- * lowerDag(), kept on the legacy (drop-new) bus semantics so the
- * mapped DDC receiver behaves exactly as before. The verifier gate
- * runs on the final legacy-bus artifact.
- *
- * fatal() on everything lowerDag() rejects, plus: a source stage
- * that reads, a sink stage that writes, or an interior edge carrying
- * no data.
- */
-PipelineProgram lowerPipeline(const std::vector<PipelineStage> &stages,
-                              const ChipPlan &plan,
-                              double iterations_per_sec,
-                              double slack = 1.4);
 
 } // namespace synchro::mapping
 

@@ -3,10 +3,9 @@
  * Static plan/program verifier implementation.
  *
  * The analyses here mirror the execution semantics of
- * arch/simd_controller.cc (issue order, ZORM Bresenham pacing, comm
- * hazard stalls, loop-end unwinding), arch/dou.cc (the counter
- * state-machine step rule) and arch/bus.cc (tag-matched pops,
- * self-timed deferral, legacy drop-new) *exactly* — every proof below
+ * arch/simd_controller.cc (issue order, loop-end unwinding),
+ * arch/dou.cc (the counter state-machine step rule) and arch/bus.cc
+ * (tag-matched pops, self-timed deferral) *exactly* — every proof below
  * is sound only because the abstract step rules are the concrete ones
  * with data values erased. When those files change, change this one.
  */
@@ -17,7 +16,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -123,8 +121,7 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
         bool ok = false;
         uint64_t slots = 0; //!< issue slots, the lsetup excluded
         uint32_t units = 0; //!< loop units the body's lsetups arm
-        //! (1-based slot, pc) of every comm op, in issue order
-        std::vector<std::pair<uint64_t, uint32_t>> comm;
+        std::vector<uint32_t> comm; //!< comm op pcs, in issue order
     };
     const uint64_t saturated = budget + 1;
     // A unit past the mask never takes the closed form.
@@ -138,10 +135,10 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
             return c;
         }
         const size_t per = c.comm.size();
+        c.comm.reserve(per * trip);
         for (uint64_t k = 1; k < trip; ++k) {
             for (size_t j = 0; j < per; ++j)
-                c.comm.push_back(
-                    {c.comm[j].first + k * c.slots, c.comm[j].second});
+                c.comm.push_back(c.comm[j]);
         }
         c.slots *= trip;
         return c;
@@ -166,7 +163,7 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
               case UopKind::CommWrite:
                 issue(1);
                 if (c.slots < saturated)
-                    c.comm.push_back({c.slots, uint32_t(i)});
+                    c.comm.push_back(uint32_t(i));
                 ++i;
                 continue;
               case UopKind::Lsetup: {
@@ -178,13 +175,10 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
                 if (!in.ok)
                     return Closed{};
                 const Closed loop = repeat(in, uint64_t(u.imm));
-                issue(1);
-                const uint64_t at = c.slots;
-                issue(loop.slots);
-                if (c.slots < saturated) {
-                    for (const auto &[slot, cpc] : loop.comm)
-                        c.comm.push_back({at + slot, cpc});
-                }
+                issue(1 + loop.slots);
+                if (c.slots < saturated)
+                    c.comm.insert(c.comm.end(), loop.comm.begin(),
+                                  loop.comm.end());
                 c.units |= bit | loop.units;
                 i = u.end;
                 continue;
@@ -229,7 +223,6 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
         w.events.clear();
     };
 
-    uint64_t gap = 0;
     uint32_t pc = 0;
     while (true) {
         if (pc >= n) {
@@ -242,10 +235,8 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
         }
         const MicroOp &u = uops[pc];
         ++w.total_slots;
-        ++gap;
         switch (u.kind) {
           case UopKind::Halt:
-            w.tail_slots = gap;
             return w;
           case UopKind::Jump:
             if (u.imm < 0 || uint32_t(u.imm) >= n) {
@@ -257,8 +248,9 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
           case UopKind::Jcc:
           case UopKind::Jncc: {
             // Which way a conditional branch goes is data-dependent,
-            // so gaps stop being exact here (and the taken path also
-            // costs a branch-stall cycle the walk does not model).
+            // so slot counts stop being exact here (and the taken path
+            // also costs a branch-stall cycle the walk does not
+            // model).
             w.timing_exact = false;
             if (u.imm < 0 || uint32_t(u.imm) >= n) {
                 inexact("branch target out of range");
@@ -320,17 +312,12 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
                     inexact("walk budget exceeded");
                     return w;
                 }
-                uint64_t last = 0;
-                for (const auto &[slot, cpc] : c.comm) {
+                for (uint32_t cpc : c.comm) {
                     CommEvent e;
                     e.is_read = uops[cpc].kind == UopKind::CommRead;
                     e.lane = uops[cpc].imm;
-                    e.gap = gap + (slot - last) - 1;
                     w.events.push_back(e);
-                    gap = 0;
-                    last = slot;
                 }
-                gap += c.slots - last;
                 w.total_slots += c.slots;
                 stack.push_back({pc + 1, u.end, 1, u.acc});
                 pc = advance(u.end - 1);
@@ -346,9 +333,7 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
             CommEvent e;
             e.is_read = u.kind == UopKind::CommRead;
             e.lane = u.imm;
-            e.gap = gap - 1;
             w.events.push_back(e);
-            gap = 0;
             pc = advance(pc);
             continue;
           }
@@ -382,7 +367,7 @@ struct ColInfo
     WalkResult walk;
     std::vector<size_t> in_edges, out_edges; //!< edge indices
     std::vector<CommEvent> events; //!< lane-normalized (tags check)
-    bool events_ok = false; //!< events usable for token replays
+    bool events_ok = false; //!< events usable for the token replay
 };
 
 struct Analysis
@@ -950,50 +935,6 @@ checkSlots(Analysis &a, VerifyReport &rep)
         }
     }
 
-    // Lookahead horizon: the parallel-columns runtime lets columns
-    // free-run between delivery slots, and the program declares the
-    // static floor of that window. Recompute the floor from the slot
-    // schedules themselves — the shortest run of delivery-free bus
-    // cycles between consecutive active offsets, circular over one
-    // period — and hold the declaration to it: a mis-declared
-    // horizon would let a scheduler trust a window the bus does not
-    // actually leave quiet.
-    {
-        std::set<unsigned> offs;
-        for (const ColInfo &ci : a.cols) {
-            for (const Transfer &t : ci.col->schedule.transfers) {
-                if (t.offset < prog.period)
-                    offs.insert(t.offset);
-            }
-        }
-        unsigned computed = prog.period;
-        if (!offs.empty()) {
-            std::vector<unsigned> v(offs.begin(), offs.end());
-            for (size_t i = 0; i < v.size(); ++i) {
-                unsigned next = i + 1 < v.size()
-                                    ? v[i + 1]
-                                    : v[0] + prog.period;
-                computed = std::min(computed, next - v[i] - 1);
-            }
-        }
-        if (prog.lookahead_horizon == 0) {
-            rep.add(Severity::Note, "slots",
-                    strprintf("program declares no lookahead "
-                              "horizon (schedule floor: %u quiet "
-                              "cycles between delivery slots); the "
-                              "parallel-columns runtime relies on "
-                              "its dynamic probe alone",
-                              computed));
-        } else if (prog.lookahead_horizon != computed) {
-            err(strprintf("declared lookahead horizon %u disagrees "
-                          "with the slot schedule (floor: %u quiet "
-                          "cycles between delivery slots); the "
-                          "parallel-columns runtime must not trust "
-                          "it",
-                          prog.lookahead_horizon, computed));
-        }
-    }
-
     a.slots_clean = clean;
 }
 
@@ -1208,426 +1149,6 @@ kahnReplay(Analysis &a, VerifyReport &rep)
     }
 }
 
-/**
- * Count the ticks in [1, x] that are a multiple of at least one of a
- * set of dividers — the union of the edge progressions of columns
- * with those dividers — by inclusion–exclusion over the distinct
- * dividers (a divider that is a multiple of another adds nothing).
- */
-class EdgeUnion
-{
-  public:
-    void
-    add(uint64_t d)
-    {
-        auto it = std::lower_bound(
-            count_.begin(), count_.end(), d,
-            [](const auto &e, uint64_t v) { return e.first < v; });
-        if (it != count_.end() && it->first == d) {
-            ++it->second;
-        } else {
-            count_.insert(it, {d, 1});
-            dirty_ = true;
-        }
-    }
-
-    void
-    remove(uint64_t d)
-    {
-        auto it = std::lower_bound(
-            count_.begin(), count_.end(), d,
-            [](const auto &e, uint64_t v) { return e.first < v; });
-        if (--it->second == 0) {
-            count_.erase(it);
-            dirty_ = true;
-        }
-    }
-
-    /** Union ticks strictly between @p lo and @p hi. */
-    uint64_t
-    between(uint64_t lo, uint64_t hi)
-    {
-        if (hi <= lo + 1 || count_.empty())
-            return 0;
-        if (dirty_)
-            rebuild();
-        return upTo(hi - 1) - upTo(lo);
-    }
-
-  private:
-    struct Term
-    {
-        uint64_t lcm;
-        bool add;
-    };
-
-    uint64_t
-    upTo(uint64_t x) const
-    {
-        uint64_t plus = 0, minus = 0;
-        for (const Term &t : terms_)
-            (t.add ? plus : minus) += x / t.lcm;
-        return plus - minus;
-    }
-
-    void
-    rebuild()
-    {
-        terms_.clear();
-        base_.clear();
-        for (const auto &[d, n] : count_) {
-            bool covered = false;
-            for (uint64_t b : base_)
-                covered = covered || d % b == 0;
-            if (covered)
-                continue;
-            base_.push_back(d);
-            const size_t done = terms_.size();
-            terms_.push_back({d, true});
-            for (size_t j = 0; j < done; ++j) {
-                const uint64_t l = terms_[j].lcm;
-                const uint64_t g = std::gcd(l, d);
-                if (l / g > UINT64_MAX / d)
-                    continue; // beyond every reachable tick
-                terms_.push_back({l / g * d, !terms_[j].add});
-            }
-        }
-        dirty_ = false;
-    }
-
-    //! (divider, sleepers with it), ascending
-    std::vector<std::pair<uint64_t, unsigned>> count_;
-    std::vector<uint64_t> base_;
-    std::vector<Term> terms_;
-    bool dirty_ = false;
-};
-
-/**
- * Exact timed replay of the comm-relevant projection for legacy
- * (drop-new) artifacts: column edges at tick = edge * divider, ZORM
- * Bresenham stepping on every edge (stalls included, exactly like
- * SimdController::cycle()), comm hazard stalls, DOU drive slots
- * popping tag-matched words, deliveries visible at the consumer's
- * next edge. Sound only for timing-exact programs — the caller
- * guarantees that. Proves drop-new overrun unreachable and the run
- * deadlock-free.
- *
- * A column whose comm op stalls sleeps: it leaves the next-tick
- * search until the bus step that pops its write buffer or fills its
- * read buffer wakes it at its first edge after that tick, and the
- * edges it slept through are charged to its ZORM accumulator in
- * closed form. The iteration count (which paces the deadlock probe
- * and the step budget) still counts every tick the slot-stepped
- * replay visits, sleepers' edges included, so every finding is the
- * one stepping every edge would produce.
- */
-void
-timedReplay(Analysis &a, VerifyReport &rep)
-{
-    const unsigned period = a.prog->period;
-    if (period == 0)
-        return;
-
-    struct TCol
-    {
-        uint64_t divider = 1;
-        ZormSetting z;
-        size_t next = 0;
-        uint64_t edge = 0; //!< column edges consumed; tick = edge*div
-        uint64_t acc = 0;  //!< ZORM accumulator
-        bool halted = false;
-        bool stalled = false;
-        bool asleep = false; //!< stalled; edge/acc lag until woken
-        int wb_lane = -1;
-        std::array<char, arch::BusLanes> rb{};
-        std::array<uint64_t, arch::BusLanes> rb_since{};
-        std::array<uint64_t, arch::BusLanes> pending_writes{};
-        std::array<std::vector<unsigned>, arch::BusLanes> drive_offs;
-    };
-    std::vector<TCol> st(a.cols.size());
-
-    // Bus slots: per offset, the transfers scheduled there.
-    struct Slot
-    {
-        unsigned lane;
-        size_t prod, cons;
-    };
-    std::vector<std::vector<Slot>> slots(period);
-    for (size_t e = 0; e < a.edges.size(); ++e) {
-        const EdgeInfo &ei = a.edges[e];
-        for (const Transfer &t :
-             a.cols[ei.src].col->schedule.transfers) {
-            if (t.lane == ei.lane && t.src_tile >= 0) {
-                slots[t.offset].push_back({ei.lane, ei.src, ei.dst});
-                st[ei.src].drive_offs[ei.lane].push_back(t.offset);
-            }
-        }
-    }
-
-    std::array<int, arch::BusLanes> producer_of;
-    producer_of.fill(-1);
-    for (const EdgeInfo &ei : a.edges)
-        producer_of[ei.lane] = int(ei.src);
-
-    // Advance a column through k useful issue slots, charging the
-    // ZORM-forced nop edges in closed form: S = k + (acc0 + S*n)/p
-    // (monotone fixpoint; n < p is checked by the "zorm" pass).
-    auto burn = [](TCol &c, uint64_t k) {
-        if (c.z.period == 0 || c.z.nops == 0) {
-            c.edge += k;
-            return;
-        }
-        uint64_t s = k;
-        while (true) {
-            const uint64_t s2 =
-                k + (c.acc + s * c.z.nops) / c.z.period;
-            if (s2 == s)
-                break;
-            s = s2;
-        }
-        c.acc = (c.acc + s * c.z.nops) % c.z.period;
-        c.edge += s;
-    };
-
-    for (size_t c = 0; c < a.cols.size(); ++c) {
-        TCol &t = st[c];
-        t.divider = std::max(1u, a.cols[c].place->divider);
-        t.z = a.cols[c].col->zorm;
-        if (t.z.period > 0 && t.z.nops >= t.z.period)
-            return; // "zorm" already rejected this artifact
-        for (const CommEvent &e : a.cols[c].events)
-            if (!e.is_read)
-                ++t.pending_writes[unsigned(e.lane)];
-        if (a.cols[c].events.empty()) {
-            t.halted = true;
-        } else {
-            burn(t, a.cols[c].events[0].gap);
-        }
-    }
-
-    auto finishOp = [&](size_t c) {
-        TCol &t = st[c];
-        const std::vector<CommEvent> &ev = a.cols[c].events;
-        t.stalled = false;
-        ++t.next;
-        if (t.next < ev.size()) {
-            burn(t, ev[t.next].gap);
-        } else {
-            burn(t, a.cols[c].walk.tail_slots);
-            t.halted = true;
-        }
-    };
-
-    // One column edge: ZORM gate first, then the comm attempt — the
-    // exact SimdController::cycle() order (a stalled edge still
-    // advances the accumulator). True when the comm op stalled.
-    auto attempt = [&](size_t c, uint64_t tick) {
-        TCol &t = st[c];
-        ++t.edge;
-        if (t.z.period > 0) {
-            t.acc += t.z.nops;
-            if (t.acc >= t.z.period) {
-                t.acc -= t.z.period;
-                return false; // forced nop edge
-            }
-        }
-        const CommEvent &e = a.cols[c].events[t.next];
-        const unsigned lane = unsigned(e.lane);
-        if (e.is_read) {
-            if (t.rb[lane] && t.rb_since[lane] < tick) {
-                t.rb[lane] = 0;
-                finishOp(c);
-                return false;
-            }
-        } else if (t.wb_lane < 0) {
-            t.wb_lane = int(lane);
-            --t.pending_writes[lane];
-            finishOp(c);
-            return false;
-        }
-        t.stalled = true;
-        return true;
-    };
-
-    // Sleepers. Until a bus step changes its buffer, every edge of a
-    // stalled column re-attempts the same op and stalls again, which
-    // changes nothing but its edge count and ZORM accumulator.
-    EdgeUnion sleeper_edges;
-    auto fallAsleep = [&](size_t c) {
-        st[c].asleep = true;
-        sleeper_edges.add(st[c].divider);
-    };
-    // Wake @p c after the bus step at tick @p T: its edges up to T
-    // all stalled (or were forced nops); the next one is its first
-    // edge after T.
-    auto wake = [&](size_t c, uint64_t T) {
-        TCol &t = st[c];
-        t.asleep = false;
-        sleeper_edges.remove(t.divider);
-        const uint64_t upto = T / t.divider + 1;
-        const uint64_t m = upto - t.edge;
-        t.edge = upto;
-        if (t.z.period > 0) {
-            t.acc = (t.acc + (m % t.z.period) * t.z.nops) %
-                    t.z.period;
-        }
-    };
-
-    // Deadlock detection: a column makes progress iff it is still
-    // computing, its pending write will be popped (legacy drive
-    // slots pop unconditionally), or the lane it reads is full /
-    // in its progressing producer's remaining writes.
-    auto deadlocked = [&](std::string &who) {
-        std::vector<char> prog_flag(a.cols.size(), 0);
-        for (size_t c = 0; c < a.cols.size(); ++c) {
-            const TCol &t = st[c];
-            if (t.halted || !t.stalled) {
-                prog_flag[c] = 1;
-                continue;
-            }
-            const CommEvent &e = a.cols[c].events[t.next];
-            if (!e.is_read) {
-                prog_flag[c] = 1; // write stall: the slot will pop
-            } else if (t.rb[unsigned(e.lane)]) {
-                prog_flag[c] = 1;
-            }
-        }
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (size_t c = 0; c < a.cols.size(); ++c) {
-                if (prog_flag[c] || st[c].halted)
-                    continue;
-                const CommEvent &e = a.cols[c].events[st[c].next];
-                const int p = producer_of[unsigned(e.lane)];
-                if (p < 0)
-                    continue;
-                const TCol &pt = st[size_t(p)];
-                const bool fed =
-                    pt.wb_lane == e.lane ||
-                    (prog_flag[size_t(p)] &&
-                     pt.pending_writes[unsigned(e.lane)] > 0);
-                if (fed) {
-                    prog_flag[c] = 1;
-                    changed = true;
-                }
-            }
-        }
-        for (size_t c = 0; c < a.cols.size(); ++c) {
-            if (!st[c].halted && !prog_flag[c]) {
-                const CommEvent &e = a.cols[c].events[st[c].next];
-                who = strprintf("actor '%s' waits forever on lane "
-                                "%d",
-                                a.cols[c].stage->actor.c_str(),
-                                e.lane);
-                return true;
-            }
-        }
-        return false;
-    };
-
-    // `iter` counts the ticks the slot-stepped replay visits: every
-    // tick here plus the sleepers' edge ticks in between. The probe
-    // runs every 0x2000 of them; nothing it reads changes while
-    // columns sleep, so one probe covers every probe tick between
-    // two ticks here.
-    constexpr uint64_t IterGuard = 400'000'000;
-    constexpr uint64_t ProbeEvery = 0x2000;
-    uint64_t tick = 0;
-    bool first = true;
-    for (uint64_t iter = 0;; ++iter) {
-        bool all_halted = true;
-        for (const TCol &t : st)
-            all_halted = all_halted && t.halted;
-        if (all_halted)
-            return; // every program completed: overrun-free, no
-                    // deadlock
-
-        // Next interesting tick: an awake column's edge, or a drive
-        // slot that can pop a pending write-buffer word. None left
-        // means every live column sleeps with nothing to wake it.
-        uint64_t tn = UINT64_MAX;
-        for (const TCol &t : st) {
-            if (!t.halted && !t.asleep)
-                tn = std::min(tn, t.edge * t.divider);
-        }
-        const uint64_t from = first ? 0 : tick + 1;
-        for (const TCol &t : st) {
-            if (t.wb_lane < 0)
-                continue;
-            for (unsigned off : t.drive_offs[unsigned(t.wb_lane)]) {
-                const uint64_t phase = from % period;
-                const uint64_t next =
-                    from + ((off + period - phase) % period);
-                tn = std::min(tn, next);
-            }
-        }
-        const uint64_t at_tn =
-            tn == UINT64_MAX ? UINT64_MAX
-                             : iter + sleeper_edges.between(tick, tn);
-        const uint64_t probe = iter | (ProbeEvery - 1);
-        if (probe <= at_tn && probe < IterGuard) {
-            std::string who;
-            if (deadlocked(who)) {
-                rep.add(Severity::Error, "tokens",
-                        "deadlock: " + who);
-                return;
-            }
-        }
-        if (at_tn >= IterGuard) {
-            rep.add(Severity::Warning, "tokens",
-                    "timed replay exceeded its step budget before "
-                    "the programs completed; drop-new overrun "
-                    "freedom not proven");
-            return;
-        }
-        iter = at_tn;
-        tick = tn;
-        first = false;
-
-        // 1) every awake column edge at this tick (domain edges
-        //    precede the reference phase, as in the scheduler
-        //    backends);
-        for (size_t c = 0; c < a.cols.size(); ++c) {
-            const TCol &t = st[c];
-            if (!t.halted && !t.asleep &&
-                t.edge * t.divider == tick && attempt(c, tick))
-                fallAsleep(c);
-        }
-        // 2) the bus cycle at this tick: pop tag-matched words,
-        //    deliver, flag legacy drop-new, and wake the columns
-        //    whose stalled op the step unblocks.
-        for (const Slot &s : slots[tick % period]) {
-            TCol &p = st[s.prod];
-            if (p.wb_lane != int(s.lane))
-                continue;
-            p.wb_lane = -1;
-            if (p.asleep && !a.cols[s.prod].events[p.next].is_read)
-                wake(s.prod, tick);
-            TCol &cns = st[s.cons];
-            if (cns.rb[s.lane]) {
-                rep.add(
-                    Severity::Error, "tokens",
-                    strprintf("read-buffer overrun reachable: the "
-                              "delivery at tick %llu on lane %u "
-                              "finds actor '%s' still holding the "
-                              "previous word — the legacy bus would "
-                              "drop the new one",
-                              (unsigned long long)tick, s.lane,
-                              a.cols[s.cons].stage->actor.c_str()));
-                return;
-            }
-            cns.rb[s.lane] = 1;
-            cns.rb_since[s.lane] = tick;
-            if (cns.asleep) {
-                const CommEvent &e = a.cols[s.cons].events[cns.next];
-                if (e.is_read && e.lane == int(s.lane))
-                    wake(s.cons, tick);
-            }
-        }
-    }
-}
-
 void
 checkTokens(Analysis &a, VerifyReport &rep)
 {
@@ -1638,35 +1159,19 @@ checkTokens(Analysis &a, VerifyReport &rep)
         return;
     }
 
-    bool all_exact = true, all_timed = true;
-    for (const ColInfo &ci : a.cols) {
+    // Overrun is structurally unreachable on the self-timed bus (a
+    // transfer whose destination buffer is full defers), so the
+    // property left to prove is deadlock freedom.
+    bool all_exact = true;
+    for (const ColInfo &ci : a.cols)
         all_exact = all_exact && ci.events_ok;
-        all_timed = all_timed && ci.events_ok &&
-                    ci.walk.timing_exact;
-    }
-
-    if (a.prog->self_timed) {
-        // Overrun is structurally unreachable on the self-timed bus
-        // (a transfer whose destination buffer is full defers), so
-        // the property left to prove is deadlock freedom.
-        if (all_exact) {
-            kahnReplay(a, rep);
-        } else {
-            rep.add(Severity::Note, "tokens",
-                    "deadlock freedom not statically provable: some "
-                    "comm sequence is data-dependent; the runner's "
-                    "drain asserts cover it dynamically");
-        }
-        return;
-    }
-
-    if (all_timed) {
-        timedReplay(a, rep);
+    if (all_exact) {
+        kahnReplay(a, rep);
     } else {
-        rep.add(Severity::Warning, "tokens",
-                "drop-new overrun freedom not statically provable: "
-                "some program's issue timing is data-dependent; the "
-                "runner's fabric asserts cover it dynamically");
+        rep.add(Severity::Note, "tokens",
+                "deadlock freedom not statically provable: some comm "
+                "sequence is data-dependent; the runner's drain "
+                "asserts cover it dynamically");
     }
 }
 

@@ -36,14 +36,11 @@
  *    drive/capture slots. Columns with data-dependent communication
  *    degrade to lane-set membership with a Note.
  *
- *  - "tokens": worst-case token flow. Self-timed artifacts get a
- *    structural no-overrun argument (deferral + tag-matched pops)
- *    plus an untimed Kahn-network replay of the exact comm sequences
- *    proving every join input is eventually fed (no deadlock).
- *    Legacy (drop-new) artifacts get an exact timed replay of the
- *    comm-relevant projection — issue-slot distances, ZORM Bresenham
- *    stepping, divider edges, delivery-visibility latency — proving
- *    drop-new overrun unreachable for branch-free programs.
+ *  - "tokens": worst-case token flow on the self-timed bus every
+ *    lowered program runs on: a structural no-overrun argument
+ *    (deferral + tag-matched pops) plus an untimed Kahn-network
+ *    replay of the exact comm sequences proving every join input is
+ *    eventually fed (no deadlock under any timing).
  *
  *  - "zorm": plan/program ZORM consistency — each column's loaded
  *    setting equals its placement's, the placement's setting equals
@@ -56,12 +53,9 @@
  *
  * Cost: O(program + comm events + bus slots), not O(issue slots +
  * ticks). The comm walk charges branch-free loops in closed form;
- * the timed replay lets a stalled column sleep until a bus step
- * changes its buffer, still counting every tick the slot-stepped
- * replay would visit (so the deadlock probe fires at the same
- * point); the DOU replay tables the reference outputs once per
- * active offset and skips idle wait states in one step. Every
- * finding is the one stepping slot by slot would produce.
+ * the DOU replay tables the reference outputs once per active
+ * offset and skips idle wait states in one step. Every finding is
+ * the one stepping slot by slot would produce.
  */
 
 #ifndef SYNC_MAPPING_VERIFIER_HH
@@ -162,17 +156,17 @@ namespace detail
 struct CommEvent
 {
     bool is_read = false;
-    int lane = -1;    //!< tagged lane, or -1 for the untagged forms
-    uint64_t gap = 0; //!< issue slots since the previous comm op
+    int lane = -1; //!< tagged lane, or -1 for the untagged forms
 };
 
 /**
  * Result of abstractly executing one column program. Two exactness
  * levels: `sequence_exact` means `events` is the exact comm sequence
  * every run of the program produces (data-dependent branches were
- * proven comm-transparent); `timing_exact` additionally means every
- * gap is the exact issue-slot distance (no conditional branches at
- * all, so no data-dependent path lengths and no branch-stall cycles).
+ * proven comm-transparent); `timing_exact` additionally means
+ * `total_slots` is the exact issue-slot count (no conditional
+ * branches at all, so no data-dependent path lengths and no
+ * branch-stall cycles).
  */
 struct WalkResult
 {
@@ -180,7 +174,6 @@ struct WalkResult
     bool timing_exact = true;
     std::string inexact_why;
     std::vector<CommEvent> events;
-    uint64_t tail_slots = 0;  //!< slots after the last comm op
     uint64_t total_slots = 0; //!< issue slots for the whole run
     std::set<int> read_lanes, write_lanes; //!< textual, whole program
 };

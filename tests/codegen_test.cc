@@ -101,8 +101,8 @@ TEST(Codegen, TwoActorPipelineBitExactOnBothBackends)
     // generated pipeline must still deliver every token in order.
     ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
                              {ZormSetting{}, ZormSetting{1, 4}});
-    auto prog = lowerPipeline(twoActorStages(firings), plan,
-                              /*iterations_per_sec=*/20e6);
+    auto prog = lowerDag(linearDagSpec(twoActorStages(firings)), plan,
+                         /*iterations_per_sec=*/20e6);
     ASSERT_EQ(prog.columns.size(), 2u);
     EXPECT_EQ(prog.columns[0].column, 0u);
     EXPECT_EQ(prog.columns[1].column, 1u);
@@ -111,11 +111,8 @@ TEST(Codegen, TwoActorPipelineBitExactOnBothBackends)
 
     for (auto kind :
          {SchedulerKind::FastEdge, SchedulerKind::EventQueue}) {
-        arch::ChipConfig cfg;
-        cfg.dividers = plan.dividers();
-        cfg.scheduler = kind;
-        arch::Chip chip(cfg);
-        prog.load(chip);
+        auto built = buildChip(plan, prog, kind);
+        arch::Chip &chip = *built;
 
         auto res = chip.run(10'000'000);
         ASSERT_EQ(res.exit, arch::RunExit::AllHalted)
@@ -170,13 +167,11 @@ TEST(Codegen, MultiRateChainDecimatesCorrectly)
 
     ChipPlan plan = makePlan({"source", "decim"}, {1, 4},
                              {ZormSetting{}, ZormSetting{}});
-    auto prog =
-        lowerPipeline({src, dec}, plan, /*iterations_per_sec=*/5e6);
+    auto prog = lowerDag(linearDagSpec({src, dec}), plan,
+                         /*iterations_per_sec=*/5e6);
 
-    arch::ChipConfig cfg;
-    cfg.dividers = plan.dividers();
-    arch::Chip chip(cfg);
-    prog.load(chip);
+    auto built = buildChip(plan, prog, defaultSchedulerKind());
+    arch::Chip &chip = *built;
     auto res = chip.run(10'000'000);
     ASSERT_EQ(res.exit, arch::RunExit::AllHalted);
 
@@ -275,7 +270,6 @@ TEST(Codegen, ForkJoinDiamondBitExactOnBothBackends)
                   ZormSetting{}});
     auto prog = lowerDag(diamondSpec(firings), plan,
                          /*iterations_per_sec=*/10e6);
-    EXPECT_TRUE(prog.self_timed);
     ASSERT_EQ(prog.columns.size(), 4u);
     ASSERT_EQ(prog.lanes.size(), 4u);
 
@@ -285,12 +279,8 @@ TEST(Codegen, ForkJoinDiamondBitExactOnBothBackends)
 
     for (auto kind :
          {SchedulerKind::FastEdge, SchedulerKind::EventQueue}) {
-        arch::ChipConfig cfg;
-        cfg.dividers = plan.dividers();
-        cfg.scheduler = kind;
-        cfg.self_timed_bus = true;
-        arch::Chip chip(cfg);
-        prog.load(chip);
+        auto built = buildChip(plan, prog, kind);
+        arch::Chip &chip = *built;
 
         auto res = chip.run(10'000'000);
         ASSERT_EQ(res.exit, arch::RunExit::AllHalted)
@@ -378,33 +368,33 @@ TEST(Codegen, RejectsInconsistentPipelines)
     {
         auto bad = stages;
         bad[1].actor = "nobody";
-        EXPECT_THROW(lowerPipeline(bad, plan, 1e6), FatalError);
+        EXPECT_THROW(lowerDag(linearDagSpec(bad), plan, 1e6), FatalError);
     }
     {
         auto bad = stages;
         bad[1].reads_per_firing = 2; // token-rate imbalance
-        EXPECT_THROW(lowerPipeline(bad, plan, 1e6), FatalError);
+        EXPECT_THROW(lowerDag(linearDagSpec(bad), plan, 1e6), FatalError);
     }
     {
         auto bad = stages;
         bad[1].firings = 8; // different iteration count
-        EXPECT_THROW(lowerPipeline(bad, plan, 1e6), FatalError);
+        EXPECT_THROW(lowerDag(linearDagSpec(bad), plan, 1e6), FatalError);
     }
     {
         auto bad = stages;
         bad[0].firings = bad[1].firings = 5000; // beyond lsetup
-        EXPECT_THROW(lowerPipeline(bad, plan, 1e6), FatalError);
+        EXPECT_THROW(lowerDag(linearDagSpec(bad), plan, 1e6), FatalError);
     }
     {
         auto bad = stages;
         bad[0].per_iteration = 0; // would divide by zero
-        EXPECT_THROW(lowerPipeline(bad, plan, 1e6), FatalError);
+        EXPECT_THROW(lowerDag(linearDagSpec(bad), plan, 1e6), FatalError);
     }
     {
         // Plans that provisioned parallel columns are rejected: the
         // kernels are sequential single-column programs.
         ChipPlan wide = plan;
         wide.placements[0].columns = 2;
-        EXPECT_THROW(lowerPipeline(stages, wide, 1e6), FatalError);
+        EXPECT_THROW(lowerDag(linearDagSpec(stages), wide, 1e6), FatalError);
     }
 }

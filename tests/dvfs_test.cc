@@ -176,6 +176,42 @@ TEST(SafeTransitionTable, PlantedUnsafeCandidateFailsItsProof)
     }
 }
 
+TEST(SafeTransitionTable, DdcAdmitsEveryDefaultRateScale)
+{
+    // The DDC lowers onto the self-timed bus like every other app:
+    // a slowed column makes the bus defer a delivery instead of
+    // dropping a word, so every default rate scale keeps its static
+    // proof.
+    DvfsAppHooks app = ddcHooks();
+    VfModel vf;
+    SupplyLevels levels(vf);
+    const std::vector<double> scales = DvfsGovernorConfig{}.rate_scales;
+    SafeTransitionTable table =
+        SafeTransitionTable::build(app.artifact, scales, levels);
+    EXPECT_EQ(table.rejected(), 0u) << table.describe();
+    ASSERT_EQ(table.points().size(), scales.size()) << table.describe();
+    for (size_t i = 0; i < scales.size(); ++i)
+        EXPECT_DOUBLE_EQ(table.points()[i].rate_scale, scales[i]);
+
+    // The half-rate point runs bit-exact and loses no word.
+    const DvfsOperatingPoint &half = table.points()[2];
+    ASSERT_DOUBLE_EQ(half.rate_scale, 0.5);
+    for (SchedulerKind kind :
+         {SchedulerKind::EventQueue, SchedulerKind::Compiled}) {
+        auto chip = app.workload.build(kind);
+        applyOperatingPoint(*chip, half);
+        app.workload.feed(*chip, 0);
+        arch::RunResult r = chip->run(4 * app.workload.tick_limit);
+        ASSERT_EQ(r.exit, arch::RunExit::AllHalted)
+            << schedulerName(kind);
+        EXPECT_EQ(app.workload.read_output(*chip),
+                  app.workload.golden(0))
+            << schedulerName(kind);
+        EXPECT_EQ(chip->fabric().stats().value("overruns"), 0u)
+            << schedulerName(kind);
+    }
+}
+
 TEST(DvfsGovernor, UnprovenDividerVectorIsRejectedNotApplied)
 {
     DvfsAppHooks app = ddcHooks();

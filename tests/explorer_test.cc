@@ -179,11 +179,13 @@ TEST(Explorer, MeasuredFrontierIsBitExactAndAgrees)
     // Every measured point matched its golden; every frontier point
     // survived the EventQueue cross-check.
     for (const auto &pt : res.points) {
-        if (pt.ran)
+        if (pt.ran) {
             EXPECT_TRUE(pt.bit_exact) << pt.label << ": "
                                       << pt.failure;
-        if (pt.on_frontier)
+        }
+        if (pt.on_frontier) {
             EXPECT_TRUE(pt.crosschecked) << pt.label;
+        }
     }
 
     // The frontier is a proper Pareto set: ascending achieved rate,

@@ -137,8 +137,9 @@ TEST(RateMatch, BoundedNeverUndershoots)
         ZormSetting z = boundedRateMatch(f, 1000);
         EXPECT_GE(z.usefulFraction(), f - 1e-12) << f;
         EXPECT_LE(z.usefulFraction() - f, 0.01) << f;
-        if (z.period)
+        if (z.period) {
             EXPECT_LE(z.period, 1000u);
+        }
     }
 }
 

@@ -105,10 +105,12 @@ TEST(Table4, SavingsRangeMatchesAbstract)
         double savings = 100.0 * (single - multi) / single;
         EXPECT_GE(savings, -1e-9) << name;
         max_savings = std::max(max_savings, savings);
-        if (name == "802.11a")
+        if (name == "802.11a") {
             EXPECT_NEAR(savings, 3.0, 2.0); // the 3% endpoint
-        if (name == "SV")
+        }
+        if (name == "SV") {
             EXPECT_NEAR(savings, 32.0, 2.0); // the 32% endpoint
+        }
     }
     EXPECT_NEAR(max_savings, 32.0, 2.0);
 }

@@ -77,8 +77,9 @@ TEST(VfModel, VoltageForInvertsFrequency)
         EXPECT_GE(m.frequencyMhz(v), f * 0.999);
         // Just below v the frequency target must fail (tightness),
         // unless we are clamped at the floor.
-        if (v > m.tech().vdd_min + 1e-6)
+        if (v > m.tech().vdd_min + 1e-6) {
             EXPECT_LT(m.frequencyMhz(v - 0.01), f);
+        }
     }
 }
 

@@ -1,12 +1,12 @@
 /**
  * @file
  * A seeded corpus of lowered artifacts and what the static verifier
- * says about each: every explorer candidate of the four mapped apps
- * on both bus settings, every safe-transition-table rate scale, and
- * rng-seeded single-field mutations of each app's committed lowering
- * (slot offset, slot lane tag, clock divider, ZORM pacing), plus
- * planted programs for the findings no mutation of a clean artifact
- * reaches (a legacy-bus deadlock, a loop-unit re-arm).
+ * says about each: every explorer candidate of the four mapped apps,
+ * every safe-transition-table rate scale, and rng-seeded single-field
+ * mutations of each app's committed lowering (slot offset, slot lane
+ * tag, clock divider, ZORM pacing), plus planted programs for the
+ * findings no mutation of a clean artifact reaches (a token-network
+ * deadlock, a loop-unit re-arm).
  *
  * verifier_test pins a digest of every group's rendered reports, so
  * any change to a finding — or to which artifacts lower at all —
@@ -72,18 +72,14 @@ digest(const std::vector<Item> &items)
     return h;
 }
 
-/** Both bus settings of @p art, as two items. */
+/** @p art's report, as one item. */
 inline void
-addBothBuses(std::vector<Item> &out, const std::string &group,
-             const std::string &label, mapping::LoweredArtifact art)
+addVerified(std::vector<Item> &out, const std::string &group,
+            const std::string &label,
+            const mapping::LoweredArtifact &art)
 {
-    for (int flip = 0; flip < 2; ++flip) {
-        out.push_back({group,
-                       label + (art.prog.self_timed ? " [self-timed]"
-                                                    : " [legacy]"),
-                       renderOrThrow([&] { return art.verify(); })});
-        art.prog.self_timed = !art.prog.self_timed;
-    }
+    out.push_back(
+        {group, label, renderOrThrow([&] { return art.verify(); })});
 }
 
 /** Every explorer candidate of @p name, lowered and verified. */
@@ -111,17 +107,14 @@ addCandidates(std::vector<Item> &out, const std::string &name)
         art.slack = s.slack;
         try {
             art.spec = s.dag(s.seed, v.plan);
-            art.prog = s.lower
-                           ? s.lower(v.plan, v.iterations_per_sec)
-                           : mapping::lowerDag(art.spec, v.plan,
-                                               v.iterations_per_sec,
-                                               s.slack);
+            art.prog = mapping::lowerDag(art.spec, v.plan,
+                                         v.iterations_per_sec, s.slack);
         } catch (const FatalError &e) {
             out.push_back({group, v.label,
                            std::string("did not lower: ") + e.what()});
             continue;
         }
-        addBothBuses(out, group, v.label, art);
+        addVerified(out, group, v.label, art);
     }
 }
 
@@ -170,8 +163,7 @@ addSafeTable(std::vector<Item> &out, const std::string &name)
 
 /**
  * @p count seeded single-field mutations of @p name's committed
- * lowering, cycling through the four fields, each verified on both
- * bus settings.
+ * lowering, cycling through the four fields, each verified.
  */
 inline void
 addMutations(std::vector<Item> &out, const std::string &name,
@@ -228,13 +220,13 @@ addMutations(std::vector<Item> &out, const std::string &name,
             break;
           }
         }
-        addBothBuses(out, group, strprintf("#%u %s", k, label.c_str()),
-                     art);
+        addVerified(out, group, strprintf("#%u %s", k, label.c_str()),
+                    art);
     }
 }
 
 /**
- * A legacy-bus source -> sink chain lowered at 60 firings each, then
+ * A source -> sink chain lowered at 60 firings each, then
  * planted: the sink's body is @p sink_body, and with @p short_source
  * the source's firing loop and spec run one firing short, so the
  * spec stays self-consistent per column while the edge delivers one
@@ -279,8 +271,8 @@ plantedChain(const std::string &sink_body, bool short_source)
     art.plan = plan;
     art.iterations_per_sec = 5e6;
     art.slack = 1.4;
-    art.prog = mapping::lowerPipeline({src, sink}, plan,
-                                      art.iterations_per_sec);
+    art.prog = mapping::lowerDag(mapping::linearDagSpec({src, sink}),
+                                 plan, art.iterations_per_sec);
     if (short_source) {
         src.firings -= 1;
         for (isa::Inst &in : art.prog.columns[0].program.insts) {
@@ -301,7 +293,7 @@ addPlanted(std::vector<Item> &out)
     const std::string sum = "        crd r0\n"
                             "        add r2, r2, r0\n"
                             "        st.w r2, [p0]+4\n";
-    out.push_back({"planted", "legacy deadlock", renderOrThrow([&] {
+    out.push_back({"planted", "deadlock", renderOrThrow([&] {
                        return plantedChain(sum, true).verify();
                    })});
     // lc0 armed again inside its own body: the walk gives up.

@@ -1,6 +1,6 @@
 /** @file Static plan/program verifier: planted safety violations are
  * each rejected with a specific finding, the four committed app
- * lowerings verify clean on both bus settings, the explorer filters
+ * lowerings verify clean, the explorer filters
  * provably-broken candidates before simulation, the findings on a
  * seeded corpus match pinned digests, and the closed-form comm walk
  * matches a slot-stepped reference walk on random loop nests. */
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "apps/app_registry.hh"
+#include "arch/chip.hh"
 #include "apps/motion_runner.hh"
 #include "apps/pipeline_runner.hh"
 #include "apps/stereo_runner.hh"
@@ -178,11 +179,10 @@ TEST(Verifier, CleanLinearLoweringVerifies)
 {
     ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
                              {ZormSetting{}, ZormSetting{1, 4}});
-    auto stages = twoActorStages(200);
-    auto prog = lowerPipeline(stages, plan, 20e6);
+    const DagSpec spec = linearDagSpec(twoActorStages(200));
+    auto prog = lowerDag(spec, plan, 20e6);
 
-    VerifyReport rep = verifyLowered(linearDagSpec(stages), plan,
-                                     prog, 20e6, 1.4);
+    VerifyReport rep = verifyLowered(spec, plan, prog, 20e6, 1.4);
     EXPECT_TRUE(rep.ok()) << rep.render();
     for (const std::string &check : VerifyReport::checkNames())
         EXPECT_TRUE(rep.checkPassed(check)) << check;
@@ -204,7 +204,7 @@ TEST(Verifier, UninitializedRegisterReadRejected)
     ChipPlan plan = makePlan({"source", "sink"}, {1, 1},
                              {ZormSetting{}, ZormSetting{}});
     expectRejected(
-        [&] { lowerPipeline(stages, plan, 20e6); },
+        [&] { lowerDag(linearDagSpec(stages), plan, 20e6); },
         "uninitialized");
 }
 
@@ -252,50 +252,15 @@ TEST(Verifier, ConflictingSlotAssignmentRejected)
         << rep.errorSummary();
 }
 
-TEST(Verifier, LookaheadHorizonDisagreementRejected)
+TEST(Verifier, SlowConsumerDefersInsteadOfOverrunning)
 {
-    // A single-edge chain has one slot per period, so the schedule's
-    // comm-quiet floor is period-1 — a nonzero horizon the lowering
-    // must export and the verifier must recompute.
-    ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
-                             {ZormSetting{}, ZormSetting{}});
-    auto stages = twoActorStages(100);
-    auto prog = lowerPipeline(stages, plan, 20e6);
-    DagSpec spec = linearDagSpec(stages);
-
-    ASSERT_GT(prog.lookahead_horizon, 0u);
-    EXPECT_EQ(prog.lookahead_horizon, prog.period - 1);
-    VerifyReport base = verifyLowered(spec, plan, prog, 20e6, 1.4);
-    EXPECT_TRUE(base.ok()) << base.render();
-
-    // Declare one phase more lookahead than the slot schedule
-    // supports: a runtime trusting it could free-run a column
-    // through a delivery slot. The verifier must recompute the
-    // floor from the slots themselves and reject the disagreement.
-    prog.lookahead_horizon += 1;
-    VerifyReport rep = verifyLowered(spec, plan, prog, 20e6, 1.4);
-    EXPECT_FALSE(rep.ok());
-    EXPECT_FALSE(rep.checkPassed("slots"));
-    EXPECT_NE(rep.errorSummary().find("lookahead horizon"),
-              std::string::npos)
-        << rep.errorSummary();
-
-    // Declaring no horizon at all is legal (a Note, not an error):
-    // the parallel-columns runtime then relies on its dynamic
-    // comm-quiet probe alone.
-    prog.lookahead_horizon = 0;
-    VerifyReport none = verifyLowered(spec, plan, prog, 20e6, 1.4);
-    EXPECT_TRUE(none.ok()) << none.render();
-    EXPECT_TRUE(none.checkPassed("slots"));
-    EXPECT_NE(none.render().find("no lookahead"), std::string::npos);
-}
-
-TEST(Verifier, OverrunReachableBufferBoundRejected)
-{
-    // On the legacy (drop-new) bus, a consumer that computes ~200
-    // slots per firing against a delivery grid of ~42 ticks provably
-    // still holds word k when word k+1 arrives.
-    auto stages = twoActorStages(50);
+    // A consumer that computes ~200 slots per firing against a
+    // delivery grid of ~42 ticks still holds word k when word k+1
+    // arrives. The self-timed bus defers that delivery instead of
+    // dropping a word, so the lowering verifies clean and the run
+    // loses nothing.
+    const unsigned firings = 50;
+    auto stages = twoActorStages(firings);
     stages[1].prologue = strprintf("        movi r2, 0\n"
                                    "        movi r3, 0\n"
                                    "        movpi p0, %u\n",
@@ -310,50 +275,64 @@ TEST(Verifier, OverrunReachableBufferBoundRejected)
     )";
     ChipPlan plan = makePlan({"source", "sink"}, {1, 1},
                              {ZormSetting{}, ZormSetting{}});
-    expectRejected(
-        [&] { lowerPipeline(stages, plan, 20e6); }, "overrun");
+    const DagSpec spec = linearDagSpec(stages);
+    auto prog = lowerDag(spec, plan, 20e6);
+    VerifyReport rep = verifyLowered(spec, plan, prog, 20e6, 1.4);
+    EXPECT_TRUE(rep.ok()) << rep.render();
+
+    std::vector<int32_t> expect;
+    int32_t v = 0, sum = 0;
+    for (unsigned n = 0; n < firings; ++n) {
+        v += 3;
+        sum += v - 2;
+        expect.push_back(sum);
+    }
+    for (auto kind :
+         {SchedulerKind::EventQueue, SchedulerKind::Compiled}) {
+        auto chip = buildChip(plan, prog, kind);
+        ASSERT_EQ(chip->run(10'000'000).exit,
+                  arch::RunExit::AllHalted)
+            << schedulerName(kind);
+        EXPECT_EQ(chip->column(1).tile(0).readMemWords(OutBase,
+                                                       firings),
+                  expect)
+            << schedulerName(kind);
+        EXPECT_EQ(chip->fabric().stats().value("overruns"), 0u)
+            << schedulerName(kind);
+        EXPECT_GT(chip->fabric().stats().value("deferrals"), 0u)
+            << schedulerName(kind);
+    }
 }
 
 TEST(Verifier, ZormMismatchRejected)
 {
     ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
                              {ZormSetting{}, ZormSetting{1, 4}});
-    auto stages = twoActorStages(100);
-    auto prog = lowerPipeline(stages, plan, 20e6);
+    const DagSpec spec = linearDagSpec(twoActorStages(100));
+    auto prog = lowerDag(spec, plan, 20e6);
 
     // A column loaded with a different ZORM pacing than its
     // placement planned runs at the wrong rate.
     prog.columns[1].zorm.nops += 1;
 
-    VerifyReport rep = verifyLowered(linearDagSpec(stages), plan,
-                                     prog, 20e6, 1.4);
+    VerifyReport rep = verifyLowered(spec, plan, prog, 20e6, 1.4);
     EXPECT_FALSE(rep.ok());
     EXPECT_FALSE(rep.checkPassed("zorm"));
     EXPECT_NE(rep.errorSummary().find("ZORM"), std::string::npos)
         << rep.errorSummary();
 }
 
-TEST(Verifier, CommittedAppLoweringsVerifyCleanOnBothBusSettings)
+TEST(Verifier, CommittedAppLoweringsVerifyClean)
 {
     // Every registered app's committed lowering, straight from the
-    // registry at default params.
-    std::vector<LoweredArtifact> artifacts;
-    for (const std::string &name :
-         apps::AppRegistry::instance().names())
-        artifacts.push_back(
-            apps::AppRegistry::instance().at(name).verifiable());
-    EXPECT_EQ(artifacts.size(), 4u);
-    for (LoweredArtifact &art : artifacts) {
-        VerifyReport committed = art.verify();
-        EXPECT_TRUE(committed.ok())
-            << art.name << "\n" << committed.render();
-        // Flipping the bus mode changes what the "tokens" check must
-        // prove (drop-new replay vs Kahn replay); both directions
-        // must still be free of provable violations.
-        art.prog.self_timed = !art.prog.self_timed;
-        VerifyReport flipped = art.verify();
-        EXPECT_TRUE(flipped.ok())
-            << art.name << " (flipped bus)\n" << flipped.render();
+    // registry at default params, on the one (self-timed) bus.
+    const apps::AppRegistry &reg = apps::AppRegistry::instance();
+    EXPECT_EQ(reg.names().size(), 4u);
+    for (const std::string &name : reg.names()) {
+        const LoweredArtifact art = reg.at(name).verifiable();
+        const VerifyReport rep = art.verify();
+        EXPECT_TRUE(rep.ok()) << art.name << "\n" << rep.render();
+        EXPECT_TRUE(rep.checkPassed("tokens")) << art.name;
     }
 }
 
@@ -458,58 +437,23 @@ TEST(Verifier, MalformedColumnScheduleReportedNotThrown)
     }
 }
 
-TEST(Verifier, LegacyBusDeadlockRejected)
+TEST(Verifier, PlantedDeadlockRejected)
 {
     // The source's firing loop runs one firing short of what its
     // consumer reads. Each column's token count matches its own
-    // (edited) spec, so only the token-flow replay can see the sink
-    // wait forever for its last word.
+    // (edited) spec, so only the token-network replay can see the
+    // sink wait forever for its last word.
     LoweredArtifact art =
         corpus::plantedChain("        crd r0\n"
                              "        add r2, r2, r0\n"
                              "        st.w r2, [p0]+4\n",
                              true);
-    ASSERT_FALSE(art.prog.self_timed);
     VerifyReport rep = art.verify();
     EXPECT_TRUE(rep.checkPassed("tags")) << rep.render();
     EXPECT_EQ(rep.errorSummary(),
-              "[tokens] deadlock: actor 'sink' waits forever on lane "
-              "0");
-
-    art.prog.self_timed = true;
-    VerifyReport kahn = art.verify();
-    EXPECT_EQ(kahn.errorSummary(),
               "[tokens] deadlock: the token network cannot complete "
               "under any timing — actor 'sink' blocked at comm op 59 "
               "(crd lane 0)");
-}
-
-TEST(Verifier, TimedReplayStepBudgetCountsSleepingEdges)
-{
-    // The source burns 4095 x 2 issue slots per firing at divider 15
-    // (~500M ticks over 4095 firings); the divider-1 sink stalls on
-    // every read for most of them. The sink sleeps through those
-    // ticks, but the replay's step budget (400M) counts every edge a
-    // slot-stepped replay would visit, so the budget still runs out.
-    std::vector<PipelineStage> stages = twoActorStages(4095);
-    stages[0].body = R"(
-        lsetup lc1, __burn, 4095
-        addi r1, 3
-        addi r1, -2
-    __burn:
-        mov r7, r1
-        cwr r7
-    )";
-    ChipPlan plan = makePlan({"source", "sink"}, {15, 1},
-                             {ZormSetting{}, ZormSetting{}});
-    PipelineProgram prog = lowerPipeline(stages, plan, 2e4);
-    VerifyReport rep =
-        verifyLowered(linearDagSpec(stages), plan, prog, 2e4, 1.4);
-    EXPECT_TRUE(rep.ok()) << rep.render();
-    EXPECT_NE(rep.render().find("timed replay exceeded its step "
-                                "budget"),
-              std::string::npos)
-        << rep.render();
 }
 
 TEST(Verifier, SeededCorpusFindingsMatchPinnedDigests)
@@ -525,19 +469,19 @@ TEST(Verifier, SeededCorpusFindingsMatchPinnedDigests)
         uint64_t digest;
     };
     const Pin pins[] = {
-        {"ddc/candidates", 26, 0x44999aad50e2db50ull},
-        {"ddc/safe-table", 6, 0x41ddf5ff2ff57a8cull},
-        {"ddc/mutations", 32, 0x2eebfbdae1a4a09aull},
-        {"motion/candidates", 16, 0x1ce41842759f4853ull},
-        {"motion/safe-table", 6, 0xead0752aa24cb8f3ull},
-        {"motion/mutations", 32, 0xb06b8ca992ef6c4bull},
-        {"stereo/candidates", 26, 0xdade766e005ddb0full},
-        {"stereo/safe-table", 6, 0xc92b7dc85aff4fc4ull},
-        {"stereo/mutations", 32, 0x1290498d18c68165ull},
-        {"wifi/candidates", 20, 0x355b5c90ef336b55ull},
-        {"wifi/safe-table", 6, 0x13865520183be878ull},
-        {"wifi/mutations", 32, 0x87c99d6ae6fe0ab1ull},
-        {"planted", 2, 0x37f458c69f041176ull},
+        {"ddc/candidates", 13, 0xc88c112cf70569c2ull},
+        {"ddc/safe-table", 6, 0x415d6d07d423c77dull},
+        {"ddc/mutations", 16, 0xeb6d60382801f5a7ull},
+        {"motion/candidates", 8, 0x06b45142dff7a7ebull},
+        {"motion/safe-table", 6, 0x2d18450502c85d27ull},
+        {"motion/mutations", 16, 0xa0be41d199e56f96ull},
+        {"stereo/candidates", 13, 0xacb9f8cbfc59a08eull},
+        {"stereo/safe-table", 6, 0xfdd9da4bd56ac86aull},
+        {"stereo/mutations", 16, 0x2bf39d815148f24aull},
+        {"wifi/candidates", 10, 0x41a8298b20f0da69ull},
+        {"wifi/safe-table", 6, 0xe56eb2889d6741a8ull},
+        {"wifi/mutations", 16, 0xc573e3a9c72e93aeull},
+        {"planted", 2, 0x3c57ff05cabc5668ull},
     };
 
     const std::vector<corpus::Item> items = corpus::verifierCorpus();
@@ -559,9 +503,8 @@ TEST(Verifier, SeededCorpusFindingsMatchPinnedDigests)
     }
     // The corpus reaches every finding class it is meant to pin.
     for (const char *needle :
-         {"deadlock: actor", "read-buffer overrun reachable",
-          "DOU output diverges", "lane membership only",
-          "re-armed at pc", "schedule is malformed"}) {
+         {"deadlock: the token network", "DOU output diverges",
+          "lane membership only", "re-armed at pc", "schedule is malformed"}) {
         EXPECT_NE(all.find(needle), std::string::npos) << needle;
     }
 }
@@ -632,7 +575,6 @@ steppedWalk(const std::vector<MicroOp> &uops, uint64_t budget)
             w.inexact_why = std::move(why);
         w.events.clear();
     };
-    uint64_t gap = 0;
     uint32_t pc = 0;
     while (true) {
         if (pc >= n) {
@@ -645,10 +587,8 @@ steppedWalk(const std::vector<MicroOp> &uops, uint64_t budget)
         }
         const MicroOp &u = uops[pc];
         ++w.total_slots;
-        ++gap;
         switch (u.kind) {
           case UopKind::Halt:
-            w.tail_slots = gap;
             return w;
           case UopKind::Jump:
             if (u.imm < 0 || uint32_t(u.imm) >= n) {
@@ -701,9 +641,7 @@ steppedWalk(const std::vector<MicroOp> &uops, uint64_t budget)
             detail::CommEvent e;
             e.is_read = u.kind == UopKind::CommRead;
             e.lane = u.imm;
-            e.gap = gap - 1;
             w.events.push_back(e);
-            gap = 0;
             pc = advance(pc);
             continue;
           }
@@ -804,7 +742,6 @@ expectSameWalk(const detail::WalkResult &got,
     EXPECT_EQ(got.timing_exact, want.timing_exact) << what;
     EXPECT_EQ(got.inexact_why, want.inexact_why) << what;
     EXPECT_EQ(got.total_slots, want.total_slots) << what;
-    EXPECT_EQ(got.tail_slots, want.tail_slots) << what;
     EXPECT_EQ(got.read_lanes, want.read_lanes) << what;
     EXPECT_EQ(got.write_lanes, want.write_lanes) << what;
     ASSERT_EQ(got.events.size(), want.events.size()) << what;
@@ -812,8 +749,6 @@ expectSameWalk(const detail::WalkResult &got,
         EXPECT_EQ(got.events[i].is_read, want.events[i].is_read)
             << what << " event " << i;
         EXPECT_EQ(got.events[i].lane, want.events[i].lane)
-            << what << " event " << i;
-        EXPECT_EQ(got.events[i].gap, want.events[i].gap)
             << what << " event " << i;
     }
 }

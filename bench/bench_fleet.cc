@@ -88,7 +88,7 @@ soloCrossCheck(sim::FleetExecutor &fleet, const sim::FleetReport &rep)
     for (const auto &s : rep.stream_results) {
         const sim::FleetWorkload &wl = fleet.workload(s.workload);
         for (uint64_t i = 0; i < s.items; ++i) {
-            auto chip = fleet.templateChip(s.workload).clone();
+            auto chip = fleet.templateChip(s.workload)->clone();
             wl.feed(*chip, s.item_base + i);
             if (chip->run(wl.tick_limit).exit !=
                     arch::RunExit::AllHalted ||

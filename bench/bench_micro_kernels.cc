@@ -200,8 +200,8 @@ nsPerOp(Fn &&fn, int reps = 5)
 
 /**
  * Mapped-DDC throughput per backend (best of 3), in ticks/s — the
- * ROADMAP item 2 target is measured here: compiled >= 10x eventq on
- * a real mapped application, not just the core loop.
+ * compiled backend's speedup over the EventQueue reference on a real
+ * mapped application, not just the core loop.
  */
 double
 ddcTicksPerSec(SchedulerKind kind)

@@ -220,10 +220,14 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
     // Every candidate is lowered before any chip runs, so lowering
     // never competes with the runs for cores. Runs that did not drain
     // never reach the measuring hook, and a hook or run that threw
-    // left its failure in the stream's result.
+    // left its failure in the stream's result. Each workload is
+    // retired once its one stream is in, so its template is freed
+    // as soon as that stream has cloned it.
     for (Slot &slot : slots) {
-        if (slot.lowered)
-            slot.stream = fleet.admitStream(slot.workload, 1);
+        if (!slot.lowered)
+            continue;
+        slot.stream = fleet.admitStream(slot.workload, 1);
+        fleet.retireWorkload(slot.workload);
     }
     sim::FleetReport rep = fleet.drain();
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -298,7 +302,9 @@ explorePlans(const ExplorableApp &app, const ExploreOptions &opt)
                                   app.verify(chip, slot.prog).empty();
                 return std::vector<uint8_t>();
             };
-            fleet.admitStream(fleet.addWorkload(std::move(wl)), 1);
+            const unsigned id = fleet.addWorkload(std::move(wl));
+            fleet.admitStream(id, 1);
+            fleet.retireWorkload(id);
         }
         fleet.drain();
         for (size_t idx : check) {

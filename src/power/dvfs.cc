@@ -110,7 +110,7 @@ SafeTransitionTable::build(const mapping::LoweredArtifact &art,
                : std::pair<std::vector<unsigned>,
                            std::vector<mapping::ZormSetting>>{};
         if (ok)
-            ok = candidateVerifies(art, plan, zorms);
+            ok = candidateReport(art, plan, zorms, s).ok();
         if (!ok) {
             if (s == 1.0) {
                 fatal("safe-transition table: the baseline plan of "
@@ -142,20 +142,25 @@ SafeTransitionTable::build(const mapping::LoweredArtifact &art,
     return table;
 }
 
-bool
-SafeTransitionTable::candidateVerifies(
+mapping::VerifyReport
+SafeTransitionTable::candidateReport(
     const mapping::LoweredArtifact &art,
     const mapping::ChipPlan &plan,
-    const std::vector<mapping::ZormSetting> &zorms)
+    const std::vector<mapping::ZormSetting> &zorms, double rate_scale)
 {
-    if (zorms.size() != art.prog.columns.size())
-        return false;
+    if (zorms.size() != art.prog.columns.size()) {
+        mapping::VerifyReport rep;
+        rep.add(mapping::Severity::Error, "zorm",
+                strprintf("%zu ZORM settings for %zu columns",
+                          zorms.size(), art.prog.columns.size()));
+        return rep;
+    }
     mapping::PipelineProgram prog = art.prog;
     for (size_t i = 0; i < prog.columns.size(); ++i)
         prog.columns[i].zorm = zorms[i];
-    mapping::VerifyReport rep = mapping::verifyLowered(
-        art.spec, plan, prog, art.iterations_per_sec, art.slack);
-    return rep.ok();
+    return mapping::verifyLowered(art.spec, plan, prog,
+                                  art.iterations_per_sec * rate_scale,
+                                  art.slack);
 }
 
 size_t

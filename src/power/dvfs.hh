@@ -126,17 +126,19 @@ class SafeTransitionTable
         const SupplyLevels &levels);
 
     /**
-     * The verifier gate one candidate must pass: @p plan with the
-     * per-column ZORM settings @p zorms (aligned with
-     * art.prog.columns) substituted into a copy of the artifact's
-     * program, re-verified at the artifact's grid pacing. Exposed so
-     * tests can plant a tampered (unsafe) candidate and watch it
-     * fail.
+     * The verifier gate one candidate must pass (it passes when the
+     * report is ok()): @p plan with the per-column ZORM settings
+     * @p zorms (aligned with art.prog.columns) substituted into a
+     * copy of the artifact's program, re-verified at the rate the
+     * point runs at, the artifact's rate times @p rate_scale.
+     * Exposed so tests can plant a tampered (unsafe) candidate and
+     * watch it fail.
      */
-    static bool candidateVerifies(
+    static mapping::VerifyReport candidateReport(
         const mapping::LoweredArtifact &art,
         const mapping::ChipPlan &plan,
-        const std::vector<mapping::ZormSetting> &zorms);
+        const std::vector<mapping::ZormSetting> &zorms,
+        double rate_scale);
 
     const std::vector<DvfsOperatingPoint> &points() const
     {

@@ -110,11 +110,22 @@ FleetExecutor::templateBuildSeconds(unsigned id) const
     return template_secs_.at(id);
 }
 
-const arch::Chip &
+std::shared_ptr<const arch::Chip>
 FleetExecutor::templateChip(unsigned id) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return *templates_.at(id);
+    if (!templates_.at(id))
+        fatal("fleet workload %u is retired; its template is gone", id);
+    return templates_[id];
+}
+
+void
+FleetExecutor::retireWorkload(unsigned workload)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (workload >= workloads_.size())
+        fatal("fleet retire of unknown workload %u", workload);
+    templates_[workload].reset();
 }
 
 unsigned
@@ -127,11 +138,14 @@ FleetExecutor::admitStream(unsigned workload, uint64_t items,
     if (workload >= workloads_.size())
         fatal("fleet stream admitted for unknown workload %u",
               workload);
+    if (!templates_[workload])
+        fatal("fleet stream admitted for retired workload '%s'",
+              workloads_[workload].name.c_str());
 
     auto s = std::make_unique<Stream>();
     s->id = unsigned(results_.size());
     s->wl = &workloads_[workload];
-    s->tmpl = templates_[workload].get();
+    s->tmpl = templates_[workload];
     s->next_item = item_base;
     s->last_item = item_base + items;
     s->res.workload = workload;
@@ -247,6 +261,7 @@ FleetExecutor::serveOneItem(Stream &s, Worker &shard)
             // Warm start: deep-copy the programmed template instead
             // of re-running codegen + load for this stream.
             s.chip = s.tmpl->clone();
+            s.tmpl.reset();
             ++shard.clones;
         }
         wl.feed(*s.chip, item);

@@ -294,9 +294,8 @@ class FleetExecutor
      * the calling thread via wl.build — the one cold build every
      * stream's clone warm-starts from. Returns the workload id.
      * Safe while earlier workloads are being served: storage is
-     * reallocation-stable, so references handed out by workload() /
-     * templateChip() and the pointers serving workers hold stay
-     * valid.
+     * reallocation-stable, so references handed out by workload()
+     * and the pointers serving workers hold stay valid.
      */
     unsigned addWorkload(FleetWorkload wl);
 
@@ -305,17 +304,29 @@ class FleetExecutor
     /** Wall seconds the workload's cold template build took. */
     double templateBuildSeconds(unsigned id) const;
 
-    /** The programmed template chip (for clone timing / tests). */
-    const arch::Chip &templateChip(unsigned id) const;
+    /**
+     * The programmed template chip (for clone timing / tests); fatal
+     * once the workload is retired.
+     */
+    std::shared_ptr<const arch::Chip> templateChip(unsigned id) const;
 
     /**
      * Admit one stream of @p items work items (indices item_base ..
      * item_base+items-1) of @p workload. Serving starts immediately
      * on the worker pool; admission is safe while earlier streams
-     * are still being served. Returns the stream id.
+     * are still being served. Returns the stream id. Fatal on a
+     * retired workload.
      */
     unsigned admitStream(unsigned workload, uint64_t items,
                          uint64_t item_base = 0);
+
+    /**
+     * Admit no more streams of @p workload. The executor drops its
+     * template; each admitted stream holds it only until it has
+     * cloned its chip, so the template is freed once the last of
+     * them has. The workload's hooks stay valid for those streams.
+     */
+    void retireWorkload(unsigned workload);
 
     /**
      * Block until every admitted item has been served, then merge
@@ -340,13 +351,14 @@ class FleetExecutor
         /**
          * Captured under mu_ at admission so workers never index
          * workloads_/templates_ with the lock released (addWorkload
-         * may grow them concurrently). Both stay valid for the
+         * may grow them concurrently). wl stays valid for the
          * executor's lifetime: workloads_ is a deque (push_back
-         * never moves existing elements) and the template chip is a
-         * heap object owned by templates_.
+         * never moves existing elements). tmpl shares the template
+         * chip until the stream has cloned it, so a retired
+         * workload's template dies with its last clone.
          */
         const FleetWorkload *wl = nullptr;
-        const arch::Chip *tmpl = nullptr;
+        std::shared_ptr<const arch::Chip> tmpl;
         uint64_t next_item = 0; //!< next index to serve (absolute)
         uint64_t last_item = 0; //!< one past the final index
         std::unique_ptr<arch::Chip> chip; //!< live while serving
@@ -384,7 +396,8 @@ class FleetExecutor
     /** Deque, not vector: Stream::wl points into it and addWorkload
      * may push_back while earlier workloads are being served. */
     std::deque<FleetWorkload> workloads_;
-    std::vector<std::unique_ptr<arch::Chip>> templates_;
+    /** Null once the workload is retired. */
+    std::vector<std::shared_ptr<const arch::Chip>> templates_;
     std::vector<double> template_secs_;
 
     mutable std::mutex mu_;

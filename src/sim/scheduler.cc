@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "sim/eventq.hh"
 
 namespace synchro
 {
@@ -154,55 +153,62 @@ budgetEnd(Tick now, Tick max_ticks)
 }
 
 /**
- * The original formulation: one self-rescheduling event per clock
- * domain at ClockEdgePri, one reference-phase event per tick at
- * BusPri. Ordering within a tick therefore puts every domain edge
- * before the bus phase, exactly as the Chip event loop always did.
+ * The reference backend: a literal stepper over the static clock
+ * arithmetic. One pending tick per domain plus one for the reference
+ * phase (MaxTick = not pending). Every tick with pending work runs
+ * each due domain's edge in index order (domains are independent
+ * within the edge phase), then the reference phase, which recurs
+ * every tick until the model halts. Nothing is batched, blocked or
+ * skipped, and it shares no loop code with EdgeWalk, the walk it
+ * cross-checks.
  */
-class EventQueueScheduler : public Scheduler
+class ReferenceStepper : public Scheduler
 {
   public:
     SchedStop
     run(SchedModel &model, Tick max_ticks) override
     {
-        model_ = &model;
-        if (domain_events_.empty()) {
-            for (unsigned d = 0; d < model.numDomains(); ++d) {
-                domain_events_.push_back(std::make_unique<LambdaEvent>(
-                    strprintf("domain%u.edge", d),
-                    [this, d] { domainEdge(d); },
-                    Event::ClockEdgePri));
-            }
-            ref_event_ = std::make_unique<LambdaEvent>(
-                "sched.ref", [this] { refPhase(); }, Event::BusPri);
-        }
-        sync_assert(domain_events_.size() == model.numDomains(),
+        const unsigned n = model.numDomains();
+        if (next_.empty())
+            next_.assign(n, MaxTick);
+        sync_assert(next_.size() == n,
                     "model domain count changed between runs");
 
-        // (Re)arm events that are not pending: each domain at its next
-        // edge at-or-after now, the reference phase at every tick.
-        for (unsigned d = 0; d < model.numDomains(); ++d) {
-            if (model.domainHalted(d) || domain_events_[d]->scheduled())
+        // (Re)arm what is not pending: each domain at its next edge
+        // at-or-after now, the reference phase now.
+        for (unsigned d = 0; d < n; ++d) {
+            if (model.domainHalted(d) || next_[d] != MaxTick)
                 continue;
             const ClockDomain &clk = model.domainClock(d);
-            Tick when = clk.onEdge(eq_.curTick())
-                            ? eq_.curTick()
-                            : clk.nextEdgeAfter(eq_.curTick());
-            eq_.schedule(domain_events_[d].get(), when);
+            next_[d] = clk.onEdge(cur_) ? cur_ : clk.nextEdgeAfter(cur_);
         }
-        if (!ref_event_->scheduled())
-            eq_.schedule(ref_event_.get(), eq_.curTick());
+        if (ref_next_ == MaxTick)
+            ref_next_ = cur_;
 
-        eq_.run(budgetEnd(eq_.curTick(), max_ticks));
+        const Tick limit = budgetEnd(cur_, max_ticks);
+        Tick t = earliest();
+        for (; t <= limit; t = earliest()) {
+            cur_ = t;
+            for (unsigned d = 0; d < n; ++d) {
+                if (next_[d] != t)
+                    continue;
+                model.domainEdge(d);
+                next_[d] = model.domainHalted(d)
+                               ? MaxTick
+                               : t + model.domainClock(d).divider();
+            }
+            if (ref_next_ == t) {
+                model.refPhase();
+                ref_next_ = model.allHalted() ? MaxTick : t + 1;
+            }
+        }
 
         if (model.allHalted())
             return SchedStop::AllHalted;
-        if (eq_.empty())
-            return SchedStop::Idle;
-        return SchedStop::TickLimit;
+        return t == MaxTick ? SchedStop::Idle : SchedStop::TickLimit;
     }
 
-    Tick curTick() const override { return eq_.curTick(); }
+    Tick curTick() const override { return cur_; }
 
     SchedulerKind kind() const override
     {
@@ -210,44 +216,31 @@ class EventQueueScheduler : public Scheduler
     }
 
   private:
-    void
-    domainEdge(unsigned d)
+    /** The earliest pending tick (MaxTick = nothing pending). */
+    Tick
+    earliest() const
     {
-        model_->domainEdge(d);
-        if (!model_->domainHalted(d)) {
-            eq_.schedule(domain_events_[d].get(),
-                         eq_.curTick() +
-                             model_->domainClock(d).divider());
-        }
+        Tick t = ref_next_;
+        for (Tick e : next_)
+            t = std::min(t, e);
+        return t;
     }
 
-    void
-    refPhase()
-    {
-        model_->refPhase();
-        if (!model_->allHalted())
-            eq_.schedule(ref_event_.get(), eq_.curTick() + 1);
-    }
-
-    EventQueue eq_;
-    SchedModel *model_ = nullptr;
-    std::vector<std::unique_ptr<LambdaEvent>> domain_events_;
-    std::unique_ptr<LambdaEvent> ref_event_;
+    Tick cur_ = 0;
+    Tick ref_next_ = MaxTick;
+    std::vector<Tick> next_;            //!< per-domain pending edge
 };
 
 /**
- * The static edge walk every fast backend shares. Instead of a heap of
- * events it keeps one pending tick per domain plus one for the
- * reference phase — the whole "queue" is a handful of integers
- * recomputed with the static (divider, phase) arithmetic of
- * ClockDomain. MaxTick marks "not pending", mirroring an unscheduled
- * event.
+ * The static edge walk every fast backend shares. Like the reference
+ * stepper it keeps one pending tick per domain plus one for the
+ * reference phase, recomputed with the static (divider, phase)
+ * arithmetic of ClockDomain; MaxTick marks "not pending".
  *
  * run() takes every tick with pending work in order and runs it
- * serially — all domain edges, then the reference phase, the
- * ClockEdgePri-before-BusPri ordering of the event queue — and then
- * hands the reference phases up to the next domain edge to the
- * backend's betweenEdges().
+ * serially — all domain edges, then the reference phase, as the
+ * reference stepper does — and then hands the reference phases up
+ * to the next domain edge to the backend's betweenEdges().
  *
  * With @p blocks set, an edge first tries domainEdgeBlock(), which
  * may consume many slots at once (slot i standing for the edge at
@@ -345,7 +338,7 @@ class EdgeWalk : public Scheduler
     std::vector<Tick> domain_next_;     //!< per-domain pending edge
 
   private:
-    /** Arm pending work exactly like the event-queue backend. */
+    /** Arm pending work exactly like the reference stepper. */
     void
     arm(SchedModel &model)
     {
@@ -789,7 +782,7 @@ makeScheduler(SchedulerKind kind, unsigned team_threads)
 {
     switch (kind) {
       case SchedulerKind::EventQueue:
-        return std::make_unique<EventQueueScheduler>();
+        return std::make_unique<ReferenceStepper>();
       case SchedulerKind::FastEdge:
         return std::make_unique<EdgeScheduler>(false);
       case SchedulerKind::Compiled:

@@ -9,10 +9,14 @@
  * from the "when" (Scheduler) and provides four interchangeable
  * backends:
  *
- *  - SchedulerKind::EventQueue — the original gem5-style discrete
- *    event queue. One self-rescheduling event per clock domain plus a
- *    reference-clock event every tick. The reference semantics; keep
- *    it around to cross-check the fast paths bit-for-bit.
+ *  - SchedulerKind::EventQueue — the reference: a literal stepper
+ *    that visits every tick with pending work, runs each due domain
+ *    edge slot-exact and then the reference phase, every tick until
+ *    the model halts. It batches nothing and shares no loop code with
+ *    the edge walk below, so it can cross-check the fast paths
+ *    bit-for-bit. It keeps the kind and name ("eventq") it had as a
+ *    discrete event queue with the same contract, because tools,
+ *    benches and $SYNCHRO_SCHEDULER select it by them.
  *
  *  - SchedulerKind::FastEdge — the static edge walk: precomputes
  *    each domain's next edge from its (divider, phase) pair and jumps
@@ -66,7 +70,7 @@ namespace synchro
 /** Selects the scheduler backend driving a model. */
 enum class SchedulerKind
 {
-    EventQueue,      //!< discrete event queue (reference semantics)
+    EventQueue,      //!< literal reference stepper (reference semantics)
     FastEdge,        //!< static edge-pattern fast path
     Compiled,        //!< steady-state loops compiled to blocks
     ParallelColumns, //!< columns threaded between delivery slots
@@ -116,7 +120,7 @@ void setDefaultSchedulerKind(SchedulerKind kind);
  * divided clock domains (columns) plus work that happens every
  * reference tick (bus movement and DOU stepping).
  *
- * Contract mirrored from the event-queue formulation:
+ * Contract (the reference stepper's, which every backend matches):
  *  - domainEdge(d) runs at every edge of domain d while the domain is
  *    not halted (edges at phase + k * divider);
  *  - refPhase() runs once per reference tick, after all domain edges

@@ -141,8 +141,10 @@ TEST(SafeTransitionTable, EveryPointCarriesItsOwnStaticProof)
         EXPECT_GT(pt.rate_scale, prev); // sorted, ascending
         prev = pt.rate_scale;
         // Re-run the gate each point already passed at build time.
-        EXPECT_TRUE(SafeTransitionTable::candidateVerifies(
-            app.artifact, pt.plan, pt.zorms));
+        const mapping::VerifyReport rep =
+            SafeTransitionTable::candidateReport(app.artifact, pt.plan,
+                                                 pt.zorms, pt.rate_scale);
+        EXPECT_TRUE(rep.ok());
         EXPECT_TRUE(table.contains(pt.dividers));
     }
 }
@@ -164,15 +166,17 @@ TEST(SafeTransitionTable, PlantedUnsafeCandidateFailsItsProof)
     ASSERT_FALSE(bad.empty());
     bad[0].period = bad[0].period ? bad[0].period : 16;
     bad[0].nops = bad[0].period - 1;
-    EXPECT_FALSE(SafeTransitionTable::candidateVerifies(
-        app.artifact, base.plan, bad));
+    mapping::VerifyReport rep = SafeTransitionTable::candidateReport(
+        app.artifact, base.plan, bad, base.rate_scale);
+    EXPECT_FALSE(rep.ok());
 
     // A mismatched vector length is rejected outright.
     std::vector<mapping::ZormSetting> short_vec(
         base.zorms.begin(), base.zorms.end() - 1);
     if (base.zorms.size() > 1) {
-        EXPECT_FALSE(SafeTransitionTable::candidateVerifies(
-            app.artifact, base.plan, short_vec));
+        rep = SafeTransitionTable::candidateReport(
+            app.artifact, base.plan, short_vec, base.rate_scale);
+        EXPECT_FALSE(rep.ok());
     }
 }
 
@@ -209,6 +213,32 @@ TEST(SafeTransitionTable, DdcAdmitsEveryDefaultRateScale)
             << schedulerName(kind);
         EXPECT_EQ(chip->fabric().stats().value("overruns"), 0u)
             << schedulerName(kind);
+    }
+}
+
+TEST(SafeTransitionTable, EachPointIsVerifiedAtItsOwnRate)
+{
+    // A slowed point runs at the scaled rate, so that is the rate its
+    // throughput check must hold at: no admitted point may warn that
+    // its planned rate is not sustainable.
+    VfModel vf;
+    SupplyLevels levels(vf);
+    const std::vector<double> scales = DvfsGovernorConfig{}.rate_scales;
+    for (const std::string &name : apps::AppRegistry::instance().names()) {
+        const mapping::LoweredArtifact art =
+            apps::AppRegistry::instance().at(name).verifiable();
+        SafeTransitionTable table =
+            SafeTransitionTable::build(art, scales, levels);
+        EXPECT_EQ(table.points().size(), scales.size())
+            << name << "\n" << table.describe();
+        for (const DvfsOperatingPoint &pt : table.points()) {
+            const mapping::VerifyReport rep =
+                SafeTransitionTable::candidateReport(art, pt.plan, pt.zorms,
+                                                     pt.rate_scale);
+            const std::string text = rep.render();
+            EXPECT_EQ(text.find("not sustainable"), std::string::npos)
+                << name << " x" << pt.rate_scale << "\n" << text;
+        }
     }
 }
 

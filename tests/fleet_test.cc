@@ -418,7 +418,7 @@ TEST(Fleet, AddWorkloadWhileServingIsSafe)
         // References handed out before later registrations must
         // remain valid afterwards.
         EXPECT_EQ(fleet.workload(w).name, "sum");
-        EXPECT_EQ(fleet.templateChip(w).curTick(), 0u);
+        EXPECT_EQ(fleet.templateChip(w)->curTick(), 0u);
     }
 
     sim::FleetReport rep = fleet.drain();
@@ -426,6 +426,31 @@ TEST(Fleet, AddWorkloadWhileServingIsSafe)
     EXPECT_EQ(rep.streams, Rounds);
     EXPECT_EQ(rep.items, 3u * Rounds);
     EXPECT_EQ(rep.clones, Rounds);
+}
+
+TEST(Fleet, RetiredWorkloadAdmitsNothingAndFreesItsTemplate)
+{
+    sim::FleetConfig fc;
+    fc.workers = 2;
+    sim::FleetExecutor fleet(fc);
+
+    const unsigned w = fleet.addWorkload(sumWorkload(17));
+    std::weak_ptr<const Chip> tmpl = fleet.templateChip(w);
+    fleet.admitStream(w, 3);
+    fleet.admitStream(w, 2, 3);
+    fleet.retireWorkload(w);
+    EXPECT_THROW(fleet.admitStream(w, 1), FatalError);
+    EXPECT_THROW(fleet.templateChip(w), FatalError);
+    EXPECT_THROW(fleet.retireWorkload(w + 1), FatalError);
+
+    // Streams admitted before the retirement still clone and serve.
+    sim::FleetReport rep = fleet.drain();
+    EXPECT_TRUE(rep.all_verified);
+    EXPECT_EQ(rep.streams, 2u);
+    EXPECT_EQ(rep.items, 5u);
+    EXPECT_EQ(rep.clones, 2u);
+    EXPECT_TRUE(tmpl.expired());
+    EXPECT_EQ(fleet.workload(w).name, "sum");
 }
 
 TEST(Fleet, ThrowingFeedAbandonsStreamWithoutDeadlockingDrain)
@@ -591,7 +616,7 @@ TEST(Fleet, MappedDdcStreamsMatchSoloRuns)
     const sim::FleetWorkload &wl = fleet.workload(w);
     for (const auto &s : rep.stream_results) {
         for (uint64_t i = 0; i < s.items; ++i) {
-            auto chip = fleet.templateChip(w).clone();
+            auto chip = fleet.templateChip(w)->clone();
             wl.feed(*chip, s.item_base + i);
             EXPECT_EQ(int(chip->run(wl.tick_limit).exit),
                       int(RunExit::AllHalted));

@@ -1,5 +1,5 @@
 /** @file Scheduler-backend seams: ClockDomain edge-iteration
- * equivalence, fast-path vs event-queue bit-identical execution, DOU
+ * equivalence, fast-path vs reference bit-identical execution, DOU
  * fast-forward arithmetic, which backends take the issue-slot batch
  * hooks, resume/tick-limit semantics, and the default backend. */
 
@@ -23,8 +23,8 @@ using synchro::isa::assemble;
 
 // ---------------------------------------------------------------
 // ClockDomain edge iteration: every edge the fast scheduler would
-// visit (walking nextEdgeAfter) is an edge the event queue would
-// fire (onEdge scan), and vice versa.
+// visit (walking nextEdgeAfter) is an edge the reference stepper
+// would run (onEdge scan), and vice versa.
 
 TEST(ClockEdges, IterationMatchesScanForAllDividersAndPhases)
 {
@@ -324,9 +324,155 @@ TEST(SchedulerHooks, RunMaxTickStillBatchesQuietPhases)
 }
 
 // ---------------------------------------------------------------
+// The reference stepper's contract (the EventQueue kind), on a model
+// that logs every call with the tick being serviced.
+
+namespace
+{
+
+/** Dividers {1, 2, 3} on phases {0, 1, 2}. */
+std::vector<ClockDomain>
+loggedClocks()
+{
+    return {ClockDomain(600e6, 1, 0), ClockDomain(600e6, 2, 1),
+            ClockDomain(600e6, 3, 2)};
+}
+
+/** Each domain halts after this many edges. */
+constexpr uint64_t kLogQuota[3] = {16, 9, 5};
+
+class CallLogModel : public SchedModel
+{
+  public:
+    explicit CallLogModel(const Scheduler &sched) : sched_(sched) {}
+
+    unsigned numDomains() const override { return 3; }
+    const ClockDomain &
+    domainClock(unsigned d) const override
+    {
+        return clocks_[d];
+    }
+    bool domainHalted(unsigned d) const override
+    {
+        return edges_[d] >= kLogQuota[d];
+    }
+    bool allHalted() const override
+    {
+        return domainHalted(0) && domainHalted(1) && domainHalted(2);
+    }
+    void
+    domainEdge(unsigned d) override
+    {
+        ++edges_[d];
+        log += strprintf("%llu:e%u ",
+                         (unsigned long long)sched_.curTick(), d);
+    }
+    void
+    refPhase() override
+    {
+        log += strprintf("%llu:r ", (unsigned long long)sched_.curTick());
+    }
+
+    std::string log;
+
+  private:
+    const Scheduler &sched_;
+    std::vector<ClockDomain> clocks_ = loggedClocks();
+    uint64_t edges_[3] = {};
+};
+
+/**
+ * The log the contract prescribes, from the clock arithmetic alone:
+ * every tick from 0, the due edges of live domains in index order,
+ * then the reference phase, through the tick on which the last
+ * domain halts (returned in @p last).
+ */
+std::string
+contractLog(Tick &last)
+{
+    const std::vector<ClockDomain> clocks = loggedClocks();
+    uint64_t edges[3] = {};
+    std::string log;
+    for (Tick t = 0;; ++t) {
+        for (unsigned d = 0; d < 3; ++d) {
+            if (edges[d] < kLogQuota[d] && clocks[d].onEdge(t)) {
+                ++edges[d];
+                log += strprintf("%llu:e%u ", (unsigned long long)t, d);
+            }
+        }
+        log += strprintf("%llu:r ", (unsigned long long)t);
+        if (edges[0] == kLogQuota[0] && edges[1] == kLogQuota[1] &&
+            edges[2] == kLogQuota[2]) {
+            last = t;
+            return log;
+        }
+    }
+}
+
+} // namespace
+
+TEST(ReferenceStepper, EachTickRunsDueEdgesThenTheRefPhase)
+{
+    Tick last = 0;
+    const std::string want = contractLog(last);
+    auto s = makeScheduler(SchedulerKind::EventQueue);
+    CallLogModel m(*s);
+    ASSERT_EQ(int(s->run(m, MaxTick)), int(SchedStop::AllHalted));
+    EXPECT_EQ(m.log, want);
+    EXPECT_EQ(s->curTick(), last);
+}
+
+TEST(ReferenceStepper, ChunkedRunsMatchOneRun)
+{
+    Tick last = 0;
+    const std::string want = contractLog(last);
+    for (Tick k : {Tick(1), Tick(2), Tick(3), Tick(5), Tick(7)}) {
+        auto s = makeScheduler(SchedulerKind::EventQueue);
+        CallLogModel m(*s);
+        SchedStop stop = SchedStop::TickLimit;
+        unsigned runs = 0;
+        while (stop == SchedStop::TickLimit && runs++ < 1000)
+            stop = s->run(m, k);
+        EXPECT_EQ(int(stop), int(SchedStop::AllHalted)) << "chunk " << k;
+        EXPECT_EQ(m.log, want) << "chunk " << k;
+        EXPECT_EQ(s->curTick(), last) << "chunk " << k;
+    }
+
+    // A run(MaxTick) that resumes a partial run must not wrap its
+    // budget.
+    auto s = makeScheduler(SchedulerKind::EventQueue);
+    CallLogModel m(*s);
+    ASSERT_EQ(int(s->run(m, 4)), int(SchedStop::TickLimit));
+    ASSERT_EQ(int(s->run(m, MaxTick)), int(SchedStop::AllHalted));
+    EXPECT_EQ(m.log, want);
+    EXPECT_EQ(s->curTick(), last);
+}
+
+TEST(ReferenceStepper, TickLimitStopsAfterTheLastTickInBudget)
+{
+    Tick last = 0;
+    const std::string want = contractLog(last);
+    auto s = makeScheduler(SchedulerKind::EventQueue);
+    CallLogModel m(*s);
+    ASSERT_GT(last, 10u);
+    ASSERT_EQ(int(s->run(m, 10)), int(SchedStop::TickLimit));
+    EXPECT_EQ(s->curTick(), 10u);
+    // Everything through tick 10 ran, nothing after it.
+    const std::string upto = want.substr(0, want.find("11:"));
+    EXPECT_EQ(m.log, upto);
+
+    // A zero-tick run services nothing; run(1) services tick 11.
+    ASSERT_EQ(int(s->run(m, 0)), int(SchedStop::TickLimit));
+    EXPECT_EQ(m.log, upto);
+    ASSERT_EQ(int(s->run(m, 1)), int(SchedStop::TickLimit));
+    EXPECT_EQ(s->curTick(), 11u);
+    EXPECT_EQ(m.log, want.substr(0, want.find("12:")));
+}
+
+// ---------------------------------------------------------------
 // Whole-chip cross-checks: every backend must agree bit-for-bit with
-// the event queue on architectural state, statistics, final tick,
-// and exit reason. The comparison itself lives in test_util.hh
+// the EventQueue reference on architectural state, statistics, final
+// tick, and exit reason. The comparison itself lives in test_util.hh
 // (crossCheckBackends) so the mapped-app suites hold their pipelines
 // to the same contract.
 
@@ -702,7 +848,7 @@ TEST(SchedulerEquivalence, FastPathSkipsWork)
 {
     // Sanity that the fast path actually exploits the edge pattern:
     // with dividers {8,8,4,2} and idle DOUs, the per-tick DOU step
-    // stats must still match the event queue exactly (the skipped
+    // stats must still match the reference exactly (the skipped
     // ticks are credited arithmetically).
     ChipConfig cfg;
     cfg.dividers = {8, 8, 4, 2};

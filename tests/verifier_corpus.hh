@@ -154,9 +154,9 @@ addSafeTable(std::vector<Item> &out, const std::string &name)
         }
         out.push_back(
             {name + "/safe-table", label, renderOrThrow([&] {
-                 return mapping::verifyLowered(art.spec, plan, prog,
-                                               art.iterations_per_sec,
-                                               art.slack);
+                 return mapping::verifyLowered(
+                     art.spec, plan, prog, art.iterations_per_sec * sc,
+                     art.slack);
              })});
     }
 }

@@ -470,16 +470,16 @@ TEST(Verifier, SeededCorpusFindingsMatchPinnedDigests)
     };
     const Pin pins[] = {
         {"ddc/candidates", 13, 0xc88c112cf70569c2ull},
-        {"ddc/safe-table", 6, 0x415d6d07d423c77dull},
+        {"ddc/safe-table", 6, 0x2d18450502c85d27ull},
         {"ddc/mutations", 16, 0xeb6d60382801f5a7ull},
         {"motion/candidates", 8, 0x06b45142dff7a7ebull},
         {"motion/safe-table", 6, 0x2d18450502c85d27ull},
         {"motion/mutations", 16, 0xa0be41d199e56f96ull},
         {"stereo/candidates", 13, 0xacb9f8cbfc59a08eull},
-        {"stereo/safe-table", 6, 0xfdd9da4bd56ac86aull},
+        {"stereo/safe-table", 6, 0x91b7273d5c5998e3ull},
         {"stereo/mutations", 16, 0x2bf39d815148f24aull},
         {"wifi/candidates", 10, 0x41a8298b20f0da69ull},
-        {"wifi/safe-table", 6, 0xe56eb2889d6741a8ull},
+        {"wifi/safe-table", 6, 0x2d18450502c85d27ull},
         {"wifi/mutations", 16, 0xc573e3a9c72e93aeull},
         {"planted", 2, 0x3c57ff05cabc5668ull},
     };

@@ -53,12 +53,22 @@ Chip::refPhase()
     if (!following_) {
         // All DOU outputs belong to the same cycle: resolve the
         // fabric against every column's current state, then step
-        // every DOU.
-        for (unsigned c = 0; c < columns_.size(); ++c)
-            views_[c].state = &columns_[c]->dou().current();
-        fabric_.cycle(views_);
-        for (auto &col : columns_)
+        // every DOU. Stepping notes whether any DOU's next state
+        // drives or captures; on most cycles none does, and then
+        // nothing moves.
+        if (dou_active_) {
+            for (unsigned c = 0; c < columns_.size(); ++c)
+                views_[c].state = &columns_[c]->dou().current();
+            fabric_.cycle(views_);
+        } else {
+            fabric_.quietCycle();
+        }
+        bool active = false;
+        for (auto &col : columns_) {
             col->dou().step();
+            active |= col->dou().current().drivesOrCaptures();
+        }
+        dou_active_ = active;
         return;
     }
     const BusTimeline::Node &node = cursor_timeline_->node(cursor_.node);
@@ -262,6 +272,9 @@ Chip::run(Tick max_ticks)
         views_[c].tiles = columns_[c]->busTiles();
 
     followTimeline();
+    dou_active_ = false;
+    for (const auto &col : columns_)
+        dou_active_ |= col->dou().current().drivesOrCaptures();
     SchedStop stop;
     try {
         stop = sched_->run(*this, max_ticks);

@@ -229,6 +229,7 @@ class Chip : private SchedModel
 
     // Scratch for refPhase(), reused across ticks.
     std::vector<ColumnBusView> views_;
+    bool dou_active_ = false; //!< a DOU drives or captures next phase
 
     // busTimeline(), lazily replaced under timeline_mu_.
     mutable std::mutex timeline_mu_;

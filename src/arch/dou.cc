@@ -88,10 +88,7 @@ DouProgram::walkCommFree(DouPosition &pos, uint64_t max,
     uint64_t taken = 0;
     while (taken < max) {
         const DouState &s = states[pos.state];
-        bool buf_zero = true;
-        for (uint8_t b : s.buf)
-            buf_zero = buf_zero && b == 0;
-        if (!buf_zero)
+        if (s.drivesOrCaptures())
             break;
 
         uint32_t &ctr = pos.counters[s.cntr];

@@ -79,6 +79,16 @@ struct DouState
     uint8_t nxt0 = 0;                              //!< 7 bits
     uint8_t nxt1 = 0;                              //!< 7 bits
 
+    /** Some tile drives or captures (a buffer-control byte is set). */
+    bool
+    drivesOrCaptures() const
+    {
+        uint8_t any = 0;
+        for (uint8_t b : buf)
+            any |= b;
+        return any != 0;
+    }
+
     /** Pack into the 64-bit state word of Figure 3. */
     uint64_t pack() const;
     static DouState unpack(uint64_t word);
@@ -175,10 +185,7 @@ class Dou
     /** Install a program; the DOU restarts from its reset position. */
     void load(const DouProgram &prog);
 
-    /**
-     * Outputs for this cycle, then advance. Defined inline: the
-     * literal reference phase calls this once per column per tick.
-     */
+    /** Outputs for this cycle, then advance. */
     const DouState &
     step()
     {

@@ -161,6 +161,10 @@ budgetEnd(Tick now, Tick max_ticks)
  * every tick until the model halts. Nothing is batched, blocked or
  * skipped, and it shares no loop code with EdgeWalk, the walk it
  * cross-checks.
+ *
+ * Per-tick bookkeeping stays off the model: each run() reads the
+ * dividers once (a divider only changes between runs) and counts the
+ * domains that halted instead of asking allHalted() every tick.
  */
 class ReferenceStepper : public Scheduler
 {
@@ -176,31 +180,43 @@ class ReferenceStepper : public Scheduler
 
         // (Re)arm what is not pending: each domain at its next edge
         // at-or-after now, the reference phase now.
+        divider_.resize(n);
+        unsigned halted = 0;
         for (unsigned d = 0; d < n; ++d) {
-            if (model.domainHalted(d) || next_[d] != MaxTick)
-                continue;
             const ClockDomain &clk = model.domainClock(d);
-            next_[d] = clk.onEdge(cur_) ? cur_ : clk.nextEdgeAfter(cur_);
+            divider_[d] = clk.divider();
+            if (model.domainHalted(d)) {
+                halted += next_[d] == MaxTick;
+                continue;
+            }
+            if (next_[d] == MaxTick)
+                next_[d] = clk.onEdge(cur_) ? cur_ : clk.nextEdgeAfter(cur_);
         }
         if (ref_next_ == MaxTick)
             ref_next_ = cur_;
 
         const Tick limit = budgetEnd(cur_, max_ticks);
         Tick t = earliest();
-        for (; t <= limit; t = earliest()) {
+        while (t <= limit) {
             cur_ = t;
             for (unsigned d = 0; d < n; ++d) {
                 if (next_[d] != t)
                     continue;
                 model.domainEdge(d);
-                next_[d] = model.domainHalted(d)
-                               ? MaxTick
-                               : t + model.domainClock(d).divider();
+                if (model.domainHalted(d)) {
+                    next_[d] = MaxTick;
+                    ++halted;
+                } else {
+                    next_[d] = t + divider_[d];
+                }
             }
             if (ref_next_ == t) {
                 model.refPhase();
-                ref_next_ = model.allHalted() ? MaxTick : t + 1;
+                ref_next_ = halted == n ? MaxTick : t + 1;
             }
+            // Every pending tick is now past t, so a reference phase
+            // due at t + 1 is the earliest.
+            t = ref_next_ == t + 1 ? t + 1 : earliest();
         }
 
         if (model.allHalted())
@@ -228,7 +244,8 @@ class ReferenceStepper : public Scheduler
 
     Tick cur_ = 0;
     Tick ref_next_ = MaxTick;
-    std::vector<Tick> next_;            //!< per-domain pending edge
+    std::vector<Tick> next_;    //!< per-domain pending edge
+    std::vector<Tick> divider_; //!< per-domain divider, read per run
 };
 
 /**

@@ -126,6 +126,8 @@ void setDefaultSchedulerKind(SchedulerKind kind);
  *  - refPhase() runs once per reference tick, after all domain edges
  *    of that tick, from the first tick of run() until the tick on
  *    which allHalted() becomes true (inclusive).
+ * A domain halts only on its own edge, and allHalted() holds exactly
+ * when every domain is halted.
  */
 class SchedModel
 {

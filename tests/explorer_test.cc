@@ -1,7 +1,8 @@
 /** @file Design-space explorer: variant enumeration feasibility,
  * measured Pareto frontiers over fleet-served candidate batches,
- * optimizer agreement, determinism across pool widths, and
- * candidates that lower but then fail. */
+ * optimizer agreement, determinism across pool widths, candidates
+ * that lower but then fail, and an EventQueue cross-check that
+ * diverges. */
 
 #include <gtest/gtest.h>
 
@@ -342,4 +343,54 @@ TEST(Explorer, ThrowingVerifyIsRecordedOnItsPoint)
     }
     expectSamePointsExcept(clean, res, victim);
     EXPECT_FALSE(res.all_bit_exact);
+}
+
+TEST(Explorer, CrossCheckDivergenceFailsThePoint)
+{
+    // Measure on Compiled whatever $SYNCHRO_SCHEDULER says, so the
+    // mismatch below reaches the EventQueue cross-check runs only.
+    ExploreOptions opt = quickOptions();
+    opt.scheduler = SchedulerKind::Compiled;
+    const apps::AppDescriptor &ddc =
+        apps::AppRegistry::instance().at("ddc");
+    const ExplorationResult clean =
+        explorePlans(ddc.explorable(smallDdc()), opt);
+    ASSERT_TRUE(clean.all_bit_exact);
+
+    ExplorableApp app = ddc.explorable(smallDdc());
+    app.verify = [inner = app.verify](arch::Chip &chip,
+                                      const PipelineProgram &prog) {
+        if (chip.schedulerKind() == SchedulerKind::EventQueue)
+            return std::string("diverged on EventQueue");
+        return inner(chip, prog);
+    };
+    const ExplorationResult res = explorePlans(app, opt);
+
+    EXPECT_FALSE(res.all_bit_exact);
+    EXPECT_EQ(res.frontier, clean.frontier);
+    ASSERT_EQ(res.points.size(), clean.points.size());
+    size_t checked = 0;
+    for (size_t i = 0; i < res.points.size(); ++i) {
+        const MeasuredPoint &pt = res.points[i];
+        const MeasuredPoint &ref = clean.points[i];
+        EXPECT_EQ(pt.ran, ref.ran) << pt.label;
+        EXPECT_EQ(pt.bit_exact, ref.bit_exact) << pt.label;
+        EXPECT_EQ(pt.ticks, ref.ticks) << pt.label;
+        EXPECT_DOUBLE_EQ(pt.total_mw, ref.total_mw) << pt.label;
+        EXPECT_EQ(pt.on_frontier, ref.on_frontier) << pt.label;
+        EXPECT_FALSE(pt.crosschecked) << pt.label;
+        if (ref.crosschecked) {
+            // A point the clean run checked (frontier or baseline)
+            // now fails its check.
+            ++checked;
+            EXPECT_EQ(pt.failure, "EventQueue cross-check diverged")
+                << pt.label;
+        } else {
+            EXPECT_EQ(pt.failure, ref.failure) << pt.label;
+        }
+    }
+    const bool base_checked =
+        !clean.points[clean.baseline_index].on_frontier;
+    EXPECT_TRUE(clean.points[clean.baseline_index].crosschecked);
+    EXPECT_EQ(checked, clean.frontier.size() + (base_checked ? 1 : 0));
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -339,12 +340,16 @@ loggedClocks()
 }
 
 /** Each domain halts after this many edges. */
-constexpr uint64_t kLogQuota[3] = {16, 9, 5};
+const std::vector<uint64_t> kLogQuota = {16, 9, 5};
 
 class CallLogModel : public SchedModel
 {
   public:
-    explicit CallLogModel(const Scheduler &sched) : sched_(sched) {}
+    explicit CallLogModel(const Scheduler &sched,
+                          std::vector<uint64_t> quota = kLogQuota)
+        : sched_(sched), quota_(std::move(quota))
+    {
+    }
 
     unsigned numDomains() const override { return 3; }
     const ClockDomain &
@@ -354,7 +359,7 @@ class CallLogModel : public SchedModel
     }
     bool domainHalted(unsigned d) const override
     {
-        return edges_[d] >= kLogQuota[d];
+        return edges_[d] >= quota_[d];
     }
     bool allHalted() const override
     {
@@ -373,40 +378,61 @@ class CallLogModel : public SchedModel
         log += strprintf("%llu:r ", (unsigned long long)sched_.curTick());
     }
 
+    /** Replace domain @p d's clock (between runs). */
+    void setClock(unsigned d, const ClockDomain &clk) { clocks_[d] = clk; }
+
     std::string log;
 
   private:
     const Scheduler &sched_;
     std::vector<ClockDomain> clocks_ = loggedClocks();
+    std::vector<uint64_t> quota_;
     uint64_t edges_[3] = {};
 };
 
+/** The ticks of each domain's edges, from its clock and quota. */
+std::vector<std::vector<Tick>>
+clockEdges(const std::vector<ClockDomain> &clocks,
+           const std::vector<uint64_t> &quota)
+{
+    std::vector<std::vector<Tick>> edges(clocks.size());
+    for (unsigned d = 0; d < clocks.size(); ++d) {
+        for (uint64_t k = 0; k < quota[d]; ++k)
+            edges[d].push_back(clocks[d].cycleToTick(k));
+    }
+    return edges;
+}
+
 /**
- * The log the contract prescribes, from the clock arithmetic alone:
- * every tick from 0, the due edges of live domains in index order,
- * then the reference phase, through the tick on which the last
- * domain halts (returned in @p last).
+ * The log the contract prescribes for domains edging at @p edges:
+ * every tick from 0, the due edges in index order, then the
+ * reference phase, through the tick of the last edge (returned in
+ * @p last).
  */
+std::string
+contractLog(const std::vector<std::vector<Tick>> &edges, Tick &last)
+{
+    last = 0;
+    for (const auto &e : edges) {
+        if (!e.empty())
+            last = std::max(last, e.back());
+    }
+    std::string log;
+    for (Tick t = 0; t <= last; ++t) {
+        for (unsigned d = 0; d < edges.size(); ++d) {
+            if (std::count(edges[d].begin(), edges[d].end(), t))
+                log += strprintf("%llu:e%u ", (unsigned long long)t, d);
+        }
+        log += strprintf("%llu:r ", (unsigned long long)t);
+    }
+    return log;
+}
+
+/** contractLog() for the logged clocks and quotas. */
 std::string
 contractLog(Tick &last)
 {
-    const std::vector<ClockDomain> clocks = loggedClocks();
-    uint64_t edges[3] = {};
-    std::string log;
-    for (Tick t = 0;; ++t) {
-        for (unsigned d = 0; d < 3; ++d) {
-            if (edges[d] < kLogQuota[d] && clocks[d].onEdge(t)) {
-                ++edges[d];
-                log += strprintf("%llu:e%u ", (unsigned long long)t, d);
-            }
-        }
-        log += strprintf("%llu:r ", (unsigned long long)t);
-        if (edges[0] == kLogQuota[0] && edges[1] == kLogQuota[1] &&
-            edges[2] == kLogQuota[2]) {
-            last = t;
-            return log;
-        }
-    }
+    return contractLog(clockEdges(loggedClocks(), kLogQuota), last);
 }
 
 } // namespace
@@ -467,6 +493,59 @@ TEST(ReferenceStepper, TickLimitStopsAfterTheLastTickInBudget)
     ASSERT_EQ(int(s->run(m, 1)), int(SchedStop::TickLimit));
     EXPECT_EQ(s->curTick(), 11u);
     EXPECT_EQ(m.log, want.substr(0, want.find("12:")));
+}
+
+TEST(ReferenceStepper, DividerChangedBetweenRunsRulesTheNextRun)
+{
+    // Domain 2 (divider 3, phase 2) edges at 2 and 5, and its edge
+    // at 8 is pending when the first run ends at tick 6. Moved to
+    // divider 4, it keeps that pending edge and then edges every 4
+    // ticks: a divider read once per run, not once per scheduler.
+    std::vector<std::vector<Tick>> edges =
+        clockEdges(loggedClocks(), kLogQuota);
+    edges[2] = {2, 5, 8, 12, 16};
+    Tick last = 0;
+    const std::string want = contractLog(edges, last);
+
+    auto s = makeScheduler(SchedulerKind::EventQueue);
+    CallLogModel m(*s);
+    ASSERT_EQ(int(s->run(m, 6)), int(SchedStop::TickLimit));
+    m.setClock(2, ClockDomain(600e6, 4, 2));
+    ASSERT_EQ(int(s->run(m, MaxTick)), int(SchedStop::AllHalted));
+    EXPECT_EQ(m.log, want);
+    EXPECT_EQ(s->curTick(), last);
+}
+
+TEST(ReferenceStepper, HaltedDomainsNeverEdgeAndTheLastLiveOneEnds)
+{
+    // A domain halted before the run never edges; the reference
+    // phase still recurs every tick until the last live domain
+    // halts, and the run ends AllHalted on that tick — whichever
+    // domain it is.
+    for (const std::vector<uint64_t> &quota :
+         {std::vector<uint64_t>{16, 0, 5}, std::vector<uint64_t>{0, 9, 5},
+          std::vector<uint64_t>{3, 0, 6}}) {
+        Tick last = 0;
+        const std::string want =
+            contractLog(clockEdges(loggedClocks(), quota), last);
+        for (Tick chunk : {Tick(1), Tick(4), Tick(1000)}) {
+            auto s = makeScheduler(SchedulerKind::EventQueue);
+            CallLogModel m(*s, quota);
+            SchedStop stop = SchedStop::TickLimit;
+            unsigned runs = 0;
+            while (stop == SchedStop::TickLimit && runs++ < 1000)
+                stop = s->run(m, chunk);
+            const std::string what =
+                strprintf("quota %llu/%llu/%llu chunk %llu",
+                          (unsigned long long)quota[0],
+                          (unsigned long long)quota[1],
+                          (unsigned long long)quota[2],
+                          (unsigned long long)chunk);
+            EXPECT_EQ(int(stop), int(SchedStop::AllHalted)) << what;
+            EXPECT_EQ(m.log, want) << what;
+            EXPECT_EQ(s->curTick(), last) << what;
+        }
+    }
 }
 
 // ---------------------------------------------------------------

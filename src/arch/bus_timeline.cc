@@ -94,7 +94,7 @@ BusTimeline::build() const
             outputs[c] = busOutputs(*views[c].state);
         }
         auto [plan, new_plan] =
-            plan_of.emplace(outputs, uint32_t(plans_.size()));
+            plan_of.try_emplace(outputs, uint32_t(plans_.size()));
         if (new_plan)
             plans_.push_back(planCycle(views));
         node.plan = plan->second;

@@ -16,7 +16,9 @@
  * every reference phase.
  *
  * A timeline depends only on the DOU programs, so the chips cloned
- * from one template share one, built at most once.
+ * from one template share one, built at most once. The static
+ * verifier builds the same timeline from a lowered artifact's
+ * programs and proves it against the artifact's schedules.
  */
 
 #ifndef SYNC_ARCH_BUS_TIMELINE_HH
@@ -55,7 +57,9 @@ class BusTimeline
 
     /**
      * The longest schedule kept: a joint period that does not close
-     * within this many nodes leaves the chip stepping its DOUs.
+     * within this many nodes leaves the chip stepping its DOUs. The
+     * verifier rejects a lowered artifact whose timeline does not
+     * close, so only hand-written DOU programs step literally.
      */
     static constexpr size_t MaxNodes = 4096;
 
@@ -66,7 +70,11 @@ class BusTimeline
      */
     static constexpr uint64_t WalkBudget = uint64_t(1) << 20;
 
-    /** An unbuilt timeline for one column program each. */
+    /**
+     * An unbuilt timeline for one column program each; every program
+     * must be well-formed (DouProgram::malformed() empty, as
+     * Dou::load() enforces).
+     */
     explicit BusTimeline(
         std::vector<std::shared_ptr<const DouProgram>> programs);
 

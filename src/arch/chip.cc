@@ -129,12 +129,6 @@ Chip::commQuiet(Tick max) const
     return std::min(max, node.gap - cursor_.used);
 }
 
-Tick
-Chip::domainStallBlock(unsigned d, Tick max_slots)
-{
-    return columns_[d]->stallBlock(max_slots);
-}
-
 bool
 Chip::domainsIndependent() const
 {

@@ -208,7 +208,6 @@ class Chip : private SchedModel
     void domainStallCredit(unsigned d, Tick slots) override;
     const std::vector<unsigned> &refPhaseTouched() const override;
     Tick commQuiet(Tick max) const override;
-    Tick domainStallBlock(unsigned d, Tick max_slots) override;
     bool domainsIndependent() const override;
     /// @}
 

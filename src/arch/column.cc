@@ -56,14 +56,6 @@ Column::stallCredit(Tick slots)
     cycles_seen_ += slots;
 }
 
-Tick
-Column::stallBlock(Tick max_slots)
-{
-    Tick k = ctrl_.stallBlock(active_tiles_, max_slots);
-    cycles_seen_ += k;
-    return k;
-}
-
 std::vector<Tile *>
 Column::busTiles()
 {

@@ -94,13 +94,6 @@ class Column
      */
     void stallCredit(Tick slots);
 
-    /**
-     * Up to @p max_slots comm-stall slots consumed in one call
-     * (SimdController::stallBlock); only valid across edges the
-     * caller knows are bus-quiet. 0 = not comm-stalled.
-     */
-    Tick stallBlock(Tick max_slots);
-
     /** Pointers for the bus fabric, by position (nullptr if absent). */
     std::vector<Tile *> busTiles();
 

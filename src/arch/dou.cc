@@ -58,27 +58,39 @@ DouProgram::idle()
     return p;
 }
 
-void
-DouProgram::validate() const
+std::string
+DouProgram::malformed() const
 {
     if (states.empty())
-        fatal("DOU program has no states");
+        return "DOU program has no states";
     if (states.size() > DouMaxStates)
-        fatal("DOU program has %zu states; hardware holds %u",
-              states.size(), DouMaxStates);
+        return strprintf("DOU program has %zu states; hardware holds %u",
+                         states.size(), DouMaxStates);
     for (size_t i = 0; i < states.size(); ++i) {
         const DouState &s = states[i];
         if (s.cntr >= DouNumCounters)
-            fatal("DOU state %zu: counter %u out of range", i, s.cntr);
+            return strprintf("DOU state %zu: counter %u out of range", i,
+                             s.cntr);
         if (s.nxt0 >= states.size() || s.nxt1 >= states.size())
-            fatal("DOU state %zu: successor out of range (%u/%u of "
-                  "%zu states)",
-                  i, s.nxt0, s.nxt1, states.size());
+            return strprintf("DOU state %zu: successor out of range "
+                             "(%u/%u of %zu states)",
+                             i, s.nxt0, s.nxt1, states.size());
         for (unsigned p = 0; p < SegPointsPerColumn; ++p) {
             if (s.seg[p] > 0xf)
-                fatal("DOU state %zu: seg[%u] wider than 4 bits", i, p);
+                return strprintf("DOU state %zu: seg[%u] wider than 4 "
+                                 "bits",
+                                 i, p);
         }
     }
+    return "";
+}
+
+void
+DouProgram::validate() const
+{
+    const std::string why = malformed();
+    if (!why.empty())
+        fatal("%s", why.c_str());
 }
 
 uint64_t

@@ -30,6 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -126,7 +127,15 @@ struct DouProgram
     /** A single self-looping all-idle state. */
     static DouProgram idle();
 
-    /** fatal() if the program violates hardware limits. */
+    /**
+     * Why the program violates the hardware's limits — no states,
+     * more than DouMaxStates, a counter or successor out of range, a
+     * SEG field wider than 4 bits — or "" when it does not. A
+     * well-formed program never steps past its states.
+     */
+    std::string malformed() const;
+
+    /** fatal() with malformed()'s reason, if there is one. */
     void validate() const;
 
     /** The position after reset: state 0, counters at their inits. */

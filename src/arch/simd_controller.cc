@@ -436,14 +436,4 @@ SimdController::stallCredit(Tick slots)
     }
 }
 
-Tick
-SimdController::stallBlock(const std::vector<Tile *> &tiles,
-                           Tick max_slots)
-{
-    if (max_slots == 0 || !commStalled(tiles))
-        return 0;
-    stallCredit(max_slots);
-    return max_slots;
-}
-
 } // namespace synchro::arch

@@ -115,14 +115,6 @@ class SimdController
      */
     void stallCredit(Tick slots);
 
-    /**
-     * If commStalled(), consume @p max_slots stall slots through
-     * stallCredit() and return @p max_slots; return 0 otherwise. Only
-     * valid when the caller can prove no bus cycle moves data within
-     * the window — the ParallelColumns backend's comm-quiet windows.
-     */
-    Tick stallBlock(const std::vector<Tile *> &tiles, Tick max_slots);
-
     bool halted() const { return halted_; }
     uint32_t pc() const { return pc_; }
 

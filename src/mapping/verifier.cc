@@ -3,11 +3,12 @@
  * Static plan/program verifier implementation.
  *
  * The analyses here mirror the execution semantics of
- * arch/simd_controller.cc (issue order, loop-end unwinding),
- * arch/dou.cc (the counter state-machine step rule) and arch/bus.cc
- * (tag-matched pops, self-timed deferral) *exactly* — every proof below
- * is sound only because the abstract step rules are the concrete ones
- * with data values erased. When those files change, change this one.
+ * arch/simd_controller.cc (issue order, loop-end unwinding) and
+ * arch/bus.cc (tag-matched pops, self-timed deferral) *exactly* —
+ * every proof below is sound only because the abstract step rules
+ * are the concrete ones with data values erased. When those files
+ * change, change this one. The DOU programs are not interpreted
+ * here: the "slots" check walks the arch::BusTimeline the chip runs.
  */
 
 #include "mapping/verifier.hh"
@@ -16,11 +17,13 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "arch/bus_timeline.hh"
 #include "arch/dou.hh"
 #include "common/log.hh"
 #include "isa/uop.hh"
@@ -344,6 +347,21 @@ detail::walkComm(const std::vector<MicroOp> &uops, uint64_t budget)
     }
 }
 
+arch::BusTimeline
+detail::douTimeline(const PipelineProgram &prog)
+{
+    const auto idle =
+        std::make_shared<const arch::DouProgram>(arch::DouProgram::idle());
+    std::vector<std::shared_ptr<const arch::DouProgram>> programs(
+        prog.total_columns, idle);
+    for (const ColumnProgram &col : prog.columns) {
+        if (col.column < programs.size() && col.dou.malformed().empty())
+            programs[col.column] =
+                std::make_shared<const arch::DouProgram>(col.dou);
+    }
+    return arch::BusTimeline(std::move(programs));
+}
+
 namespace
 {
 
@@ -424,6 +442,7 @@ resolve(Analysis &a, VerifyReport &rep)
     }
 
     a.cols.resize(spec.stages.size());
+    std::set<unsigned> columns;
     for (const ColumnProgram &col : prog.columns) {
         auto it = idx.find(col.actor);
         if (it == idx.end())
@@ -442,6 +461,13 @@ resolve(Analysis &a, VerifyReport &rep)
         if (!ci.place)
             return shape("actor '" + col.actor +
                          "' has no placement in the plan");
+        if (col.column >= prog.total_columns)
+            return shape(strprintf("actor '%s' on column %u of %u",
+                                   col.actor.c_str(), col.column,
+                                   prog.total_columns));
+        if (!columns.insert(col.column).second)
+            return shape(strprintf("two actors on column %u",
+                                   col.column));
         ci.uops = isa::decodeProgram(col.program)->uops;
     }
     for (size_t i = 0; i < a.cols.size(); ++i) {
@@ -528,44 +554,38 @@ checkProgram(Analysis &a, VerifyReport &rep)
         if (malformed)
             continue;
 
-        auto successors = [&](size_t i) {
-            std::vector<uint32_t> s;
+        // The successors of pc i are succ[succ_at[i]] up to
+        // succ[succ_at[i + 1]]: one flat array, not a vector per pc.
+        std::vector<uint32_t> succ, succ_at{0};
+        for (size_t i = 0; i < n; ++i) {
             const MicroOp &u = uops[i];
             auto linear = [&](uint32_t next) {
                 if (next < n)
-                    s.push_back(next);
+                    succ.push_back(next);
                 for (uint32_t b : body_start_at[next])
-                    s.push_back(b);
+                    succ.push_back(b);
             };
             switch (u.kind) {
               case UopKind::Halt:
                 break;
               case UopKind::Jump:
-                s.push_back(uint32_t(u.imm));
+                succ.push_back(uint32_t(u.imm));
                 break;
               case UopKind::Jcc:
               case UopKind::Jncc:
-                s.push_back(uint32_t(u.imm));
+                succ.push_back(uint32_t(u.imm));
                 linear(uint32_t(i + 1));
                 break;
               default:
                 linear(uint32_t(i + 1));
                 break;
             }
-            return s;
-        };
+            succ_at.push_back(uint32_t(succ.size()));
+        }
 
         std::vector<isa::UopEffects> eff(n);
         for (size_t i = 0; i < n; ++i)
             eff[i] = isa::uopEffects(uops[i]);
-
-        std::vector<std::vector<uint32_t>> succ(n);
-        std::vector<std::vector<uint32_t>> pred(n);
-        for (size_t i = 0; i < n; ++i) {
-            succ[i] = successors(i);
-            for (uint32_t s : succ[i])
-                pred[s].push_back(uint32_t(i));
-        }
 
         // Must-initialize forward dataflow: in[pc] = the register
         // units written on EVERY path from entry. A read outside
@@ -580,7 +600,8 @@ checkProgram(Analysis &a, VerifyReport &rep)
             uint32_t i = work.back();
             work.pop_back();
             const uint32_t out = in[i] | eff[i].writes;
-            for (uint32_t s : succ[i]) {
+            for (uint32_t k = succ_at[i]; k < succ_at[i + 1]; ++k) {
+                const uint32_t s = succ[k];
                 uint32_t next = reach[s] ? (in[s] & out) : out;
                 if (!reach[s] || next != in[s]) {
                     in[s] = next;
@@ -619,8 +640,8 @@ checkProgram(Analysis &a, VerifyReport &rep)
             changed = false;
             for (size_t r = n; r-- > 0;) {
                 uint32_t out = 0;
-                for (uint32_t s : succ[r])
-                    out |= live[s];
+                for (uint32_t k = succ_at[r]; k < succ_at[r + 1]; ++k)
+                    out |= live[succ[k]];
                 uint32_t li = eff[r].reads | (out & ~eff[r].writes);
                 if (li != live[r]) {
                     live[r] = li;
@@ -632,15 +653,15 @@ checkProgram(Analysis &a, VerifyReport &rep)
             if (!reach[i])
                 continue;
             uint32_t out = 0;
-            for (uint32_t s : succ[i])
-                out |= live[s];
+            for (uint32_t k = succ_at[i]; k < succ_at[i + 1]; ++k)
+                out |= live[succ[k]];
             uint32_t dead = eff[i].writes & ~out;
             if (uops[i].kind == UopKind::Store ||
                 ((uops[i].kind == UopKind::Load) &&
                  (uops[i].flags & isa::UopPostMod))) {
                 dead &= ~(1u << (isa::UnitPtr0 + uops[i].rs1));
             }
-            if (!dead || succ[i].empty())
+            if (!dead || succ_at[i] == succ_at[i + 1])
                 continue;
             std::string units;
             for (unsigned u = 0; u < isa::NumRegUnits; ++u) {
@@ -687,6 +708,150 @@ checkProgram(Analysis &a, VerifyReport &rep)
 // ---------------------------------------------------------------------
 // "slots": conflict freedom, DOU/schedule agreement, feasibility
 // ---------------------------------------------------------------------
+
+/**
+ * The DOU half of "slots", proven on the schedule the chip runs: the
+ * bus timeline of the programs PipelineProgram::load leaves on the
+ * chip (detail::douTimeline), walked for one period from reset. Every
+ * active phase's (seg, buf) outputs must equal each column's
+ * schedule, every scheduled transfer must fall on an active phase,
+ * and at bus cycle `period` every DOU must be back at its reset
+ * position, which extends the proof to every later period by
+ * induction. Quiet phases move no data, so their segment switches
+ * are not compared. One finding per column, the first in bus-cycle
+ * order, in column order.
+ */
+std::vector<std::string>
+douFindings(const Analysis &a)
+{
+    const PipelineProgram &prog = *a.prog;
+    const size_t n = a.cols.size();
+    std::vector<std::string> finding(n);
+
+    // Each column's scheduled bus cycles in [0, period), ascending,
+    // with their reference outputs. A zero-period schedule defines
+    // none from its prologue on, so its column is not walked.
+    struct Due
+    {
+        uint64_t cycle;
+        const ActiveCycle *ref;
+    };
+    std::vector<std::vector<ActiveCycle>> active(n);
+    std::vector<std::vector<Due>> due(n);
+    for (size_t i = 0; i < n; ++i) {
+        const std::string why = a.cols[i].col->dou.malformed();
+        if (!why.empty()) {
+            finding[i] = "actor '" + a.cols[i].stage->actor + "': " + why;
+            continue;
+        }
+        const CommSchedule &sched = a.cols[i].col->schedule;
+        active[i] = scheduleActiveCycles(sched);
+        if (sched.period == 0) {
+            if (sched.prologue < prog.period)
+                finding[i] = "actor '" + a.cols[i].stage->actor +
+                             "': zero schedule period; DOU replay skipped";
+            continue;
+        }
+        for (uint64_t base = sched.prologue; base < prog.period;
+             base += sched.period) {
+            for (const ActiveCycle &c : active[i]) {
+                if (base + c.offset >= prog.period)
+                    break;
+                due[i].push_back({base + c.offset, &c});
+            }
+        }
+    }
+
+    auto collect = [&finding] {
+        std::vector<std::string> out;
+        for (std::string &f : finding) {
+            if (!f.empty())
+                out.push_back(std::move(f));
+        }
+        return out;
+    };
+    const arch::BusTimeline tl = detail::douTimeline(prog);
+    if (!tl.ready()) {
+        std::vector<std::string> out = collect();
+        out.push_back(strprintf(
+            "the joint DOU schedule does not close within the bus "
+            "timeline's bounds (%zu nodes, %llu comm-free steps); the "
+            "chip would step its DOUs literally",
+            arch::BusTimeline::MaxNodes,
+            (unsigned long long)arch::BusTimeline::WalkBudget));
+        return out;
+    }
+
+    // Check column i at bus cycle cyc, where its DOU outputs *out
+    // (null in a quiet phase, where it neither drives nor captures).
+    std::vector<size_t> next(n, 0); //!< first due entry not yet met
+    const ActiveCycle idle;
+    auto visit = [&](size_t i, uint64_t cyc, const arch::DouState *out) {
+        const char *name = a.cols[i].stage->actor.c_str();
+        const ActiveCycle *ref = &idle;
+        if (next[i] < due[i].size() && due[i][next[i]].cycle == cyc)
+            ref = due[i][next[i]++].ref;
+        const bool diverges =
+            out ? out->seg != ref->out.seg || out->buf != ref->out.buf
+                : ref->out.drivesOrCaptures();
+        if (!ref->malformed.empty()) {
+            finding[i] = strprintf("actor '%s': schedule is malformed at "
+                                   "bus cycle %llu (%s); DOU replay "
+                                   "skipped",
+                                   name, (unsigned long long)cyc,
+                                   ref->malformed.c_str());
+        } else if (diverges) {
+            finding[i] = strprintf("actor '%s': DOU output diverges from "
+                                   "its schedule at bus cycle %llu",
+                                   name, (unsigned long long)cyc);
+        }
+    };
+    auto quietUntil = [&](uint64_t end) {
+        for (size_t i = 0; i < n; ++i) {
+            while (finding[i].empty() && next[i] < due[i].size() &&
+                   due[i][next[i]].cycle < end)
+                visit(i, due[i][next[i]].cycle, nullptr);
+        }
+    };
+
+    std::vector<arch::DouPosition> pos;
+    uint64_t t = 0; //!< bus cycle at which the node's gap starts
+    arch::BusTimeline::Cursor cur;
+    while (true) {
+        const arch::BusTimeline::Node &node = tl.node(cur.node);
+        const uint64_t left = prog.period - t;
+        if (node.gap >= left) {
+            // The period ends in this gap (or at its active phase).
+            quietUntil(prog.period);
+            cur.used = left;
+            break;
+        }
+        quietUntil(t + node.gap);
+        tl.positionAt({cur.node, node.gap}, pos);
+        for (size_t i = 0; i < n; ++i) {
+            if (finding[i].empty()) {
+                const ColumnProgram &col = *a.cols[i].col;
+                visit(i, t + node.gap,
+                      &col.dou.states[pos[col.column].state]);
+            }
+        }
+        t += node.gap + 1;
+        cur = {node.next, 0};
+    }
+
+    tl.positionAt(cur, pos);
+    for (size_t i = 0; i < n; ++i) {
+        const ColumnProgram &col = *a.cols[i].col;
+        if (finding[i].empty() &&
+            !(pos[col.column] == col.dou.resetPosition())) {
+            finding[i] = "actor '" + a.cols[i].stage->actor +
+                         "': DOU machine does not return to its initial "
+                         "state after one period, so later periods "
+                         "diverge from the schedule";
+        }
+    }
+    return collect();
+}
 
 void
 checkSlots(Analysis &a, VerifyReport &rep)
@@ -834,106 +999,8 @@ checkSlots(Analysis &a, VerifyReport &rep)
         }
     }
 
-    // Abstract DOU replay: run each column's compiled state machine
-    // for one full period with the exact Dou::step() rule, compare
-    // every cycle's SEG/Buffer outputs against the schedule's
-    // reference interpretation, and require the machine to return to
-    // its initial state — which extends the one-period proof to every
-    // later period by induction. The reference is tabled once per
-    // active offset; every other cycle must output DouState{}, so a
-    // self-looping wait state that outputs DouState{} is charged in
-    // one step up to the next active offset.
-    for (const ColInfo &ci : a.cols) {
-        const arch::DouProgram &dou = ci.col->dou;
-        const CommSchedule &sched = ci.col->schedule;
-        const std::string &actor = ci.stage->actor;
-        if (dou.states.empty()) {
-            err("actor '" + actor + "': empty DOU program");
-            continue;
-        }
-        const std::vector<ActiveCycle> active =
-            scheduleActiveCycles(sched);
-        const ActiveCycle idle;
-        size_t next_active = 0; //!< first entry past the cycle's offset
-        unsigned st = 0;
-        std::array<uint32_t, arch::DouNumCounters> ctrs =
-            dou.counter_init;
-        bool bad = false;
-        for (uint64_t cyc = 0; cyc < prog.period && !bad; ++cyc) {
-            if (st >= dou.states.size()) {
-                err(strprintf("actor '%s': DOU transitions to "
-                              "missing state %u",
-                              actor.c_str(), st));
-                bad = true;
-                break;
-            }
-            const arch::DouState &out = dou.states[st];
-            const ActiveCycle *ref = &idle;
-            // The first cycle after this one whose reference may not
-            // be DouState{}.
-            uint64_t next_busy = sched.prologue;
-            if (cyc >= sched.prologue) {
-                if (sched.period == 0) {
-                    err(strprintf("actor '%s': zero schedule period; "
-                                  "DOU replay skipped",
-                                  actor.c_str()));
-                    bad = true;
-                    break;
-                }
-                const uint64_t off =
-                    (cyc - sched.prologue) % sched.period;
-                if (off == 0)
-                    next_active = 0;
-                if (next_active < active.size() &&
-                    active[next_active].offset == off)
-                    ref = &active[next_active++];
-                next_busy = cyc - off +
-                            (next_active < active.size()
-                                 ? active[next_active].offset
-                                 : sched.period);
-            }
-            if (!ref->malformed.empty()) {
-                err(strprintf("actor '%s': schedule is malformed at bus "
-                              "cycle %llu (%s); DOU replay skipped",
-                              actor.c_str(), (unsigned long long)cyc,
-                              ref->malformed.c_str()));
-                bad = true;
-                break;
-            }
-            if (out.seg != ref->out.seg || out.buf != ref->out.buf) {
-                err(strprintf("actor '%s': DOU output diverges from "
-                              "its schedule at bus cycle %llu",
-                              actor.c_str(),
-                              (unsigned long long)cyc));
-                bad = true;
-                break;
-            }
-            uint32_t &ctr = ctrs[out.cntr];
-            if (ctr == 0) {
-                ctr = dou.counter_init[out.cntr];
-                st = out.nxt0;
-                continue;
-            }
-            --ctr;
-            st = out.nxt1;
-            if (st == unsigned(&out - dou.states.data()) && ref == &idle) {
-                // It stays here, outputting DouState{}, while the
-                // counter runs down: skip the cycles the reference
-                // idles through too.
-                const uint64_t k = std::min(
-                    {uint64_t(ctr), next_busy - cyc - 1,
-                     prog.period - 1 - cyc});
-                ctr -= uint32_t(k);
-                cyc += k;
-            }
-        }
-        if (!bad && (st != 0 || ctrs != dou.counter_init)) {
-            err("actor '" + actor +
-                "': DOU machine does not return to its initial "
-                "state after one period, so later periods diverge "
-                "from the schedule");
-        }
-    }
+    for (std::string &msg : douFindings(a))
+        err(std::move(msg));
 
     a.slots_clean = clean;
 }

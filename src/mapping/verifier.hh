@@ -21,12 +21,18 @@
  *
  *  - "slots": global bus-slot conflict freedom — no two columns ever
  *    drive the same lane in the same bus cycle, every capture has
- *    exactly one matching drive, each column's compiled DOU program
- *    is replayed abstractly for one full period against the
- *    reference scheduleOutputAt() and must return to its initial
- *    machine state (so the proof extends to every later period), and
- *    slots-as-ceiling feasibility: every edge's slot capacity covers
- *    its token rate at the lowering's grid pacing.
+ *    exactly one matching drive — and slots-as-ceiling feasibility:
+ *    every edge's slot capacity covers its token rate at the
+ *    lowering's grid pacing. The DOU programs are checked on the
+ *    schedule the chip runs, the arch::BusTimeline of the programs
+ *    PipelineProgram::load leaves on it (detail::douTimeline): every
+ *    program is well-formed (DouProgram::malformed), the timeline
+ *    closes within its bounds (so no chip built from the artifact
+ *    falls back to stepping its DOUs), and one period walked from
+ *    reset outputs each column's reference scheduleOutputAt() at
+ *    every active phase, puts every scheduled transfer on an active
+ *    phase and ends with every DOU at its reset position (so the
+ *    proof extends to every later period).
  *
  *  - "tags": an abstract walk of each column's comm sequence (exact
  *    when control flow is static or data-dependent branches enclose
@@ -53,9 +59,10 @@
  *
  * Cost: O(program + comm events + bus slots), not O(issue slots +
  * ticks). The comm walk charges branch-free loops in closed form;
- * the DOU replay tables the reference outputs once per active
- * offset and skips idle wait states in one step. Every finding is
- * the one stepping slot by slot would produce.
+ * the DOU check builds the bus timeline once (a few microseconds for
+ * the mapped apps) and visits its nodes and the scheduled transfers,
+ * never the quiet cycles between them. Every finding is the one
+ * stepping slot by slot would produce.
  */
 
 #ifndef SYNC_MAPPING_VERIFIER_HH
@@ -66,6 +73,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/bus_timeline.hh"
 #include "isa/uop.hh"
 #include "mapping/codegen.hh"
 
@@ -117,9 +125,9 @@ struct VerifyReport
  * it was lowered from, at the lowering's @p iterations_per_sec and
  * @p slack. Pure analysis: builds no chip, runs no ticks, mutates
  * nothing. Never fatal()s on verification failures — they come back
- * as findings, malformed column schedules included; fatal() only on
- * artifacts too malformed to analyze (e.g. a program that no longer
- * decodes).
+ * as findings, malformed column schedules and DOU programs included;
+ * fatal() only on artifacts too malformed to analyze (e.g. a program
+ * that no longer decodes).
  */
 VerifyReport verifyLowered(const DagSpec &spec, const ChipPlan &plan,
                            const PipelineProgram &prog,
@@ -190,6 +198,16 @@ constexpr uint64_t WalkBudget = 50'000'000;
  */
 WalkResult walkComm(const std::vector<isa::MicroOp> &uops,
                     uint64_t budget = WalkBudget);
+
+/**
+ * The bus timeline of @p prog on a chip of prog.total_columns
+ * columns, as PipelineProgram::load leaves it: each programmed
+ * column's DOU program, DouProgram::idle() on the others (and on a
+ * column whose program is malformed, which the "slots" check reports
+ * instead). Unbuilt. The "slots" check walks it; a chip loaded with
+ * @p prog builds the same timeline from the same programs.
+ */
+arch::BusTimeline douTimeline(const PipelineProgram &prog);
 
 } // namespace detail
 

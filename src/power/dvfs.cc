@@ -568,91 +568,4 @@ runGoverned(const DvfsAppHooks &app,
     return res;
 }
 
-std::shared_ptr<GovernedFleetState>
-makeGovernedFleetState(const DvfsAppHooks &app,
-                       const sim::TrafficSpec &traffic,
-                       const DvfsGovernorConfig &cfg)
-{
-    if (app.iterations_per_item == 0)
-        fatal("makeGovernedFleetState(%s): iterations_per_item must "
-              "be set",
-              app.name.c_str());
-    VfModel vf;
-    SupplyLevels levels(vf);
-
-    auto state = std::make_shared<GovernedFleetState>();
-    state->table = SafeTransitionTable::build(
-        app.artifact, cfg.rate_scales, levels);
-    state->cfg = cfg;
-    state->cfg.setpoint =
-        app.setpoint > 0 ? app.setpoint : cfg.setpoint;
-    state->nominal_window_ticks =
-        double(app.iterations_per_item) /
-        app.artifact.iterations_per_sec *
-        app.artifact.plan.ref_freq_mhz * 1e6;
-
-    sim::TrafficScenario scenario(traffic);
-    for (const sim::TrafficEvent &ev : scenario.events()) {
-        if (!ev.idle)
-            state->rate_by_item.push_back(ev.rate_scale);
-    }
-    return state;
-}
-
-sim::FleetWorkload
-governedFleetWorkload(const DvfsAppHooks &app,
-                      std::shared_ptr<GovernedFleetState> state)
-{
-    sim::FleetWorkload wl = app.workload;
-    wl.name = app.name + "-governed";
-
-    // Slower points drain later: budget for the slowest table point
-    // (points are sorted ascending by rate scale, so front() is it).
-    wl.tick_limit = itemBudget(app.workload.tick_limit,
-                               state->table.points().front());
-
-    auto inner_feed = app.workload.feed;
-    wl.feed = [state, inner_feed](arch::Chip &chip, uint64_t item) {
-        std::lock_guard<std::mutex> lk(state->mu);
-        GovernedFleetState::PerChip &pc = state->chips[&chip];
-        if (chip.curTick() == 0) {
-            // A chip that has never run is a fresh clone, so a new
-            // stream — even where it reuses a freed chip's address.
-            // Start its own controller: decisions depend only on the
-            // stream's own history, so any worker count serves the
-            // same trajectory.
-            pc = GovernedFleetState::PerChip{};
-            pc.gov = std::make_unique<DvfsGovernor>(
-                state->table, state->nominal_window_ticks,
-                state->cfg);
-            pc.cur = state->table.baselineIndex();
-        } else {
-            // Observe the previous item before feed() restarts the
-            // chip: curTick() is still its drain time.
-            pc.gov->observe(
-                pc.cur, chip.curTick(),
-                activityDelta(pc.after_feed, collectActivity(chip)),
-                busDeferrals(chip) - pc.deferrals);
-        }
-        size_t target = pc.gov->decide(state->rateForItem(item));
-        inner_feed(chip, item);
-        if (target != pc.cur) {
-            if (!pc.gov->applyPoint(chip, target)) {
-                fatal("governed fleet: failed to apply verified "
-                      "point %zu",
-                      target);
-            }
-            pc.cur = target;
-        }
-        pc.after_feed = collectActivity(chip);
-        pc.deferrals = busDeferrals(chip);
-        state->decision_by_item[item] = target;
-    };
-    wl.release = [state](arch::Chip &chip) {
-        std::lock_guard<std::mutex> lk(state->mu);
-        state->chips.erase(&chip);
-    };
-    return wl;
-}
-
 } // namespace synchro::power

@@ -36,18 +36,13 @@
  * runGoverned() drives one chip through a sim::TrafficScenario under
  * a Static / Governed / Oracle policy and prices the run epoch by
  * epoch (power::priceActivityEpochs), so each inter-reconfiguration
- * stretch is charged at its own V/f point. governedFleetWorkload()
- * wraps a fleet workload with per-stream governor state so whole
- * chip fleets serve bursty traffic governed.
+ * stretch is charged at its own V/f point.
  */
 
 #ifndef SYNC_POWER_DVFS_HH
 #define SYNC_POWER_DVFS_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -358,65 +353,6 @@ struct GovernedRunResult
 GovernedRunResult runGoverned(const DvfsAppHooks &app,
                               const sim::TrafficScenario &scenario,
                               const GovernedRunOptions &opt = {});
-
-/**
- * Shared state of a governed fleet: the one safe table plus one
- * governor per live stream chip. A stream owns its chip from clone to
- * release, so the chip identifies the stream — decisions depend only
- * on the stream's own history, so they are identical under any worker
- * count.
- */
-struct GovernedFleetState
-{
-    SafeTransitionTable table;
-    DvfsGovernorConfig cfg;
-    double nominal_window_ticks = 0;
-
-    /** Declared rate per work item, cycled from the traffic spec. */
-    std::vector<double> rate_by_item;
-
-    double
-    rateForItem(uint64_t item) const
-    {
-        if (rate_by_item.empty())
-            return 1.0;
-        return rate_by_item[item % rate_by_item.size()];
-    }
-
-    std::mutex mu;
-
-    struct PerChip
-    {
-        std::unique_ptr<DvfsGovernor> gov;
-        size_t cur = 0;
-        ActivityReport after_feed;
-        uint64_t deferrals = 0;
-    };
-
-    /** Keyed by serving chip: reset when a fresh clone (curTick() ==
-     *  0) starts a stream, erased when the fleet releases the chip,
-     *  so it holds only the live streams. */
-    std::map<const arch::Chip *, PerChip> chips;
-
-    /** decide() outcome per served work item (determinism probe). */
-    std::map<uint64_t, size_t> decision_by_item;
-};
-
-/** Build the shared state (table + per-item rates) for @p app. */
-std::shared_ptr<GovernedFleetState> makeGovernedFleetState(
-    const DvfsAppHooks &app, const sim::TrafficSpec &traffic,
-    const DvfsGovernorConfig &cfg = {});
-
-/**
- * Wrap @p app's fleet workload with the governor: feed() observes
- * the previous item, decides from the item's declared rate, and
- * applies the point at tick 0 right after the inner feed; release()
- * drops the stream's controller. Outputs are unchanged — every
- * operating point is bit-exact by construction.
- */
-sim::FleetWorkload governedFleetWorkload(
-    const DvfsAppHooks &app,
-    std::shared_ptr<GovernedFleetState> state);
 
 } // namespace synchro::power
 

@@ -343,16 +343,6 @@ FleetExecutor::finishStream(Stream &s, Worker &shard)
             [&shard](const std::string &name, uint64_t v) {
                 shard.counters[name] += v;
             });
-        try {
-            if (s.wl->release)
-                s.wl->release(*s.chip);
-        } catch (const std::exception &e) {
-            ++s.res.mismatches;
-            if (s.res.first_failure.empty()) {
-                s.res.first_failure = strprintf(
-                    "%s release: %s", s.wl->name.c_str(), e.what());
-            }
-        }
         s.chip.reset();
     }
 }

@@ -110,14 +110,6 @@ struct FleetWorkload
 
     /** The item's golden reference (dsp:: chain), as bytes. */
     std::function<std::vector<uint8_t>(uint64_t item)> golden;
-
-    /**
-     * Optional: called on a stream's chip after its last item, just
-     * before the fleet frees the chip, so a workload that keeps
-     * per-stream state keyed on the chip can drop it. A throw is
-     * recorded as the stream's failure; the chip is freed anyway.
-     */
-    std::function<void(arch::Chip &)> release;
 };
 
 struct FleetConfig

@@ -622,7 +622,7 @@ class ColumnTeam
  * commQuiet() — the same comm-free gap the edge walk batches phases
  * with, derived from the per-edge slot schedules of
  * allocateEdgeSlots — and inside the proven window every domain's
- * issue slots (domainEdgeBlock/domainStallBlock/domainEdge) touch
+ * issue slots (domainEdgeBlock/domainStallCredit/domainEdge) touch
  * only domain-private state (domainsIndependent()). Columns
  * therefore free-run through the window on team threads and
  * rendezvous at the epoch barrier; the leader advances the window's
@@ -747,8 +747,10 @@ class ParallelColumnsScheduler : public EdgeWalk
             // the proven-quiet window.
             const Tick max_slots = (win_end_ - next) / div + 1;
             Tick k = model.domainEdgeBlock(d, max_slots);
-            if (k == 0 && max_slots > 1)
-                k = model.domainStallBlock(d, max_slots);
+            if (k == 0 && max_slots > 1 && model.domainCommStalled(d)) {
+                model.domainStallCredit(d, max_slots);
+                k = max_slots;
+            }
             if (k == 0) {
                 model.domainEdge(d);
                 k = 1;

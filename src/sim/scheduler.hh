@@ -181,7 +181,8 @@ class SchedModel
     }
 
     /**
-     * Compiled-backend hook: true when domain @p d's next issue slot
+     * Compiled and ParallelColumns hook: true when domain @p d's next
+     * issue slot
      * is a comm op whose hazard holds (for the chip: a crd on an
      * empty or a cwr on a full buffer). The domain then stays stalled
      * — every slot a stall or a rate-match nop, with no effect on
@@ -196,11 +197,12 @@ class SchedModel
     }
 
     /**
-     * Compiled-backend hook: credit @p slots issue slots of a
-     * comm-stalled domain @p d in one call, exactly as that many
+     * Compiled and ParallelColumns hook: credit @p slots issue slots
+     * of a comm-stalled domain @p d in one call, exactly as that many
      * domainEdge() calls would. Unchecked: the scheduler calls it
      * only for edges that precede every reference phase touching
-     * the domain since it stalled.
+     * the domain since it stalled (ParallelColumns: edges inside a
+     * comm-quiet window, where no reference phase touches any).
      */
     virtual void
     domainStallCredit(unsigned d, Tick slots)
@@ -233,21 +235,6 @@ class SchedModel
     commQuiet(Tick max) const
     {
         (void)max;
-        return 0;
-    }
-
-    /**
-     * ParallelColumns hook: the scheduler has proven the next
-     * @p max_slots edges of domain @p d fall inside a comm-quiet
-     * window (commQuiet()); if the domain is stalled on a comm
-     * hazard, consume that many stall slots in one call.
-     * Returns the slots consumed; 0 = not comm-stalled.
-     */
-    virtual Tick
-    domainStallBlock(unsigned d, Tick max_slots)
-    {
-        (void)d;
-        (void)max_slots;
         return 0;
     }
 

@@ -1,14 +1,13 @@
 /** @file Online DVFS governor: safe-transition table proofs,
  * planted-unsafe rejection, steady-phase convergence to the measured
- * oracle, backend and fleet worker-count determinism, and the
- * epoch-faithful power attribution under mid-run rate steps. */
+ * oracle, backend determinism, and the epoch-faithful power
+ * attribution under mid-run rate steps. */
 
 #include <gtest/gtest.h>
 
 #include <any>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -442,62 +441,4 @@ TEST(ActivityEpochs, MidRunRateStepIsPricedPerEpochNotAggregated)
     EXPECT_GT(std::abs(naive.multi_v.total() - faithful),
               0.005 * faithful);
     EXPECT_GE(gov.power.vmax, naive.vmax);
-}
-
-// ---------------------------------------------------------------
-// Governed fleet serving.
-
-TEST(GovernedFleet, DecisionsAreIdenticalUnderAnyWorkerCount)
-{
-    DvfsAppHooks app = ddcHooks();
-    sim::TrafficSpec traffic = sim::TrafficSpec::bursty(2004, 2);
-    auto fleetConfig = [](unsigned workers) {
-        sim::FleetConfig fc;
-        fc.workers = workers;
-        fc.scheduler = SchedulerKind::FastEdge;
-        return fc;
-    };
-
-    // Reference: each of four streams with disjoint, contiguous item
-    // ranges served on a governed state of its own, so no controller
-    // can carry over from one stream to the next.
-    std::map<uint64_t, size_t> ref;
-    for (unsigned s = 0; s < 4; ++s) {
-        auto state = makeGovernedFleetState(app, traffic);
-        sim::FleetExecutor fleet(fleetConfig(1));
-        unsigned id = fleet.addWorkload(governedFleetWorkload(app, state));
-        fleet.admitStream(id, 4, uint64_t(s) * 4);
-        ASSERT_TRUE(fleet.drain().all_verified);
-        for (const auto &kv : state->decision_by_item) {
-            EXPECT_LT(kv.second, state->table.points().size());
-            ref.insert(kv);
-        }
-    }
-    ASSERT_EQ(ref.size(), 16u);
-
-    // The same streams on one shared state, admitted together or
-    // admitted and drained one at a time. Draining one at a time
-    // frees each stream's chip before the next stream's clone, which
-    // may reuse its address — the new stream must still start a
-    // controller of its own.
-    for (bool one_at_a_time : {false, true}) {
-        for (unsigned workers : {1u, 2u, 4u}) {
-            auto state = makeGovernedFleetState(app, traffic);
-            sim::FleetExecutor fleet(fleetConfig(workers));
-            unsigned id = fleet.addWorkload(governedFleetWorkload(app, state));
-            for (unsigned s = 0; s < 4; ++s) {
-                fleet.admitStream(id, 4, uint64_t(s) * 4);
-                if (one_at_a_time)
-                    fleet.drain();
-            }
-            sim::FleetReport rep = fleet.drain();
-
-            EXPECT_TRUE(rep.all_verified);
-            EXPECT_EQ(rep.items, 16u);
-            EXPECT_EQ(state->decision_by_item, ref)
-                << workers << " workers, one at a time: " << one_at_a_time;
-            // Every finished stream's controller went with its chip.
-            EXPECT_TRUE(state->chips.empty());
-        }
-    }
 }

@@ -513,48 +513,6 @@ TEST(Fleet, ThrowingFeedAbandonsStreamWithoutDeadlockingDrain)
     EXPECT_EQ(rep2.stream_results[3].first_failure, "");
 }
 
-TEST(Fleet, ThrowingReleaseIsRecordedAndDrainCompletes)
-{
-    // release runs after a stream's last item, outside the item's
-    // hooks; a throw there must be recorded like any hook failure
-    // instead of leaving the worker thread.
-    sim::FleetConfig fc;
-    fc.workers = 2;
-    sim::FleetExecutor fleet(fc);
-
-    sim::FleetWorkload bad = sumWorkload(23);
-    bad.name = "throws-release";
-    unsigned released = 0;
-    bad.release = [&released](Chip &) {
-        ++released;
-        throw std::runtime_error("release rejected chip");
-    };
-    unsigned b = fleet.addWorkload(bad);
-    unsigned ok = fleet.addWorkload(sumWorkload(23));
-    fleet.admitStream(b, 3, 0);
-    fleet.admitStream(ok, 2, 0);
-
-    sim::FleetReport rep = fleet.drain();
-    EXPECT_FALSE(rep.all_verified);
-    EXPECT_EQ(rep.items, 5u);
-    EXPECT_EQ(rep.items_abandoned, 0u);
-    EXPECT_EQ(rep.totals.halted, 5u);
-    EXPECT_EQ(released, 1u);
-    ASSERT_EQ(rep.stream_results.size(), 2u);
-    EXPECT_EQ(rep.stream_results[0].items_done, 3u);
-    EXPECT_NE(rep.stream_results[0].first_failure.find(
-                  "release rejected chip"),
-              std::string::npos);
-    EXPECT_EQ(rep.stream_results[1].first_failure, "");
-
-    // The worker survived: the fleet still serves.
-    fleet.admitStream(ok, 1, 5);
-    sim::FleetReport rep2 = fleet.drain();
-    EXPECT_EQ(rep2.items, 6u);
-    EXPECT_EQ(rep2.stream_results[2].items_done, 1u);
-    EXPECT_EQ(rep2.stream_results[2].first_failure, "");
-}
-
 TEST(Fleet, EarlierReportsOutliveLaterDrainsAndTheExecutor)
 {
     // Reports share the executor's append-only stream history: a

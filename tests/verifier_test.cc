@@ -23,6 +23,7 @@
 #include "mapping/comm_schedule.hh"
 #include "mapping/explorer.hh"
 #include "mapping/verifier.hh"
+#include "power/dvfs.hh"
 #include "verifier_corpus.hh"
 
 using namespace synchro;
@@ -434,6 +435,174 @@ TEST(Verifier, MalformedColumnScheduleReportedNotThrown)
         std::vector<Transfer> &ts = dup.prog.columns[0].schedule.transfers;
         ts.push_back(ts[0]);
         expectReported(dup, "two transfers on one lane and offset");
+    }
+}
+
+TEST(Verifier, UnclosedBusTimelineReportedNotThrown)
+{
+    // The coprime schedules of bus_timeline_test (periods 97 and 89,
+    // a slot every other cycle) as a chain's DOU programs: their
+    // joint period holds far more active phases than the timeline
+    // keeps, so a chip would step these DOUs literally. The verifier
+    // reports the bound instead of walking a schedule it cannot hold.
+    ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
+                             {ZormSetting{}, ZormSetting{1, 4}});
+    const DagSpec spec = linearDagSpec(twoActorStages(200));
+    PipelineProgram prog = lowerDag(spec, plan, 20e6);
+    for (unsigned c = 0; c < 2; ++c) {
+        Transfer t;
+        t.lane = c;
+        t.src_tile = c == 0 ? 0 : -1;
+        t.to_horizontal = c == 0;
+        if (c == 1)
+            t.dst_tiles = {0};
+        CommSchedule sched;
+        sched.period = c == 0 ? 97 : 89;
+        for (t.offset = 0; t.offset < sched.period; t.offset += 2)
+            sched.transfers.push_back(t);
+        prog.columns[c].dou = compileSchedule(sched);
+    }
+    EXPECT_FALSE(detail::douTimeline(prog).ready());
+
+    VerifyReport rep;
+    EXPECT_NO_THROW(rep = verifyLowered(spec, plan, prog, 20e6, 1.4));
+    EXPECT_FALSE(rep.checkPassed("slots"));
+    EXPECT_NE(rep.errorSummary().find(strprintf(
+                  "[slots] the joint DOU schedule does not close "
+                  "within the bus timeline's bounds (%zu nodes",
+                  arch::BusTimeline::MaxNodes)),
+              std::string::npos)
+        << rep.render();
+    EXPECT_EQ(rep.render().find("DOU output diverges"), std::string::npos)
+        << rep.render();
+}
+
+TEST(Verifier, MalformedDouProgramReportedNotThrown)
+{
+    // A DOU program Dou::load() would refuse — a successor past its
+    // states, or no states at all — is a "slots" finding. The
+    // timeline idles that column, so no walk reads past its states,
+    // and the other column is still checked against its schedule.
+    ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
+                             {ZormSetting{}, ZormSetting{1, 4}});
+    const DagSpec spec = linearDagSpec(twoActorStages(200));
+    const PipelineProgram clean = lowerDag(spec, plan, 20e6);
+    ASSERT_EQ(clean.columns[1].actor, "sink");
+
+    PipelineProgram succ = clean;
+    arch::DouProgram &dou = succ.columns[1].dou;
+    dou.states[0].nxt1 = uint8_t(dou.states.size());
+    EXPECT_TRUE(detail::douTimeline(succ).ready());
+    VerifyReport rep;
+    EXPECT_NO_THROW(rep = verifyLowered(spec, plan, succ, 20e6, 1.4));
+    EXPECT_FALSE(rep.checkPassed("slots"));
+    EXPECT_NE(rep.errorSummary().find(
+                  "[slots] actor 'sink': DOU state 0: successor out of "
+                  "range"),
+              std::string::npos)
+        << rep.render();
+    EXPECT_EQ(rep.render().find("actor 'source': DOU"), std::string::npos)
+        << rep.render();
+
+    PipelineProgram empty = clean;
+    empty.columns[0].dou.states.clear();
+    EXPECT_TRUE(detail::douTimeline(empty).ready());
+    EXPECT_NO_THROW(rep = verifyLowered(spec, plan, empty, 20e6, 1.4));
+    EXPECT_FALSE(rep.checkPassed("slots"));
+    EXPECT_NE(rep.errorSummary().find(
+                  "[slots] actor 'source': DOU program has no states"),
+              std::string::npos)
+        << rep.render();
+    EXPECT_EQ(rep.render().find("actor 'sink': DOU"), std::string::npos)
+        << rep.render();
+}
+
+TEST(Verifier, ColumnOutsideThePlanIsAShapeError)
+{
+    // The DOU walk reads each column's position by chip column, so a
+    // column index past total_columns, or one two actors share, stops
+    // the analysis as an artifact-shape error.
+    ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
+                             {ZormSetting{}, ZormSetting{1, 4}});
+    const DagSpec spec = linearDagSpec(twoActorStages(200));
+    const PipelineProgram clean = lowerDag(spec, plan, 20e6);
+    ASSERT_EQ(clean.total_columns, 2u);
+
+    PipelineProgram past = clean;
+    past.columns[1].column = 2;
+    EXPECT_EQ(verifyLowered(spec, plan, past, 20e6, 1.4).errorSummary(),
+              "[slots] artifact shape: actor 'sink' on column 2 of 2");
+
+    PipelineProgram shared = clean;
+    shared.columns[1].column = shared.columns[0].column;
+    EXPECT_EQ(verifyLowered(spec, plan, shared, 20e6, 1.4).errorSummary(),
+              strprintf("[slots] artifact shape: two actors on column %u",
+                        shared.columns[0].column));
+}
+
+TEST(Verifier, DouAwayFromResetAfterOnePeriodRejected)
+{
+    // The sink's DOU wraps into a copy of its first state instead of
+    // the state itself: it outputs its schedule cycle for cycle
+    // forever, but one period does not end at the reset position, so
+    // the one-period proof does not extend to the next period.
+    ChipPlan plan = makePlan({"source", "sink"}, {2, 3},
+                             {ZormSetting{}, ZormSetting{1, 4}});
+    const DagSpec spec = linearDagSpec(twoActorStages(200));
+    PipelineProgram prog = lowerDag(spec, plan, 20e6);
+    ASSERT_EQ(prog.columns[1].actor, "sink");
+    arch::DouProgram &dou = prog.columns[1].dou;
+    const uint8_t copy = uint8_t(dou.states.size());
+    dou.states.push_back(dou.states[0]);
+    for (arch::DouState *st : {&dou.states[copy - 1], &dou.states[copy]}) {
+        for (uint8_t *nxt : {&st->nxt0, &st->nxt1}) {
+            if (*nxt == 0)
+                *nxt = copy;
+        }
+    }
+
+    const VerifyReport rep = verifyLowered(spec, plan, prog, 20e6, 1.4);
+    EXPECT_EQ(rep.errorSummary(),
+              "[slots] actor 'sink': DOU machine does not return to its "
+              "initial state after one period, so later periods "
+              "diverge from the schedule")
+        << rep.render();
+}
+
+TEST(Verifier, VerifiedChipsRunTheTimelineTheVerifierWalked)
+{
+    // A chip built from a verified artifact, for every app at every
+    // safe-table point, holds a closed bus timeline before its first
+    // tick, so no fast backend falls back to stepping its DOUs, and
+    // its nodes are the ones the "slots" check walked.
+    power::VfModel vf;
+    power::SupplyLevels levels(vf);
+    for (const std::string &name :
+         apps::AppRegistry::instance().names()) {
+        const LoweredArtifact art =
+            apps::AppRegistry::instance().at(name).verifiable();
+        const arch::BusTimeline walked = detail::douTimeline(art.prog);
+        ASSERT_TRUE(walked.ready()) << name;
+        const power::SafeTransitionTable table =
+            power::SafeTransitionTable::build(
+                art, power::DvfsGovernorConfig{}.rate_scales, levels);
+        ASSERT_GT(table.points().size(), 1u) << name;
+        for (const power::DvfsOperatingPoint &pt : table.points()) {
+            PipelineProgram prog = art.prog;
+            for (size_t i = 0; i < prog.columns.size(); ++i)
+                prog.columns[i].zorm = pt.zorms[i];
+            auto chip = buildChip(pt.plan, prog, SchedulerKind::Compiled);
+            const auto timeline = chip->busTimeline();
+            ASSERT_TRUE(timeline->ready())
+                << name << " scale " << pt.rate_scale;
+            ASSERT_EQ(timeline->numNodes(), walked.numNodes()) << name;
+            for (uint32_t i = 0; i < walked.numNodes(); ++i) {
+                EXPECT_EQ(timeline->node(i).gap, walked.node(i).gap)
+                    << name << " node " << i;
+                EXPECT_EQ(timeline->node(i).next, walked.node(i).next)
+                    << name << " node " << i;
+            }
+        }
     }
 }
 

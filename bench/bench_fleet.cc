@@ -7,15 +7,18 @@
  * plan + codegen + program load. At the 256-stream scale every served item
  * is additionally re-run solo on the calling thread on a clone of
  * the same template and compared byte for byte. Appends
- * chips/sec, aggregate ticks/sec and the warm-start speedup to
- * BENCH_fleet.json so the trajectory is tracked across PRs.
+ * chips/sec, aggregate ticks/sec, the warm-start speedup and the
+ * per-stream stat-harvest cost to BENCH_fleet.json so the
+ * trajectory is tracked across PRs.
  */
 
 #include <algorithm>
 #include <any>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -202,6 +205,31 @@ main(int argc, char **argv)
         report.set("warm_start", wl.name + "_clone_ms", clone_ms);
         report.set("warm_start", wl.name + "_warm_start_speedup",
                    speedup);
+
+        // The fleet harvests a finished stream's counters by
+        // position (Chip::sumStats); naming each one (forEachStat)
+        // is what a harvest into a name-keyed map would cost.
+        std::vector<uint64_t> sums;
+        std::map<std::string, uint64_t> named;
+        double harvest_ms = 0, named_ms = 0;
+        for (int b = 0; b < Pairs; ++b) {
+            const double h = blockMs(200, [&] { copy->sumStats(sums); });
+            const double n = blockMs(200, [&] {
+                copy->forEachStat(
+                    [&named](const std::string &k, uint64_t v) {
+                        named[k] += v;
+                    });
+            });
+            harvest_ms = b == 0 ? h : std::min(harvest_ms, h);
+            named_ms = b == 0 ? n : std::min(named_ms, n);
+        }
+        std::printf("  %-6s stat harvest %8.5f ms per stream "
+                    "(%8.5f ms by name)\n",
+                    wl.name.c_str(), harvest_ms, named_ms);
+        report.set("warm_start", wl.name + "_stat_harvest_ms",
+                   harvest_ms);
+        report.set("warm_start", wl.name + "_named_harvest_ms",
+                   named_ms);
     }
 
     if (!report.write()) {

@@ -1,5 +1,6 @@
 #include "apps/app_harness.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/log.hh"
@@ -16,19 +17,29 @@ mapping::PipelineProgram
 lowerOnto(const AppSpec &spec, const mapping::ChipPlan &plan,
           double rate)
 {
-    return mapping::lowerDag(spec.dag(spec.seed, plan), plan, rate,
+    return mapping::lowerDag(appDag(spec, spec.seed, plan), plan, rate,
                              spec.slack);
 }
 
+/** A tile-SRAM image resolved to its programmed column. */
+struct ColumnImage
+{
+    unsigned column = 0;
+    uint32_t addr = 0;
+    std::vector<uint8_t> bytes;
+};
+
 /**
  * The per-item warm path: Chip::restart() back to tick 0, wipe the
- * programmed tiles' SRAM, and write @p dag's stage images (matched
- * to columns by actor name). After it, the chip is bit-identical to
- * a fresh build of a program lowered from @p dag.
+ * programmed tiles' SRAM, and write the stages' constant images
+ * @p constants and the item's @p inputs (matched to columns by actor
+ * name). After it, the chip is bit-identical to a fresh build of a
+ * program lowered from the same item's appDag().
  */
 void
 refeedImages(arch::Chip &chip, const mapping::PipelineProgram &prog,
-             const mapping::DagSpec &dag)
+             const std::vector<ColumnImage> &constants,
+             const std::vector<InputImage> &inputs)
 {
     chip.restart();
     // restart() keeps tile SRAM; wipe the working tiles so no
@@ -36,15 +47,16 @@ refeedImages(arch::Chip &chip, const mapping::PipelineProgram &prog,
     // item's images exactly as PipelineProgram::load would.
     for (const auto &col : prog.columns)
         chip.column(col.column).tile(0).clearMem();
-    for (const auto &stage : dag.stages) {
-        const mapping::ColumnProgram &col =
-            prog.columnFor(stage.actor);
-        for (const auto &[addr, bytes] : stage.images)
-            chip.column(col.column)
-                .tile(0)
-                .writeMem(addr, bytes.data(),
-                          uint32_t(bytes.size()));
-    }
+    for (const ColumnImage &img : constants)
+        chip.column(img.column)
+            .tile(0)
+            .writeMem(img.addr, img.bytes.data(),
+                      uint32_t(img.bytes.size()));
+    for (const InputImage &img : inputs)
+        chip.column(prog.columnFor(img.actor).column)
+            .tile(0)
+            .writeMem(img.addr, img.bytes.data(),
+                      uint32_t(img.bytes.size()));
 }
 
 /** The fleet hooks around the committed program @p prog. */
@@ -54,6 +66,13 @@ servingWorkload(const AppSpec &spec, mapping::PipelineProgram prog)
     auto s = std::make_shared<const AppSpec>(spec);
     auto p = std::make_shared<const mapping::PipelineProgram>(
         std::move(prog));
+    auto constants = std::make_shared<std::vector<ColumnImage>>();
+    mapping::DagSpec stages = s->stages(s->plan);
+    for (auto &stage : stages.stages) {
+        const unsigned column = p->columnFor(stage.actor).column;
+        for (auto &[addr, bytes] : stage.images)
+            constants->push_back({column, addr, std::move(bytes)});
+    }
 
     sim::FleetWorkload wl;
     wl.name = s->name;
@@ -61,10 +80,10 @@ servingWorkload(const AppSpec &spec, mapping::PipelineProgram prog)
     wl.build = [s, p](SchedulerKind kind) {
         return mapping::buildChip(s->plan, *p, kind);
     };
-    wl.feed = [s, p](arch::Chip &chip, uint64_t item) {
-        refeedImages(chip, *p,
-                     s->dag(sim::fleetItemSeed(s->seed, item),
-                            s->plan));
+    wl.feed = [s, p, constants](arch::Chip &chip, uint64_t item) {
+        refeedImages(chip, *p, *constants,
+                     s->inputs(sim::fleetItemSeed(s->seed, item),
+                               s->plan));
     };
     wl.read_output = [s, p](arch::Chip &chip) {
         return s->read_output(chip, *p);
@@ -76,6 +95,24 @@ servingWorkload(const AppSpec &spec, mapping::PipelineProgram prog)
 }
 
 } // namespace
+
+mapping::DagSpec
+appDag(const AppSpec &spec, uint32_t seed, const mapping::ChipPlan &plan)
+{
+    mapping::DagSpec dag = spec.stages(plan);
+    for (InputImage &img : spec.inputs(seed, plan)) {
+        auto it = std::find_if(
+            dag.stages.begin(), dag.stages.end(),
+            [&img](const mapping::DagStage &st) {
+                return st.actor == img.actor;
+            });
+        if (it == dag.stages.end())
+            fatal("%s: input image for unknown actor '%s'",
+                  spec.name.c_str(), img.actor.c_str());
+        it->images.emplace_back(img.addr, std::move(img.bytes));
+    }
+    return dag;
+}
 
 std::optional<mapping::ChipPlan>
 planApp(const mapping::SdfGraph &graph,
@@ -171,7 +208,7 @@ lowerApp(const AppSpec &spec)
 {
     mapping::LoweredArtifact art;
     art.name = spec.name;
-    art.spec = spec.dag(spec.seed, spec.plan);
+    art.spec = appDag(spec, spec.seed, spec.plan);
     art.plan = spec.plan;
     art.iterations_per_sec = spec.iterations_per_sec;
     art.slack = spec.slack;

@@ -17,13 +17,15 @@
  *
  * Each app describes itself once, as an AppSpec: its baseline plan
  * and rates plus the few closures that are genuinely its own — the
- * seeded DAG, the tick budget, how to read its output back out of
- * tile SRAM, and which golden chain to compare against. Every app's
- * DAG is lowered the same way, by mapping::lowerDag onto the
- * self-timed bus. Every other view of the app — the explorer's
- * ExplorableApp, the verifier's LoweredArtifact, the fleet's
- * FleetWorkload, the governor's DvfsAppHooks and the common part of
- * runMappedX (MappedApp) — is derived here, once.
+ * DAG's item-independent stages, a work item's seeded input images,
+ * the tick budget, how to read its output back out of tile SRAM, and
+ * which golden chain to compare against. Every app's DAG (appDag:
+ * the stages plus one item's inputs) is lowered the same way, by
+ * mapping::lowerDag onto the self-timed bus. Every other view of
+ * the app — the explorer's ExplorableApp, the verifier's
+ * LoweredArtifact, the fleet's FleetWorkload, the governor's
+ * DvfsAppHooks and the common part of runMappedX (MappedApp) — is
+ * derived here, once.
  */
 
 #ifndef SYNC_APPS_APP_HARNESS_HH
@@ -80,6 +82,14 @@ struct MappedAppRun
     std::map<std::string, uint64_t> stats;
 };
 
+/** One tile-SRAM image of a work item's input. */
+struct InputImage
+{
+    std::string actor; //!< the stage whose column's tile holds it
+    uint32_t addr = 0;
+    std::vector<uint8_t> bytes;
+};
+
 /**
  * One mapped application, described once. The runners build it from
  * their params struct (ddcSpec, wifiSpec, stereoSpec, motionSpec);
@@ -127,10 +137,21 @@ struct AppSpec
     std::string output_label;
     unsigned output_width = 1;
 
-    /** The DAG for @p plan's shape with inputs drawn from @p seed. */
-    std::function<mapping::DagSpec(uint32_t seed,
-                                   const mapping::ChipPlan &plan)>
-        dag;
+    /**
+     * The DAG for @p plan's shape, holding only what every work item
+     * shares: kernels, edges and constant tables. A stage's images
+     * here never depend on the input.
+     */
+    std::function<mapping::DagSpec(const mapping::ChipPlan &plan)>
+        stages;
+
+    /**
+     * The input images of the inputs drawn from @p seed, for @p
+     * plan's shape. They never overlap a stage's constant images.
+     */
+    std::function<std::vector<InputImage>(
+        uint32_t seed, const mapping::ChipPlan &plan)>
+        inputs;
 
     /** Tick budget for one run of @p prog lowered onto @p plan. */
     std::function<Tick(const mapping::ChipPlan &plan,
@@ -171,6 +192,14 @@ ownSeedCached(uint32_t own_seed, Draw draw)
         return seed == own_seed ? *own : draw(seed);
     };
 }
+
+/**
+ * @p spec's DAG for @p plan with inputs drawn from @p seed: the
+ * stages with each input image added to its actor's stage. fatal()
+ * on an input for an actor the stages do not have.
+ */
+mapping::DagSpec appDag(const AppSpec &spec, uint32_t seed,
+                        const mapping::ChipPlan &plan);
 
 /**
  * Methodology step 2: map @p graph with the stock power model and
@@ -242,9 +271,11 @@ mapping::ExplorableApp explorableApp(const AppSpec &spec);
 /**
  * Package @p spec for sim::FleetExecutor. The committed lowering is
  * done here, once: build() only constructs and loads the chip, and
- * each item's feed() restarts the chip and rewrites the item-seeded
- * input images — programs, DOU schedules and ZORM settings depend
- * only on the app parameters, never on the input data.
+ * each item's feed() restarts the chip, clears its programmed tiles,
+ * and writes the stages' constant images (resolved once) plus the
+ * item's input images — programs, DOU schedules, ZORM settings and
+ * constant tables depend only on the app parameters, never on the
+ * input data.
  */
 sim::FleetWorkload fleetWorkload(const AppSpec &spec);
 

@@ -112,8 +112,7 @@ padImage(const dsp::Image &img)
 }
 
 DagStage
-meStage(unsigned which, unsigned cols, const dsp::Image &cur,
-        const dsp::Image &ref)
+meStage(unsigned which, unsigned cols)
 {
     DagStage s;
     s.actor = strprintf("me-%u", which);
@@ -164,17 +163,6 @@ meStage(unsigned which, unsigned cols, const dsp::Image &cur,
         cwr r2, %u
 )",
                        MotionCands, Mb, W - Mb, PadW - Mb, which);
-
-    // Current frame and the four alignment mirrors of the padded
-    // reference.
-    s.images.push_back({MeCur, cur.pixels()});
-    dsp::Image padded = padImage(ref);
-    for (unsigned shift = 0; shift < 4; ++shift) {
-        std::vector<uint8_t> copy(RefBytes, 0);
-        for (unsigned b = 0; b + shift < RefBytes; ++b)
-            copy[b] = padded.pixels()[b + shift];
-        s.images.push_back({MeRef + shift * RefBytes, std::move(copy)});
-    }
 
     // Candidate tables for this shard's macroblocks: [cur mb base,
     // then one padded-reference address per candidate].
@@ -275,15 +263,21 @@ motionScene(const MotionPipelineParams &p, dsp::Image &cur,
     checkParams(p);
     // A textured scene translated by the pan with a little sensor
     // noise — the same construction the mpeg4_encode example uses.
+    // Each texture term depends on x, y or x + y alone, so it is
+    // tabulated once per image: the same expressions, summed in the
+    // same order, as evaluating them per pixel.
     auto scene = [&](int dx, int dy, dsp::Image &img) {
+        double tx[W], ty[H], txy[W + H - 1];
+        for (unsigned x = 0; x < W; ++x)
+            tx[x] = 50 * std::sin((int(x) + dx) / 7.0);
+        for (unsigned y = 0; y < H; ++y)
+            ty[y] = 40 * std::cos((int(y) + dy) / 9.0);
+        for (unsigned s = 0; s < W + H - 1; ++s)
+            txy[s] = 20 * std::sin((int(s) + dx + dy) / 5.0);
         Rng rng(p.seed);
         for (unsigned y = 0; y < H; ++y) {
             for (unsigned x = 0; x < W; ++x) {
-                double v =
-                    128 + 50 * std::sin((int(x) + dx) / 7.0) +
-                    40 * std::cos((int(y) + dy) / 9.0) +
-                    20 * std::sin(((int(x) + dx) + (int(y) + dy)) /
-                                  5.0);
+                double v = 128 + tx[x] + ty[y] + txy[x + y];
                 v += rng.gauss() * 2.0;
                 img(x, y) = uint8_t(
                     std::min(255.0, std::max(0.0, std::round(v))));
@@ -355,18 +349,17 @@ planMotion(const MotionPipelineParams &p)
     return planApp(g, comm, p.mb_rate_hz / p.columns);
 }
 
+namespace
+{
+
+/** The pipeline's DAG with its constant candidate tables. */
 DagSpec
-motionDag(const MotionPipelineParams &p, const dsp::Image &cur,
-          const dsp::Image &ref)
+motionDag(const MotionPipelineParams &p)
 {
     checkParams(p);
-    sync_assert(cur.width() == W && cur.height() == H &&
-                    ref.width() == W && ref.height() == H,
-                "motion: the mapped pipeline is fixed at %ux%u", W,
-                H);
     DagSpec spec;
     for (unsigned c = 0; c < p.columns; ++c)
-        spec.stages.push_back(meStage(c, p.columns, cur, ref));
+        spec.stages.push_back(meStage(c, p.columns));
     spec.stages.push_back(joinStage(p.columns));
     // Edge order defines the bus lanes: two delivery slots per grid
     // period so a deferred key never waits a whole period behind
@@ -376,6 +369,36 @@ motionDag(const MotionPipelineParams &p, const dsp::Image &cur,
             {strprintf("me-%u", c), "join", 1, 1, 2});
     return spec;
 }
+
+/**
+ * Every search column's inputs: the current frame and the four
+ * alignment mirrors of the padded reference.
+ */
+std::vector<InputImage>
+motionInputs(const MotionPipelineParams &p, const dsp::Image &cur,
+             const dsp::Image &ref)
+{
+    sync_assert(cur.width() == W && cur.height() == H &&
+                    ref.width() == W && ref.height() == H,
+                "motion: the mapped pipeline is fixed at %ux%u", W,
+                H);
+    const dsp::Image padded = padImage(ref);
+    std::vector<InputImage> out;
+    for (unsigned c = 0; c < p.columns; ++c) {
+        const std::string actor = strprintf("me-%u", c);
+        out.push_back({actor, MeCur, cur.pixels()});
+        for (unsigned shift = 0; shift < 4; ++shift) {
+            std::vector<uint8_t> copy(RefBytes, 0);
+            std::copy(padded.pixels().begin() + shift,
+                      padded.pixels().end(), copy.begin());
+            out.push_back(
+                {actor, MeRef + shift * RefBytes, std::move(copy)});
+        }
+    }
+    return out;
+}
+
+} // namespace
 
 AppSpec
 motionSpec(const MotionPipelineParams &p)
@@ -426,11 +449,16 @@ motionSpec(const MotionPipelineParams &p)
 
     // The DAG and budget infer the search-farm width from the plan
     // itself, so one spec serves every shard variant.
-    s.dag = [p, scene](uint32_t seed, const mapping::ChipPlan &plan) {
+    s.stages = [p](const mapping::ChipPlan &plan) {
+        MotionPipelineParams q = p;
+        q.columns = planColumns(plan);
+        return motionDag(q);
+    };
+    s.inputs = [p, scene](uint32_t seed, const mapping::ChipPlan &plan) {
         MotionPipelineParams q = p;
         q.columns = planColumns(plan);
         Scene sc = scene(seed);
-        return motionDag(q, sc.first, sc.second);
+        return motionInputs(q, sc.first, sc.second);
     };
     // Generous: one key per shard per slot_spacing ticks plus the
     // search itself, with plenty of slack.

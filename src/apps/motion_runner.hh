@@ -142,14 +142,6 @@ std::optional<mapping::ChipPlan> planMotion(
     const MotionPipelineParams &p);
 
 /**
- * The DAG spec ready for mapping::lowerDag (exposed for tests that
- * want to lower onto hand-built plans).
- */
-mapping::DagSpec motionDag(const MotionPipelineParams &p,
-                           const dsp::Image &cur,
-                           const dsp::Image &ref);
-
-/**
  * The whole loop: plan, lower, load, run, verify, price. fatal() if
  * no feasible mapping exists or the run does not drain.
  */

@@ -176,10 +176,18 @@ planDdc(const DdcPipelineParams &p)
     return planApp(g, comm, p.sample_rate_hz / Decim);
 }
 
-std::vector<PipelineStage>
-ddcStages(const DdcPipelineParams &p, const std::vector<int16_t> &x)
+namespace
 {
-    const unsigned n = unsigned(x.size());
+
+/**
+ * The kernel stages, in dataflow order, with their constant images
+ * (the LO table and the channel taps); the app lowers
+ * mapping::linearDagSpec of them.
+ */
+std::vector<PipelineStage>
+ddcStages(const DdcPipelineParams &p)
+{
+    const unsigned n = p.samples;
     const unsigned outputs = n / Decim;
     const unsigned taps = p.chan_taps;
     sync_assert(taps >= 2 && taps <= 255, "ddc: 2..255 channel taps");
@@ -217,7 +225,6 @@ ddcStages(const DdcPipelineParams &p, const std::vector<int16_t> &x)
         max r2, r2, r4
 %s)",
                            PackIqCwr);
-    mixer.images.push_back({MixXBase, bytesOfHalves(x)});
     std::vector<int16_t> lo_flat;
     lo_flat.reserve(2 * n);
     for (const auto &s : makeLo(n)) {
@@ -382,6 +389,8 @@ ddcStages(const DdcPipelineParams &p, const std::vector<int16_t> &x)
     return {mixer, integ, comb, fir, demod};
 }
 
+} // namespace
+
 AppSpec
 ddcSpec(const DdcPipelineParams &p)
 {
@@ -407,8 +416,12 @@ ddcSpec(const DdcPipelineParams &p)
     auto input = ownSeedCached(p.seed, [p](uint32_t seed) {
         return ddcInput(withSeed(p, seed));
     });
-    s.dag = [p, input](uint32_t seed, const mapping::ChipPlan &) {
-        return mapping::linearDagSpec(ddcStages(p, input(seed)));
+    s.stages = [p](const mapping::ChipPlan &) {
+        return mapping::linearDagSpec(ddcStages(p));
+    };
+    s.inputs = [input](uint32_t seed, const mapping::ChipPlan &) {
+        return std::vector<InputImage>{
+            {"mixer", MixXBase, bytesOfHalves(input(seed))}};
     };
     // Generous: the delivery grid paces one sample per slot_spacing
     // ticks, plus pipeline fill and drain.

@@ -92,13 +92,6 @@ mapping::SdfGraph ddcGraph(
 std::optional<mapping::ChipPlan> planDdc(const DdcPipelineParams &p);
 
 /**
- * The kernel stages, in dataflow order; the app lowers
- * mapping::linearDagSpec of them.
- */
-std::vector<mapping::PipelineStage> ddcStages(
-    const DdcPipelineParams &p, const std::vector<int16_t> &x);
-
-/**
  * The receiver described once for the harness views (app_harness.hh)
  * and the registry: each work item is one p.samples-long channel
  * block, and outputs and goldens travel as raw halfword bytes.

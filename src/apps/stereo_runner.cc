@@ -144,7 +144,7 @@ filterRowAsm(const char *raw, unsigned px, const char *lbl)
 }
 
 DagStage
-prefilterStage(const dsp::Image &left, const dsp::Image &right)
+prefilterStage()
 {
     DagStage s;
     s.actor = "prefilter";
@@ -191,10 +191,6 @@ prefilterStage(const dsp::Image &left, const dsp::Image &right)
                           LaneRows(i), i);
     }
     s.body = std::move(body);
-
-    s.images.push_back({PfLeftRaw, left.pixels()});
-    s.images.push_back(
-        {PfRightRaw, dsp::padLeftReplicate(right, D).pixels()});
     return s;
 }
 
@@ -417,17 +413,16 @@ planStereo(const StereoPipelineParams &p)
     return planApp(g, comm, p.frame_rate_hz * (H / B));
 }
 
+namespace
+{
+
+/** The pipeline's DAG; it has no constant images. */
 DagSpec
-stereoDag(const StereoPipelineParams &p, const dsp::Image &left,
-          const dsp::Image &right)
+stereoDag(const StereoPipelineParams &p)
 {
     checkParams(p);
-    sync_assert(left.width() == W && left.height() == H &&
-                    right.width() == W && right.height() == H,
-                "stereo: the mapped pipeline is fixed at %ux%u", W,
-                H);
     DagSpec spec;
-    spec.stages.push_back(prefilterStage(left, right));
+    spec.stages.push_back(prefilterStage());
     for (unsigned i = 0; i < N; ++i)
         spec.stages.push_back(sadStage(i));
     spec.stages.push_back(selectStage());
@@ -443,6 +438,24 @@ stereoDag(const StereoPipelineParams &p, const dsp::Image &left,
             {strprintf("sad-%u", i), "select", W / B, 1, 1});
     return spec;
 }
+
+/**
+ * The prefilter column's inputs: the raw left image and the right
+ * image padded on the left for the disparity search.
+ */
+std::vector<InputImage>
+stereoInputs(const dsp::Image &left, const dsp::Image &right)
+{
+    sync_assert(left.width() == W && left.height() == H &&
+                    right.width() == W && right.height() == H,
+                "stereo: the mapped pipeline is fixed at %ux%u", W,
+                H);
+    return {{"prefilter", PfLeftRaw, left.pixels()},
+            {"prefilter", PfRightRaw,
+             dsp::padLeftReplicate(right, D).pixels()}};
+}
+
+} // namespace
 
 AppSpec
 stereoSpec(const StereoPipelineParams &p)
@@ -470,9 +483,10 @@ stereoSpec(const StereoPipelineParams &p)
         stereoScene(withSeed(p, seed), sc.first, sc.second);
         return sc;
     });
-    s.dag = [p, scene](uint32_t seed, const mapping::ChipPlan &) {
+    s.stages = [p](const mapping::ChipPlan &) { return stereoDag(p); };
+    s.inputs = [scene](uint32_t seed, const mapping::ChipPlan &) {
         Pair sc = scene(seed);
-        return stereoDag(p, sc.first, sc.second);
+        return stereoInputs(sc.first, sc.second);
     };
     // Generous: the delivery grid paces RowWords tokens per row lane
     // per slot_spacing ticks, H rows, plus fill and drain.

@@ -131,14 +131,6 @@ std::optional<mapping::ChipPlan> planStereo(
     const StereoPipelineParams &p);
 
 /**
- * The DAG spec ready for mapping::lowerDag (exposed for tests that
- * want to lower onto hand-built plans).
- */
-mapping::DagSpec stereoDag(const StereoPipelineParams &p,
-                           const dsp::Image &left,
-                           const dsp::Image &right);
-
-/**
  * The whole loop: plan, lower, load, run, verify, price. fatal() if
  * no feasible mapping exists or the run does not drain.
  */

@@ -230,8 +230,7 @@ namespace
 {
 
 DagStage
-demapStage(const WifiPipelineParams &p,
-           const std::vector<CplxQ15> &carriers)
+demapStage(const WifiPipelineParams &p)
 {
     DagStage s;
     s.actor = "demap";
@@ -255,14 +254,25 @@ demapStage(const WifiPipelineParams &p,
     __dm_end:
 )",
                        LaneDemapDeint);
+    return s;
+}
+
+/** The demap column's input: the carriers as (re, im) halfwords. */
+std::vector<InputImage>
+wifiInputs(const WifiPipelineParams &p,
+           const std::vector<CplxQ15> &carriers)
+{
+    sync_assert(carriers.size() ==
+                    size_t(p.symbols) * dsp::OfdmDataCarriers,
+                "wifi: %zu carriers for %u symbols", carriers.size(),
+                p.symbols);
     std::vector<int16_t> iq;
     iq.reserve(carriers.size() * 2);
     for (const auto &c : carriers) {
         iq.push_back(c.re);
         iq.push_back(c.im);
     }
-    s.images.push_back({DemapIqBase, bytesOfHalves(iq)});
-    return s;
+    return {{"demap", DemapIqBase, bytesOfHalves(iq)}};
 }
 
 DagStage
@@ -487,19 +497,13 @@ tracebackStage(const WifiPipelineParams &p)
     return s;
 }
 
-} // namespace
-
+/** The receiver's DAG with its constant images. */
 DagSpec
-wifiDag(const WifiPipelineParams &p,
-        const std::vector<CplxQ15> &carriers)
+wifiDag(const WifiPipelineParams &p)
 {
     checkParams(p);
-    sync_assert(carriers.size() ==
-                    size_t(p.symbols) * dsp::OfdmDataCarriers,
-                "wifi: %zu carriers for %u symbols", carriers.size(),
-                p.symbols);
     DagSpec spec;
-    spec.stages = {demapStage(p, carriers), deintStage(p),
+    spec.stages = {demapStage(p), deintStage(p),
                    acsStage(p, 0), acsStage(p, 1),
                    tracebackStage(p)};
     // Edge order defines the bus lanes the kernels above tag. The
@@ -515,6 +519,8 @@ wifiDag(const WifiPipelineParams &p,
     };
     return spec;
 }
+
+} // namespace
 
 AppSpec
 wifiSpec(const WifiPipelineParams &p)
@@ -540,8 +546,9 @@ wifiSpec(const WifiPipelineParams &p)
         WifiPipelineParams q = withSeed(p, seed);
         return wifiCarriers(q, wifiPayload(q));
     });
-    s.dag = [p, carriers](uint32_t seed, const mapping::ChipPlan &) {
-        return wifiDag(p, carriers(seed));
+    s.stages = [p](const mapping::ChipPlan &) { return wifiDag(p); };
+    s.inputs = [p, carriers](uint32_t seed, const mapping::ChipPlan &) {
+        return wifiInputs(p, carriers(seed));
     };
     // Generous: the delivery grid paces one token per lane per
     // slot_spacing ticks, 96 tokens per iteration on the widest lane,

@@ -144,13 +144,6 @@ mapping::SdfGraph wifiGraph(
 std::optional<mapping::ChipPlan> planWifi(const WifiPipelineParams &p);
 
 /**
- * The DAG spec ready for mapping::lowerDag (exposed for tests that
- * want to lower onto hand-built plans).
- */
-mapping::DagSpec wifiDag(const WifiPipelineParams &p,
-                         const std::vector<CplxQ15> &carriers);
-
-/**
  * The whole loop: plan, lower, load, run, verify, price. fatal() if
  * no feasible mapping exists or the run does not drain.
  */

@@ -300,26 +300,53 @@ Chip::resetColumns()
         col->reset();
 }
 
+template <typename Fn>
+void
+Chip::forEachStatGroup(Fn &&fn) const
+{
+    fn([] { return std::string("bus."); }, fabric_.stats());
+    for (unsigned c = 0; c < columns_.size(); ++c) {
+        const Column &col = *columns_[c];
+        fn([c] { return strprintf("col%u.ctrl.", c); },
+           col.controller().stats());
+        fn([c] { return strprintf("col%u.dou.", c); },
+           col.dou().stats());
+        for (unsigned t = 0; t < col.numTiles(); ++t) {
+            fn([c, t] { return strprintf("col%u.tile%u.", c, t); },
+               col.tile(t).stats());
+        }
+    }
+}
+
 void
 Chip::forEachStat(
     const std::function<void(const std::string &, uint64_t)> &fn)
     const
 {
-    for (const auto &kv : fabric_.stats().all())
-        fn("bus." + kv.first, kv.second.value());
-    for (unsigned c = 0; c < columns_.size(); ++c) {
-        const Column &col = *columns_[c];
-        std::string prefix = strprintf("col%u.", c);
-        for (const auto &kv : col.controller().stats().all())
-            fn(prefix + "ctrl." + kv.first, kv.second.value());
-        for (const auto &kv : col.dou().stats().all())
-            fn(prefix + "dou." + kv.first, kv.second.value());
-        for (unsigned t = 0; t < col.numTiles(); ++t) {
-            std::string tprefix = prefix + strprintf("tile%u.", t);
-            for (const auto &kv : col.tile(t).stats().all())
-                fn(tprefix + kv.first, kv.second.value());
-        }
-    }
+    forEachStatGroup([&fn](auto prefix, const StatGroup &g) {
+        const std::string p = prefix();
+        for (const auto &kv : g.all())
+            fn(p + kv.first, kv.second.value());
+    });
+}
+
+void
+Chip::sumStats(std::vector<uint64_t> &sums) const
+{
+    size_t n = 0;
+    forEachStatGroup([&n](auto, const StatGroup &g) {
+        n += g.all().size();
+    });
+    if (sums.empty())
+        sums.assign(n, 0);
+    if (sums.size() != n)
+        fatal("Chip::sumStats: %zu sums for %zu statistics",
+              sums.size(), n);
+    uint64_t *out = sums.data();
+    forEachStatGroup([&out](auto, const StatGroup &g) {
+        for (const auto &kv : g.all())
+            *out++ += kv.second.value();
+    });
 }
 
 } // namespace synchro::arch

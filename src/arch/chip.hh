@@ -133,11 +133,13 @@ class Chip : private SchedModel
     void resetColumns();
 
     /**
-     * Deep-copy a programmed, not-yet-run chip — the fleet layer's
-     * warm start: codegen + program load + decode ran once on the
+     * Copy a programmed, not-yet-run chip — the fleet layer's warm
+     * start: codegen + program load + decode ran once on the
      * template, and every clone snapshots the resulting state
      * (programs, DOU schedules, ZORM, tile SRAM, supply gating)
-     * without re-running any of it. The clone gets fresh statistics
+     * without re-running any of it. Tile SRAM is shared
+     * copy-on-write (Tile::copyStateFrom), so a clone copies none
+     * of it up front. The clone gets fresh statistics
      * (all zero, like a freshly built chip) and its own scheduler,
      * and is bit-identical to a fresh build + load on every backend.
      * fatal() once this chip has advanced past tick 0: run state,
@@ -194,6 +196,15 @@ class Chip : private SchedModel
         const std::function<void(const std::string &, uint64_t)> &fn)
         const;
 
+    /**
+     * Add every statistic's value to @p sums by its position in
+     * forEachStat() order, building no names: the cheap harvest for
+     * callers that sum chips of one layout and name the sums once.
+     * An empty @p sums is first sized to the statistic count;
+     * fatal() on any other size mismatch.
+     */
+    void sumStats(std::vector<uint64_t> &sums) const;
+
   private:
     /// @name SchedModel interface (driven by the scheduler)
     /// @{
@@ -220,6 +231,13 @@ class Chip : private SchedModel
 
     /** End of run(): put every DOU where the cursor stands. */
     void placeDous();
+
+    /**
+     * Call @p fn(prefix, group) for every StatGroup in forEachStat()
+     * order; prefix() builds the group's dotted name prefix.
+     */
+    template <typename Fn>
+    void forEachStatGroup(Fn &&fn) const;
 
     ChipConfig cfg_;
     std::unique_ptr<Scheduler> sched_;

@@ -34,8 +34,8 @@ SimdController::loadProgram(const isa::Program &prog)
     loop_fns_.clear();
     loop_fns_.reserve(prog_->uops.size());
     for (const MicroOp &u : prog_->uops) {
-        fns_.push_back(Tile::opThunk(u.kind));
-        loop_fns_.push_back(Tile::opLoopThunk(u.kind));
+        fns_.push_back(Tile::opThunk(u));
+        loop_fns_.push_back(Tile::opLoopThunk(u));
     }
     reset();
 }

@@ -13,8 +13,10 @@ using isa::Inst;
 using isa::MicroOp;
 using isa::UopKind;
 
+const Tile::Sram Tile::ZeroSram{};
+
 Tile::Tile(unsigned column, unsigned index)
-    : column_(column), index_(index), mem_(MemBytes, 0),
+    : column_(column), index_(index),
       instructions_(stats_.counter("instructions")),
       mem_ops_(stats_.counter("memOps")),
       mac_ops_(stats_.counter("macOps"))
@@ -69,7 +71,7 @@ Tile::writeMem(uint32_t addr, const void *data, uint32_t len)
     if (uint64_t(addr) + len > MemBytes)
         fatal("tile (%u,%u): writeMem [%u, %u) beyond %u-byte SRAM",
               column_, index_, addr, addr + len, MemBytes);
-    std::memcpy(mem_.data() + addr, data, len);
+    std::memcpy(writableMem() + addr, data, len);
 }
 
 void
@@ -78,7 +80,7 @@ Tile::readMem(uint32_t addr, void *data, uint32_t len) const
     if (uint64_t(addr) + len > MemBytes)
         fatal("tile (%u,%u): readMem [%u, %u) beyond %u-byte SRAM",
               column_, index_, addr, addr + len, MemBytes);
-    std::memcpy(data, mem_.data() + addr, len);
+    std::memcpy(data, mem_ + addr, len);
 }
 
 void
@@ -124,7 +126,21 @@ Tile::resetState()
 void
 Tile::clearMem()
 {
-    std::fill(mem_.begin(), mem_.end(), uint8_t(0));
+    if (sram_shared_) {
+        sram_.reset();
+        mem_ = ZeroSram.data();
+    } else {
+        sram_->fill(0);
+    }
+}
+
+void
+Tile::ownMem()
+{
+    sram_ = sram_ ? std::make_shared<Sram>(*sram_)
+                  : std::make_shared<Sram>();
+    mem_ = sram_->data();
+    sram_shared_ = false;
 }
 
 void
@@ -134,7 +150,10 @@ Tile::copyStateFrom(const Tile &other)
     pregs_ = other.pregs_;
     accs_ = other.accs_;
     cc_ = other.cc_;
+    other.sram_shared_ = true;
+    sram_ = other.sram_;
     mem_ = other.mem_;
+    sram_shared_ = true;
     wbuf_ = other.wbuf_;
     rbufs_ = other.rbufs_;
 }
@@ -296,11 +315,6 @@ Tile::opFn(Tile &t, const MicroOp &uop)
         t.pregs_[uop.rd] += uint32_t(uop.imm);
     } else if constexpr (K == UopKind::TileId) {
         r[uop.rd] = t.index_;
-    } else if constexpr (K == UopKind::Load) {
-        r[uop.rd] = t.loadFrom(t.effectiveAddress(uop), uop.mem_size,
-                               uop.flags & isa::UopSignExtend);
-    } else if constexpr (K == UopKind::Store) {
-        t.storeTo(t.effectiveAddress(uop), uop.mem_size, r[uop.rd]);
     } else if constexpr (K == UopKind::CmpEq) {
         t.cc_ = r[uop.rd] == r[uop.rs1];
     } else if constexpr (K == UopKind::CmpLt) {
@@ -337,12 +351,59 @@ Tile::opFn(Tile &t, const MicroOp &uop)
         (void)t;
         (void)uop;
     } else {
-        static_assert(K == UopKind::Nop, "opFn on a control kind");
+        static_assert(K == UopKind::Nop,
+                      "opFn on a control or memory kind");
     }
 }
 
-// Every micro-op kind a tile can execute, for stamping out the
-// per-kind thunk tables below.
+// Loads and stores dominate mapped-app kernels. Their size, sign
+// extension and post-modify flag are fixed per op, so each variant
+// is its own executor: the bounds and alignment checks fold to
+// constant masks and the access to a single load or store.
+template <unsigned Size, bool SignExtend, bool PostMod>
+void
+Tile::loadOp(Tile &t, const MicroOp &uop)
+{
+    const uint32_t addr = t.effectiveAddress<PostMod>(uop);
+    t.checkAccess<Size>(addr, "load");
+    uint32_t v;
+    if constexpr (Size == 1) {
+        v = t.mem_[addr];
+    } else if constexpr (Size == 2) {
+        uint16_t h;
+        std::memcpy(&h, t.mem_ + addr, 2);
+        v = h;
+    } else {
+        std::memcpy(&v, t.mem_ + addr, 4);
+    }
+    if constexpr (SignExtend && Size < 4) {
+        constexpr unsigned shift = 32 - 8 * Size;
+        v = uint32_t(int32_t(v << shift) >> shift);
+    }
+    t.regs_[uop.rd] = v;
+}
+
+template <unsigned Size, bool PostMod>
+void
+Tile::storeOp(Tile &t, const MicroOp &uop)
+{
+    const uint32_t addr = t.effectiveAddress<PostMod>(uop);
+    t.checkAccess<Size>(addr, "store");
+    const uint32_t value = t.regs_[uop.rd];
+    uint8_t *mem = t.writableMem();
+    if constexpr (Size == 1) {
+        mem[addr] = uint8_t(value);
+    } else if constexpr (Size == 2) {
+        const uint16_t h = uint16_t(value);
+        std::memcpy(mem + addr, &h, 2);
+    } else {
+        std::memcpy(mem + addr, &value, 4);
+    }
+}
+
+// Every micro-op kind a tile executes through opFn, for stamping out
+// the per-kind thunk table below (loads and stores are specialized
+// further by opEntry).
 #define SYNC_TILE_EXECUTABLE_KINDS(X) \
     X(Nop) \
     X(Add) \
@@ -379,8 +440,6 @@ Tile::opFn(Tile &t, const MicroOp &uop)
     X(MovFromPtr) \
     X(PtrAddImm) \
     X(TileId) \
-    X(Load) \
-    X(Store) \
     X(CmpEq) \
     X(CmpLt) \
     X(CmpLe) \
@@ -388,43 +447,86 @@ Tile::opFn(Tile &t, const MicroOp &uop)
     X(CommWrite) \
     X(CommRead)
 
-template <UopKind K>
+template <Tile::OpFn F>
 void
-Tile::opLoopFn(Tile &t, const MicroOp &uop, uint64_t iters)
+Tile::loopOf(Tile &t, const MicroOp &uop, uint64_t iters)
 {
     // One fully-inlined op per iteration: for simple bodies the
     // optimizer reduces this to a closed form or a tight loop with
     // no indirect calls.
     for (uint64_t i = 0; i < iters; ++i)
-        opFn<K>(t, uop);
+        F(t, uop);
+}
+
+template <Tile::OpFn F>
+Tile::OpEntry
+Tile::entryOf()
+{
+    return {F, &loopOf<F>};
+}
+
+template <unsigned Size, bool SignExtend>
+Tile::OpEntry
+Tile::loadEntry(bool post_mod)
+{
+    return post_mod ? entryOf<&loadOp<Size, SignExtend, true>>()
+                    : entryOf<&loadOp<Size, SignExtend, false>>();
+}
+
+template <unsigned Size>
+Tile::OpEntry
+Tile::storeEntry(bool post_mod)
+{
+    return post_mod ? entryOf<&storeOp<Size, true>>()
+                    : entryOf<&storeOp<Size, false>>();
+}
+
+Tile::OpEntry
+Tile::opEntry(const MicroOp &uop)
+{
+    const bool post_mod = uop.flags & isa::UopPostMod;
+    const bool sign = uop.flags & isa::UopSignExtend;
+    switch (uop.kind) {
+#define X(K)                                                          \
+      case UopKind::K:                                                \
+        return entryOf<&opFn<UopKind::K>>();
+        SYNC_TILE_EXECUTABLE_KINDS(X)
+#undef X
+      case UopKind::Load:
+        switch (uop.mem_size) {
+          case 1:
+            return sign ? loadEntry<1, true>(post_mod)
+                        : loadEntry<1, false>(post_mod);
+          case 2:
+            return sign ? loadEntry<2, true>(post_mod)
+                        : loadEntry<2, false>(post_mod);
+          default:
+            return loadEntry<4, false>(post_mod);
+        }
+      case UopKind::Store:
+        switch (uop.mem_size) {
+          case 1:
+            return storeEntry<1>(post_mod);
+          case 2:
+            return storeEntry<2>(post_mod);
+          default:
+            return storeEntry<4>(post_mod);
+        }
+      default:
+        return {nullptr, nullptr};
+    }
 }
 
 Tile::OpFn
-Tile::opThunk(UopKind kind)
+Tile::opThunk(const MicroOp &uop)
 {
-    switch (kind) {
-#define X(K)                                                          \
-      case UopKind::K:                                                \
-        return &opFn<UopKind::K>;
-        SYNC_TILE_EXECUTABLE_KINDS(X)
-#undef X
-      default:
-        return nullptr;
-    }
+    return opEntry(uop).fn;
 }
 
 Tile::OpLoopFn
-Tile::opLoopThunk(UopKind kind)
+Tile::opLoopThunk(const MicroOp &uop)
 {
-    switch (kind) {
-#define X(K)                                                          \
-      case UopKind::K:                                                \
-        return &opLoopFn<UopKind::K>;
-        SYNC_TILE_EXECUTABLE_KINDS(X)
-#undef X
-      default:
-        return nullptr;
-    }
+    return opEntry(uop).loop;
 }
 
 void
@@ -444,7 +546,7 @@ Tile::execute(const MicroOp &uop)
       default:
         break;
     }
-    OpFn fn = opThunk(uop.kind);
+    OpFn fn = opThunk(uop);
     if (!fn)
         panic("tile (%u,%u): control micro-op %u broadcast to tile",
               column_, index_, unsigned(uop.kind));

@@ -15,8 +15,10 @@
 #define SYNC_ARCH_TILE_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "arch/comm_buffer.hh"
@@ -85,17 +87,19 @@ class Tile
      */
     void execute(const isa::Inst &inst);
 
-    /** A specialized executor for one micro-op kind. */
+    /** A specialized executor for one micro-op. */
     using OpFn = void (*)(Tile &, const isa::MicroOp &);
 
     /**
-     * The specialized executor for @p kind, or nullptr for control
-     * kinds that may never reach a tile. The returned function runs
+     * The specialized executor for @p uop, or nullptr for control
+     * kinds that may never reach a tile. Loads and stores are
+     * specialized on their size, sign extension and post-modify
+     * flag, the rest on their kind alone. The returned function runs
      * the op's datapath semantics only — activity counters are the
      * caller's job (execute() charges them per op, executeBlock() in
      * bulk).
      */
-    static OpFn opThunk(isa::UopKind kind);
+    static OpFn opThunk(const isa::MicroOp &uop);
 
     /**
      * Execute @p n micro-ops of a pre-analyzed straight-line block
@@ -122,13 +126,13 @@ class Tile
     using OpLoopFn = void (*)(Tile &, const isa::MicroOp &, uint64_t);
 
     /**
-     * The iterated executor for @p kind (nullptr for control kinds).
+     * The iterated executor for @p uop (nullptr for control kinds).
      * For single-op loop bodies this beats @p iters opThunk() calls:
      * the op is inlined into the iteration loop, which the optimizer
      * then collapses or vectorizes. Semantics and panics are
-     * identical to calling opThunk(kind) @p iters times.
+     * identical to calling opThunk(uop) @p iters times.
      */
-    static OpLoopFn opLoopThunk(isa::UopKind kind);
+    static OpLoopFn opLoopThunk(const isa::MicroOp &uop);
 
     /** executeLoop() for a one-op body via its opLoopThunk(). */
     void executeLoopOp(OpLoopFn fn, const isa::MicroOp &uop,
@@ -161,7 +165,10 @@ class Tile
     /** Reset architectural state (not SRAM contents). */
     void resetState();
 
-    /** Zero the whole SRAM (stream refeed between work items). */
+    /**
+     * Zero the whole SRAM (stream refeed between work items). A
+     * shared SRAM is dropped for the zero page, copying nothing.
+     */
     void clearMem();
 
     /**
@@ -169,6 +176,12 @@ class Tile
      * tile: registers, accumulators, CC, memory, write buffer and
      * per-lane read buffers. Statistics are NOT copied — a clone
      * starts counting from zero. Chip::clone() drives this.
+     *
+     * The SRAM is shared, not copied: both tiles read the same
+     * buffer until either stores to it, and that store first gives
+     * the storing tile a private copy (so neither ever sees the
+     * other's writes). Safe to call concurrently on one @p other
+     * while @p other itself is not being written.
      */
     void copyStateFrom(const Tile &other);
 
@@ -176,77 +189,71 @@ class Tile
     const StatGroup &stats() const { return stats_; }
 
   private:
+    using Sram = std::array<uint8_t, MemBytes>;
+
+    /** What every fresh or cleared tile reads: an all-zero SRAM. */
+    static const Sram ZeroSram;
+
     template <isa::UopKind K>
     static void opFn(Tile &t, const isa::MicroOp &uop);
 
-    template <isa::UopKind K>
-    static void opLoopFn(Tile &t, const isa::MicroOp &uop,
-                         uint64_t iters);
+    template <unsigned Size, bool SignExtend, bool PostMod>
+    static void loadOp(Tile &t, const isa::MicroOp &uop);
 
-    // Defined inline: Load/Store dominate mapped-app kernels, and the
-    // Compiled backend's batched blocks execute them back to back.
-    uint32_t
-    loadFrom(uint32_t addr, unsigned size, bool sign_extend)
+    template <unsigned Size, bool PostMod>
+    static void storeOp(Tile &t, const isa::MicroOp &uop);
+
+    template <OpFn F>
+    static void loopOf(Tile &t, const isa::MicroOp &uop,
+                       uint64_t iters);
+
+    /** The executor pair of one op; see opThunk()/opLoopThunk(). */
+    struct OpEntry
     {
-        if (uint64_t(addr) + size > MemBytes) [[unlikely]]
-            fatal("tile (%u,%u): load at 0x%x beyond SRAM", column_,
-                  index_, addr);
-        if (addr % size != 0) [[unlikely]]
-            fatal("tile (%u,%u): unaligned %u-byte load at 0x%x",
-                  column_, index_, size, addr);
-        // Constant-size accesses per arm so each compiles to a single
-        // load, not a libc memcpy call on a runtime length.
-        uint32_t v;
-        switch (size) {
-          case 1:
-            v = mem_[addr];
-            break;
-          case 2: {
-            uint16_t h;
-            std::memcpy(&h, mem_.data() + addr, 2);
-            v = h;
-            break;
-          }
-          default:
-            std::memcpy(&v, mem_.data() + addr, 4);
-            break;
-        }
-        if (sign_extend && size < 4) {
-            unsigned shift = 32 - 8 * size;
-            v = uint32_t(int32_t(v << shift) >> shift);
-        }
-        return v;
+        OpFn fn;
+        OpLoopFn loop;
+    };
+    static OpEntry opEntry(const isa::MicroOp &uop);
+
+    template <OpFn F>
+    static OpEntry entryOf();
+
+    template <unsigned Size, bool SignExtend>
+    static OpEntry loadEntry(bool post_mod);
+
+    template <unsigned Size>
+    static OpEntry storeEntry(bool post_mod);
+
+    /** The SRAM, writable: a private copy if it is shared. */
+    uint8_t *
+    writableMem()
+    {
+        if (sram_shared_) [[unlikely]]
+            ownMem();
+        return sram_->data();
     }
 
+    /** Give this tile a private copy of what it reads. */
+    void ownMem();
+
+    template <unsigned Size>
     void
-    storeTo(uint32_t addr, unsigned size, uint32_t value)
+    checkAccess(uint32_t addr, const char *what) const
     {
-        if (uint64_t(addr) + size > MemBytes) [[unlikely]]
-            fatal("tile (%u,%u): store at 0x%x beyond SRAM", column_,
-                  index_, addr);
-        if (addr % size != 0) [[unlikely]]
-            fatal("tile (%u,%u): unaligned %u-byte store at 0x%x",
-                  column_, index_, size, addr);
-        switch (size) {
-          case 1:
-            mem_[addr] = uint8_t(value);
-            break;
-          case 2: {
-            uint16_t h = uint16_t(value);
-            std::memcpy(mem_.data() + addr, &h, 2);
-            break;
-          }
-          default:
-            std::memcpy(mem_.data() + addr, &value, 4);
-            break;
-        }
+        if (uint64_t(addr) + Size > MemBytes) [[unlikely]]
+            fatal("tile (%u,%u): %s at 0x%x beyond SRAM", column_,
+                  index_, what, addr);
+        if (addr % Size != 0) [[unlikely]]
+            fatal("tile (%u,%u): unaligned %u-byte %s at 0x%x",
+                  column_, index_, Size, what, addr);
     }
 
+    template <bool PostMod>
     uint32_t
     effectiveAddress(const isa::MicroOp &uop)
     {
         uint32_t p = pregs_[uop.rs1];
-        if (!(uop.flags & isa::UopPostMod))
+        if constexpr (!PostMod)
             return p + uint32_t(uop.imm);
         // Post-modify: access at p, then update the pointer.
         pregs_[uop.rs1] = p + uint32_t(uop.imm);
@@ -261,7 +268,18 @@ class Tile
     std::array<int64_t, isa::NumAccums> accs_{};
     bool cc_ = false;
 
-    std::vector<uint8_t> mem_;
+    /**
+     * SRAM. Loads read mem_, which points at ZeroSram (sram_ null),
+     * at a buffer shared with other tiles, or at this tile's private
+     * buffer. Stores go through writableMem(): while sram_shared_ is
+     * set the buffer may be shared (a clone sets it on both tiles),
+     * and the first store copies it. A shared buffer is never
+     * written.
+     */
+    const uint8_t *mem_ = ZeroSram.data();
+    std::shared_ptr<Sram> sram_;
+    mutable std::atomic<bool> sram_shared_{true};
+
     CommBuffer wbuf_;
     std::array<CommBuffer, BusLanes> rbufs_; //!< one per lane
 

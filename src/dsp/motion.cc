@@ -1,6 +1,7 @@
 #include "dsp/motion.hh"
 
 #include <cstdlib>
+#include <vector>
 
 namespace synchro::dsp
 {
@@ -46,10 +47,33 @@ fullSearch(const Image &cur, const Image &ref, unsigned x, unsigned y,
            int range, unsigned bsize)
 {
     MotionVector best;
+    if (range < 0)
+        return best;
+    // Clamp every pixel the search reads once, instead of once per
+    // candidate: the block of cur and the window of ref around it,
+    // edge-replicated exactly as blockSad reads them.
+    const unsigned span = bsize + 2 * unsigned(range);
+    std::vector<uint8_t> blk(size_t(bsize) * bsize);
+    std::vector<uint8_t> win(size_t(span) * span);
+    for (unsigned j = 0; j < bsize; ++j)
+        for (unsigned i = 0; i < bsize; ++i)
+            blk[j * bsize + i] = cur.at(int(x + i), int(y + j));
+    for (unsigned j = 0; j < span; ++j)
+        for (unsigned i = 0; i < span; ++i)
+            win[j * span + i] =
+                ref.at(int(x + i) - range, int(y + j) - range);
+
     for (int dy = -range; dy <= range; ++dy) {
         for (int dx = -range; dx <= range; ++dx) {
-            MotionVector mv{dx, dy,
-                            blockSad(cur, ref, x, y, dx, dy, bsize)};
+            const uint8_t *w =
+                win.data() + size_t(dy + range) * span + (dx + range);
+            uint32_t sad = 0;
+            for (unsigned j = 0; j < bsize; ++j) {
+                for (unsigned i = 0; i < bsize; ++i)
+                    sad += uint32_t(std::abs(int(blk[j * bsize + i]) -
+                                             int(w[j * span + i])));
+            }
+            MotionVector mv{dx, dy, sad};
             if (better(mv, best))
                 best = mv;
         }

@@ -88,9 +88,15 @@ FleetExecutor::addWorkload(FleetWorkload wl)
               "already ran",
               wl.name.c_str());
 
+    std::vector<std::string> stat_names;
+    tmpl->forEachStat([&stat_names](const std::string &name, uint64_t) {
+        stat_names.push_back(name);
+    });
+
     std::lock_guard<std::mutex> lock(mu_);
     workloads_.push_back(std::move(wl));
     templates_.push_back(std::move(tmpl));
+    stat_names_.push_back(std::move(stat_names));
     template_secs_.push_back(
         std::chrono::duration<double>(t1 - t0).count());
     return unsigned(workloads_.size() - 1);
@@ -334,15 +340,15 @@ void
 FleetExecutor::finishStream(Stream &s, Worker &shard)
 {
     // Harvest the whole stream's counters into the serving worker's
-    // shard, then free the chip — peak memory tracks the streams in
-    // flight, not the fleet size. Runs with the lock released: the
-    // shard is the owner's, and drain() reads it only once every
-    // worker is idle.
+    // shard, by position (every clone has its template's layout),
+    // then free the chip — peak memory tracks the streams in flight,
+    // not the fleet size. Runs with the lock released: the shard is
+    // the owner's, and drain() reads it only once every worker is
+    // idle.
     if (s.chip) {
-        s.chip->forEachStat(
-            [&shard](const std::string &name, uint64_t v) {
-                shard.counters[name] += v;
-            });
+        if (shard.stat_sums.size() <= s.res.workload)
+            shard.stat_sums.resize(s.res.workload + 1);
+        s.chip->sumStats(shard.stat_sums[s.res.workload]);
         s.chip.reset();
     }
 }
@@ -381,8 +387,11 @@ FleetExecutor::drain()
         rep.totals.max_ticks_reached =
             std::max(rep.totals.max_ticks_reached,
                      w.max_ticks_reached);
-        for (const auto &kv : w.counters)
-            rep.totals.counters[kv.first] += kv.second;
+        for (size_t wl = 0; wl < w.stat_sums.size(); ++wl) {
+            const std::vector<uint64_t> &sums = w.stat_sums[wl];
+            for (size_t i = 0; i < sums.size(); ++i)
+                rep.totals.counters[stat_names_[wl][i]] += sums[i];
+        }
     }
     rep.stream_results = results_;
     rep.all_verified = unverified_ == 0;

@@ -31,9 +31,10 @@
  *    chip from tick 0, so per-stream results are bit-identical to
  *    running each item alone on a fresh chip — no matter how many
  *    workers serve the fleet or who stole what,
- *  - statistics aggregate into per-worker shards (one counter map
- *    per worker, touched only by its owner) merged only at
- *    drain() — no shared counters, no locks on the serving path.
+ *  - statistics aggregate into per-worker shards (per workload, one
+ *    sum per counter position, touched only by the shard's owner)
+ *    and are named and merged only at drain() — no shared counters,
+ *    no locks and no name strings on the serving path.
  *
  * drain() blocks until every admitted item has been served and
  * returns a FleetReport: per-stream results plus FleetTotals
@@ -361,7 +362,9 @@ class FleetExecutor
     struct Worker
     {
         std::deque<std::unique_ptr<Stream>> q;
-        std::map<std::string, uint64_t> counters;
+        /** Per workload: chip counter sums by stat_names_ position
+         * (empty until one of its streams finished here). */
+        std::vector<std::vector<uint64_t>> stat_sums;
         uint64_t items = 0;
         uint64_t clones = 0; //!< in the shard: bumped unlocked
         uint64_t ticks = 0;
@@ -391,6 +394,9 @@ class FleetExecutor
     /** Null once the workload is retired. */
     std::vector<std::shared_ptr<const arch::Chip>> templates_;
     std::vector<double> template_secs_;
+    /** Per workload: its template's counter names in forEachStat()
+     * order, the layout every shard's stat_sums follow. */
+    std::vector<std::vector<std::string>> stat_names_;
 
     mutable std::mutex mu_;
     std::condition_variable work_cv_;

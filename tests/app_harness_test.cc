@@ -1,16 +1,19 @@
 /** @file The shared mapped-app harness: reject paths (empty graphs,
- * unset run budgets), golden-mismatch reporting, and a regression
- * pin that the refactored runners still produce exactly the
- * pre-refactor cycle traces. */
+ * unset run budgets), golden-mismatch reporting, the serving feed
+ * against a fresh build of each item, and a regression pin that the
+ * refactored runners still produce exactly the pre-refactor cycle
+ * traces. */
 
 #include <gtest/gtest.h>
 
 #include "apps/app_harness.hh"
+#include "apps/app_registry.hh"
 #include "apps/motion_runner.hh"
 #include "apps/pipeline_runner.hh"
 #include "apps/stereo_runner.hh"
 #include "apps/wifi_runner.hh"
 #include "common/log.hh"
+#include "test_util.hh"
 
 using namespace synchro;
 using namespace synchro::apps;
@@ -118,4 +121,79 @@ TEST(AppHarness, RefactoredRunnersKeepPreRefactorTraces)
     EXPECT_EQ(motion.ticks, 135983u);
     EXPECT_EQ(motion.bus_transfers, 12u);
     EXPECT_EQ(motion.deferrals, 0u);
+}
+
+namespace
+{
+
+/** Every tile's whole SRAM, column by column. */
+std::vector<uint8_t>
+allSram(const arch::Chip &chip)
+{
+    std::vector<uint8_t> out;
+    for (unsigned c = 0; c < chip.numColumns(); ++c) {
+        for (unsigned t = 0; t < chip.column(c).numTiles(); ++t) {
+            std::vector<uint8_t> mem(arch::Tile::MemBytes);
+            chip.column(c).tile(t).readMem(0, mem.data(),
+                                           arch::Tile::MemBytes);
+            out.insert(out.end(), mem.begin(), mem.end());
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(AppHarness, FeedOnACloneEqualsAFreshBuildOfTheItem)
+{
+    // The serving path's claim: a clone of the committed template,
+    // fed item k (constant images cached at setup plus item k's
+    // inputs), is the chip a fresh lowering of item k's whole DAG
+    // would build — SRAM and registers before the run; ticks,
+    // statistics, outputs and SRAM after it.
+    DdcPipelineParams dp;
+    dp.samples = 64;
+    WifiPipelineParams wp;
+    wp.symbols = 2;
+    const AppRegistry &reg = AppRegistry::instance();
+    const std::vector<AppSpec> specs = {
+        reg.at("ddc").spec(dp), reg.at("wifi").spec(wp),
+        reg.at("stereo").spec({}), reg.at("motion").spec({})};
+
+    for (const AppSpec &spec : specs) {
+        sim::FleetWorkload wl = fleetWorkload(spec);
+        auto tmpl = wl.build(defaultSchedulerKind());
+        // Item 0 again after item 2 checks that a live chip's refeed
+        // leaves no residue of the previous item.
+        auto live = tmpl->clone();
+        for (uint64_t item : {0, 1, 2, 0, 5}) {
+            SCOPED_TRACE(spec.name + " item " + std::to_string(item));
+            mapping::PipelineProgram prog = mapping::lowerDag(
+                appDag(spec, sim::fleetItemSeed(spec.seed, item),
+                       spec.plan),
+                spec.plan, spec.iterations_per_sec, spec.slack);
+            auto fresh = mapping::buildChip(spec.plan, prog,
+                                            defaultSchedulerKind());
+            auto clone = tmpl->clone();
+            for (arch::Chip *fed : {clone.get(), live.get()}) {
+                wl.feed(*fed, item);
+                EXPECT_EQ(allSram(*fed), allSram(*fresh));
+                EXPECT_EQ(test::allRegs(*fed), test::allRegs(*fresh));
+            }
+
+            const arch::RunResult rf = fresh->run(wl.tick_limit);
+            const arch::RunResult rc = clone->run(wl.tick_limit);
+            EXPECT_EQ(int(rf.exit), int(arch::RunExit::AllHalted));
+            EXPECT_EQ(int(rc.exit), int(rf.exit));
+            EXPECT_EQ(rc.ticks, rf.ticks);
+            EXPECT_EQ(test::allStats(*clone), test::allStats(*fresh));
+            EXPECT_EQ(wl.read_output(*clone), wl.read_output(*fresh));
+            EXPECT_EQ(wl.read_output(*fresh), wl.golden(item));
+            EXPECT_EQ(allSram(*clone), allSram(*fresh));
+            EXPECT_EQ(test::allRegs(*clone), test::allRegs(*fresh));
+
+            EXPECT_EQ(live->run(wl.tick_limit).ticks, rf.ticks);
+            EXPECT_EQ(wl.read_output(*live), wl.read_output(*fresh));
+        }
+    }
 }

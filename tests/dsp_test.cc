@@ -11,8 +11,10 @@
 #include "dsp/cic.hh"
 #include "dsp/fft.hh"
 #include "dsp/fir.hh"
+#include "dsp/image.hh"
 #include "dsp/interleaver.hh"
 #include "dsp/mixer.hh"
+#include "dsp/motion.hh"
 #include "dsp/nco.hh"
 #include "dsp/qam.hh"
 
@@ -411,4 +413,69 @@ TEST(Interleaver, RejectsWrongBlockSize)
     EXPECT_THROW(il.interleave(std::vector<uint8_t>(5)), FatalError);
     EXPECT_THROW(il.deinterleave(std::vector<uint8_t>(95)),
                  FatalError);
+}
+
+namespace
+{
+
+/**
+ * The exhaustive search fullSearch must reproduce: blockSad (every
+ * pixel clamped through Image::at) per candidate, with the
+ * documented tie-break — lower SAD, then smaller |v|1, then dy, then
+ * dx.
+ */
+MotionVector
+clampedFullSearch(const Image &cur, const Image &ref, unsigned x,
+                  unsigned y, int range, unsigned bsize)
+{
+    MotionVector best;
+    for (int dy = -range; dy <= range; ++dy) {
+        for (int dx = -range; dx <= range; ++dx) {
+            const uint32_t sad =
+                blockSad(cur, ref, x, y, dx, dy, bsize);
+            const int n = std::abs(dx) + std::abs(dy);
+            const int nb = std::abs(best.dx) + std::abs(best.dy);
+            if (sad < best.sad ||
+                (sad == best.sad &&
+                 (n < nb || (n == nb && (dy < best.dy ||
+                                         (dy == best.dy &&
+                                          dx < best.dx))))))
+                best = {dx, dy, sad};
+        }
+    }
+    return best;
+}
+
+} // namespace
+
+TEST(Motion, FullSearchMatchesClampedReferenceOnRandomFrames)
+{
+    // Random frames (a few flat ones, so ties are common), every
+    // macroblock including the border ones, plus blocks that hang
+    // over the right and bottom edges.
+    Rng rng(2024);
+    for (unsigned trial = 0; trial < 6; ++trial) {
+        const unsigned w = 48, h = 32;
+        Image cur(w, h), ref(w, h);
+        const unsigned levels = trial < 2 ? 2 : 256;
+        for (auto &v : cur.pixels())
+            v = uint8_t(rng.below(levels));
+        for (auto &v : ref.pixels())
+            v = uint8_t(rng.below(levels));
+        const int range = int(1 + trial % 4);
+        const unsigned bsize = trial % 2 ? 16 : 8;
+        for (unsigned y = 0; y < h; y += bsize / 2) {
+            for (unsigned x = 0; x < w; x += bsize / 2) {
+                SCOPED_TRACE(strprintf("trial %u block (%u,%u)", trial,
+                                       x, y));
+                const MotionVector got =
+                    fullSearch(cur, ref, x, y, range, bsize);
+                const MotionVector want =
+                    clampedFullSearch(cur, ref, x, y, range, bsize);
+                EXPECT_EQ(got.dx, want.dx);
+                EXPECT_EQ(got.dy, want.dy);
+                EXPECT_EQ(got.sad, want.sad);
+            }
+        }
+    }
 }

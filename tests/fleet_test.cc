@@ -1,7 +1,7 @@
 /** @file FleetExecutor: streaming chip fleets — solo bit-exactness,
  * worker-count determinism, work stealing, serve-to-completion
- * order, and snapshot/clone
- * warm-start equivalence on every scheduler backend. */
+ * order, snapshot/clone warm-start equivalence on every scheduler
+ * backend, and the isolation of clones' copy-on-write tile SRAM. */
 
 #include <gtest/gtest.h>
 
@@ -727,4 +727,141 @@ TEST(Fleet, CloneAfterRunningIsRejected)
     auto again = chip->clone();
     EXPECT_EQ(int(again->run(wl.tick_limit).exit),
               int(RunExit::AllHalted));
+}
+
+namespace
+{
+
+/** Every tile's whole SRAM, column by column. */
+std::vector<uint8_t>
+allSram(const Chip &chip)
+{
+    std::vector<uint8_t> out;
+    for (unsigned c = 0; c < chip.numColumns(); ++c) {
+        for (unsigned t = 0; t < chip.column(c).numTiles(); ++t) {
+            std::vector<uint8_t> mem(Tile::MemBytes);
+            chip.column(c).tile(t).readMem(0, mem.data(),
+                                           Tile::MemBytes);
+            out.insert(out.end(), mem.begin(), mem.end());
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Fleet, ServingStreamsLeavesTheTemplateSramUntouched)
+{
+    // Every clone starts out reading its template's SRAM; serving
+    // (feeds, kernel stores, concurrent clones on several workers)
+    // must never write through to it.
+    apps::DdcPipelineParams p;
+    p.samples = 64;
+    sim::FleetConfig fc;
+    fc.workers = 4;
+    sim::FleetExecutor fleet(fc);
+    const sim::FleetWorkload wl =
+        apps::AppRegistry::instance().at("ddc").fleet(p);
+    unsigned w = fleet.addWorkload(wl);
+    const std::vector<uint8_t> before =
+        allSram(*fleet.templateChip(w));
+    EXPECT_EQ(before, allSram(*wl.build(defaultSchedulerKind())));
+
+    for (unsigned s = 0; s < 16; ++s)
+        fleet.admitStream(w, 1 + s % 3, 7 * s);
+    EXPECT_TRUE(fleet.drain().all_verified);
+    EXPECT_EQ(allSram(*fleet.templateChip(w)), before);
+}
+
+TEST(Fleet, SiblingClonesNeverSeeEachOthersStores)
+{
+    // The template holds item 0's input, so its clones share a real
+    // buffer. Clones (and clones of clones) are then fed, run, or run
+    // straight from the shared input; none may see a sibling's or an
+    // ancestor's stores, and the template must see none of theirs.
+    const sim::FleetWorkload wl = sumWorkload(17);
+    std::unique_ptr<Chip> built = wl.build(defaultSchedulerKind());
+    wl.feed(*built, 0);
+    const std::shared_ptr<const Chip> tmpl = std::move(built);
+    const std::vector<uint8_t> tmpl_sram = allSram(*tmpl);
+
+    auto a = tmpl->clone();
+    auto b = tmpl->clone();
+    wl.feed(*a, 1);
+    // a's SRAM is now its own; a clone of it shares that, and a's
+    // run must not write into it.
+    auto a_copy = a->clone();
+    const std::vector<uint8_t> a_fed = allSram(*a);
+    ASSERT_EQ(int(a->run(wl.tick_limit).exit), int(RunExit::AllHalted));
+    EXPECT_EQ(wl.read_output(*a), wl.golden(1));
+    EXPECT_EQ(allSram(*a_copy), a_fed);
+    EXPECT_EQ(allSram(*b), tmpl_sram);
+
+    auto c = b->clone();
+    wl.feed(*b, 2);
+    ASSERT_EQ(int(b->run(wl.tick_limit).exit), int(RunExit::AllHalted));
+    EXPECT_EQ(wl.read_output(*b), wl.golden(2));
+    EXPECT_EQ(allSram(*c), tmpl_sram);
+    // Unfed, c runs item 0 from the shared input; its output store
+    // is its first, and copies the buffer first.
+    ASSERT_EQ(int(c->run(wl.tick_limit).exit), int(RunExit::AllHalted));
+    EXPECT_EQ(wl.read_output(*c), wl.golden(0));
+    EXPECT_EQ(wl.read_output(*a), wl.golden(1));
+    EXPECT_EQ(allSram(*tmpl), tmpl_sram);
+
+    // The same on threads: clones made, copied and written
+    // concurrently from one template.
+    std::vector<std::future<bool>> runs;
+    for (uint64_t item = 0; item < 8; ++item) {
+        runs.push_back(std::async(std::launch::async, [&, item] {
+            auto chip = tmpl->clone();
+            const uint64_t served = item % 2 ? item : 0;
+            if (served != 0)
+                wl.feed(*chip, served);
+            return chip->run(wl.tick_limit).exit ==
+                       RunExit::AllHalted &&
+                   wl.read_output(*chip) == wl.golden(served);
+        }));
+    }
+    for (auto &r : runs)
+        EXPECT_TRUE(r.get());
+    EXPECT_EQ(allSram(*tmpl), tmpl_sram);
+}
+
+TEST(Fleet, StandaloneTileStoresStayInThatTile)
+{
+    namespace b = synchro::isa::build;
+    Tile a(0, 0);
+    EXPECT_EQ(a.readMemWords(0x10, 3), std::vector<int32_t>(3, 0));
+    a.writeMemWords(0x10, {1, 2, 3});
+
+    // Whichever of the two writes first, the other never sees it.
+    Tile copy(0, 1);
+    copy.copyStateFrom(a);
+    EXPECT_EQ(copy.readMemWords(0x10, 3),
+              (std::vector<int32_t>{1, 2, 3}));
+    a.writeMemWords(0x14, {9});
+    EXPECT_EQ(copy.readMemWords(0x10, 3),
+              (std::vector<int32_t>{1, 2, 3}));
+    Tile copy2(0, 1);
+    copy2.copyStateFrom(a);
+    copy2.writeMemWords(0x10, {7});
+    EXPECT_EQ(a.readMemWords(0x10, 3),
+              (std::vector<int32_t>{1, 9, 3}));
+
+    // A store op executed on a copy, and a cleared copy.
+    Tile st(0, 2);
+    st.copyStateFrom(a);
+    st.setReg(0, 0x55);
+    st.setPreg(0, 0x10);
+    st.execute(b::store(isa::Opcode::STW, 0, 0, isa::MemMode::Offset,
+                        0));
+    EXPECT_EQ(st.readMemWords(0x10, 1)[0], 0x55);
+    Tile cleared(0, 3);
+    cleared.copyStateFrom(a);
+    cleared.clearMem();
+    EXPECT_EQ(cleared.readMemWords(0x10, 2),
+              std::vector<int32_t>(2, 0));
+    EXPECT_EQ(a.readMemWords(0x10, 3),
+              (std::vector<int32_t>{1, 9, 3}));
 }

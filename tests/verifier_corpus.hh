@@ -106,7 +106,7 @@ addCandidates(std::vector<Item> &out, const std::string &name)
         art.iterations_per_sec = v.iterations_per_sec;
         art.slack = s.slack;
         try {
-            art.spec = s.dag(s.seed, v.plan);
+            art.spec = apps::appDag(s, s.seed, v.plan);
             art.prog = mapping::lowerDag(art.spec, v.plan,
                                          v.iterations_per_sec, s.slack);
         } catch (const FatalError &e) {

@@ -31,10 +31,12 @@
 #ifndef SYNC_APPS_APP_HARNESS_HH
 #define SYNC_APPS_APP_HARNESS_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -177,19 +179,48 @@ withSeed(Params p, uint32_t seed)
 }
 
 /**
- * @p draw (seed -> app input) with the input of @p own_seed drawn
- * once and shared: the explorer lowers every candidate from the
- * app's own input, while fleet and DVFS work items draw theirs per
- * call.
+ * @p draw (seed -> app input), remembered: the input of @p own_seed
+ * for good, since the explorer lowers every candidate from the app's
+ * own input, and the latest RecentDraws others, so that a served
+ * item's golden reuses the draw its feed made. The returned callable
+ * maps a seed to a shared draw. Each call of drawCached() makes its
+ * own cache (one per spec, so specs never share an entry), and the
+ * callable is safe to call from concurrent fleet workers; a draw
+ * runs outside the lock.
  */
+inline constexpr unsigned RecentDraws = 8;
+
 template <typename Draw>
 auto
-ownSeedCached(uint32_t own_seed, Draw draw)
+drawCached(uint32_t own_seed, Draw draw)
 {
-    auto own = std::make_shared<const decltype(draw(own_seed))>(
-        draw(own_seed));
-    return [own_seed, own, draw](uint32_t seed) {
-        return seed == own_seed ? *own : draw(seed);
+    using Input = decltype(draw(own_seed));
+    struct Cache
+    {
+        std::mutex mu;
+        std::array<std::pair<uint32_t, std::shared_ptr<const Input>>,
+                   RecentDraws>
+            recent;
+        unsigned next = 0; //!< the oldest entry, replaced next
+    };
+    auto own = std::make_shared<const Input>(draw(own_seed));
+    auto cache = std::make_shared<Cache>();
+    return [own_seed, own, cache,
+            draw](uint32_t seed) -> std::shared_ptr<const Input> {
+        if (seed == own_seed)
+            return own;
+        {
+            std::lock_guard<std::mutex> lk(cache->mu);
+            for (const auto &[s, in] : cache->recent) {
+                if (in && s == seed)
+                    return in;
+            }
+        }
+        auto in = std::make_shared<const Input>(draw(seed));
+        std::lock_guard<std::mutex> lk(cache->mu);
+        cache->recent[cache->next] = {seed, in};
+        cache->next = (cache->next + 1) % RecentDraws;
+        return in;
     };
 }
 

@@ -441,7 +441,7 @@ motionSpec(const MotionPipelineParams &p)
     };
 
     using Scene = std::pair<dsp::Image, dsp::Image>; //!< (cur, ref)
-    auto scene = ownSeedCached(p.seed, [p](uint32_t seed) {
+    auto scene = drawCached(p.seed, [p](uint32_t seed) {
         Scene sc{dsp::Image(W, H), dsp::Image(W, H)};
         motionScene(withSeed(p, seed), sc.first, sc.second);
         return sc;
@@ -457,8 +457,8 @@ motionSpec(const MotionPipelineParams &p)
     s.inputs = [p, scene](uint32_t seed, const mapping::ChipPlan &plan) {
         MotionPipelineParams q = p;
         q.columns = planColumns(plan);
-        Scene sc = scene(seed);
-        return motionInputs(q, sc.first, sc.second);
+        const auto sc = scene(seed);
+        return motionInputs(q, sc->first, sc->second);
     };
     // Generous: one key per shard per slot_spacing ticks plus the
     // search itself, with plenty of slack.
@@ -473,8 +473,8 @@ motionSpec(const MotionPipelineParams &p)
         return bytesOfWords(readMotionOutput(chip, prog));
     };
     s.golden = [scene](uint32_t seed) {
-        Scene sc = scene(seed);
-        return bytesOfWords(motionGoldenKeys(sc.first, sc.second));
+        const auto sc = scene(seed);
+        return bytesOfWords(motionGoldenKeys(sc->first, sc->second));
     };
     return s;
 }

@@ -413,7 +413,7 @@ ddcSpec(const DdcPipelineParams &p)
     s.output_label = "ddc demod output";
     s.output_width = 2;
 
-    auto input = ownSeedCached(p.seed, [p](uint32_t seed) {
+    auto input = drawCached(p.seed, [p](uint32_t seed) {
         return ddcInput(withSeed(p, seed));
     });
     s.stages = [p](const mapping::ChipPlan &) {
@@ -421,7 +421,7 @@ ddcSpec(const DdcPipelineParams &p)
     };
     s.inputs = [input](uint32_t seed, const mapping::ChipPlan &) {
         return std::vector<InputImage>{
-            {"mixer", MixXBase, bytesOfHalves(input(seed))}};
+            {"mixer", MixXBase, bytesOfHalves(*input(seed))}};
     };
     // Generous: the delivery grid paces one sample per slot_spacing
     // ticks, plus pipeline fill and drain.
@@ -435,7 +435,7 @@ ddcSpec(const DdcPipelineParams &p)
             readDdcOutput(chip, prog, p.samples / Decim));
     };
     s.golden = [p, input](uint32_t seed) {
-        return bytesOfHalves(ddcGolden(p, input(seed)));
+        return bytesOfHalves(ddcGolden(p, *input(seed)));
     };
     return s;
 }

@@ -478,15 +478,15 @@ stereoSpec(const StereoPipelineParams &p)
     s.output_label = "stereo disparity map";
 
     using Pair = std::pair<dsp::Image, dsp::Image>; //!< (left, right)
-    auto scene = ownSeedCached(p.seed, [p](uint32_t seed) {
+    auto scene = drawCached(p.seed, [p](uint32_t seed) {
         Pair sc{dsp::Image(W, H), dsp::Image(W, H)};
         stereoScene(withSeed(p, seed), sc.first, sc.second);
         return sc;
     });
     s.stages = [p](const mapping::ChipPlan &) { return stereoDag(p); };
     s.inputs = [scene](uint32_t seed, const mapping::ChipPlan &) {
-        Pair sc = scene(seed);
-        return stereoInputs(sc.first, sc.second);
+        const auto sc = scene(seed);
+        return stereoInputs(sc->first, sc->second);
     };
     // Generous: the delivery grid paces RowWords tokens per row lane
     // per slot_spacing ticks, H rows, plus fill and drain.
@@ -496,8 +496,8 @@ stereoSpec(const StereoPipelineParams &p)
     };
     s.read_output = readStereoOutput;
     s.golden = [scene](uint32_t seed) {
-        Pair sc = scene(seed);
-        return dsp::stereoBlockDisparities(sc.first, sc.second, B, D);
+        const auto sc = scene(seed);
+        return dsp::stereoBlockDisparities(sc->first, sc->second, B, D);
     };
     return s;
 }

@@ -542,13 +542,13 @@ wifiSpec(const WifiPipelineParams &p)
     s.iterations_per_item = p.symbols / 2;
     s.output_label = "wifi decoded bits";
 
-    auto carriers = ownSeedCached(p.seed, [p](uint32_t seed) {
+    auto carriers = drawCached(p.seed, [p](uint32_t seed) {
         WifiPipelineParams q = withSeed(p, seed);
         return wifiCarriers(q, wifiPayload(q));
     });
     s.stages = [p](const mapping::ChipPlan &) { return wifiDag(p); };
     s.inputs = [p, carriers](uint32_t seed, const mapping::ChipPlan &) {
-        return wifiInputs(p, carriers(seed));
+        return wifiInputs(p, *carriers(seed));
     };
     // Generous: the delivery grid paces one token per lane per
     // slot_spacing ticks, 96 tokens per iteration on the widest lane,
@@ -563,7 +563,7 @@ wifiSpec(const WifiPipelineParams &p)
         return readWifiOutput(chip, prog, p.symbols);
     };
     s.golden = [p, carriers](uint32_t seed) {
-        return wifiGolden(p, carriers(seed));
+        return wifiGolden(p, *carriers(seed));
     };
     return s;
 }

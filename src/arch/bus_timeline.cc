@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/log.hh"
+
 namespace synchro::arch
 {
 
@@ -102,6 +104,52 @@ BusTimeline::build() const
             programs_[c]->step(pos[c]);
         node.next = uint32_t(nodes_.size() + 1);
         nodes_.push_back(node);
+    }
+}
+
+const Tick *
+BusTimeline::commHorizons() const
+{
+    sync_assert(ready(), "bus horizons of a timeline that did not close");
+    std::call_once(horizons_once_, [this] { buildHorizons(); });
+    return horizons_.data();
+}
+
+void
+BusTimeline::buildHorizons() const
+{
+    const size_t n = programs_.size();
+    std::vector<std::vector<char>> names(plans_.size(),
+                                         std::vector<char>(n, 0));
+    for (size_t p = 0; p < plans_.size(); ++p) {
+        for (const LanePlan &lp : plans_[p]) {
+            for (const LanePlan::Slot &s : lp.drivers)
+                names[p][s.col] = 1;
+            for (const LanePlan::Slot &s : lp.captures)
+                names[p][s.col] = 1;
+        }
+    }
+
+    // Node i continues at i + 1, the last one loops back into the
+    // list. One pass in reverse settles every node up to the loop's
+    // entry node; a second carries the entry's horizons round the
+    // loop to the nodes behind the loop's last naming phase.
+    horizons_.assign(nodes_.size() * n, MaxTick);
+    for (int pass = 0; pass < 2; ++pass) {
+        for (size_t i = nodes_.size(); i-- > 0;) {
+            const Node &node = nodes_[i];
+            if (node.gap == MaxTick)
+                continue; // the gap never ends: no plan, no horizon
+            const Tick *after = &horizons_[node.next * n];
+            for (size_t c = 0; c < n; ++c) {
+                Tick h = MaxTick;
+                if (names[node.plan][c])
+                    h = node.gap + 1;
+                else if (after[c] < MaxTick - node.gap - 1)
+                    h = node.gap + 1 + after[c];
+                horizons_[i * n + c] = h;
+            }
+        }
     }
 }
 

@@ -105,10 +105,24 @@ class BusTimeline
 
     /** The joint DOU position at @p cur, into @p out. */
     void positionAt(Cursor cur, std::vector<DouPosition> &out) const;
+
+    /**
+     * Each column's bus horizon, by node: entry [n * columns + c]
+     * counts the reference phases from node n's first gap phase
+     * through the next active phase whose plan names column c
+     * (drives or captures one of its tiles); MaxTick when none ever
+     * does. runPlan changes only the buffers of the tiles its plan
+     * names, so from cursor cur, c's comm buffers change in none of
+     * the next entry - cur.used phases but the last. Built on the
+     * first call — once, safe to race — so only the backends that
+     * ask pay for it.
+     */
+    const Tick *commHorizons() const;
     /** @} */
 
   private:
     void build() const;
+    void buildHorizons() const;
 
     const std::vector<std::shared_ptr<const DouProgram>> programs_;
 
@@ -122,6 +136,10 @@ class BusTimeline
     mutable std::vector<DouPosition> starts_;
     mutable std::vector<CyclePlan> plans_;
     mutable std::map<std::vector<uint32_t>, uint32_t> index_;
+
+    // Filled once by buildHorizons(), under horizons_once_.
+    mutable std::once_flag horizons_once_;
+    mutable std::vector<Tick> horizons_;
 };
 
 } // namespace synchro::arch

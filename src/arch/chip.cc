@@ -3,13 +3,14 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "sim/walks.hh"
 
 namespace synchro::arch
 {
 
 Chip::Chip(const ChipConfig &cfg)
     : cfg_(cfg),
-      sched_(makeScheduler(cfg.scheduler, cfg.parallel_columns)),
+      sched_(makeSchedulerFor<Chip>(cfg.scheduler, cfg.parallel_columns)),
       fabric_(unsigned(cfg.dividers.size()), cfg.strict,
               cfg.self_timed_bus)
 {
@@ -86,9 +87,20 @@ Chip::refPhase()
 }
 
 Tick
-Chip::domainEdgeBlock(unsigned d, Tick max_slots)
+Chip::domainEdgeBlock(unsigned d, Tick max_slots, Tick comm_slots)
 {
-    return columns_[d]->clockEdgeBlock(max_slots);
+    return columns_[d]->clockEdgeBlock(max_slots, comm_slots);
+}
+
+Tick
+Chip::domainCommHorizon(unsigned d) const
+{
+    // Only an active phase whose plan names a column changes its
+    // buffers (BusFabric::runPlan); the cursor names the pending one.
+    if (!horizons_)
+        return 0;
+    const Tick h = horizons_[cursor_.node * columns_.size() + d];
+    return h == MaxTick ? MaxTick : h - cursor_.used;
 }
 
 Tick
@@ -159,6 +171,7 @@ void
 Chip::followTimeline()
 {
     following_ = false;
+    horizons_ = nullptr;
     if (cfg_.scheduler == SchedulerKind::EventQueue)
         return;
     std::shared_ptr<const BusTimeline> tl = busTimeline();
@@ -177,6 +190,8 @@ Chip::followTimeline()
     }
     following_ = true;
     cursor_phases_ = 0;
+    if (cfg_.scheduler == SchedulerKind::Compiled)
+        horizons_ = cursor_timeline_->commHorizons();
 }
 
 void
@@ -216,7 +231,7 @@ void
 Chip::restart()
 {
     resetColumns();
-    sched_ = makeScheduler(cfg_.scheduler, cfg_.parallel_columns);
+    sched_ = makeSchedulerFor<Chip>(cfg_.scheduler, cfg_.parallel_columns);
 }
 
 bool

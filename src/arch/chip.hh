@@ -94,7 +94,7 @@ struct RunResult
     Tick ticks; //!< final tick reached
 };
 
-class Chip : private SchedModel
+class Chip final : private SchedModel
 {
   public:
     explicit Chip(const ChipConfig &cfg);
@@ -206,6 +206,17 @@ class Chip : private SchedModel
     void sumStats(std::vector<uint64_t> &sums) const;
 
   private:
+    // The walks are instantiated for the chip itself (sim/walks.hh),
+    // so they call the hooks below directly.
+    template <class M>
+    friend class synchro::ReferenceStepper;
+    template <class M, class W>
+    friend class synchro::EdgeWalk;
+    template <class M>
+    friend class synchro::EdgeScheduler;
+    template <class M>
+    friend class synchro::ParallelColumnsScheduler;
+
     /// @name SchedModel interface (driven by the scheduler)
     /// @{
     unsigned numDomains() const override { return numColumns(); }
@@ -213,7 +224,9 @@ class Chip : private SchedModel
     bool domainHalted(unsigned d) const override;
     void domainEdge(unsigned d) override;
     void refPhase() override;
-    Tick domainEdgeBlock(unsigned d, Tick max_slots) override;
+    Tick domainEdgeBlock(unsigned d, Tick max_slots,
+                         Tick comm_slots) override;
+    Tick domainCommHorizon(unsigned d) const override;
     Tick commFreeAdvance(Tick max) override;
     bool domainCommStalled(unsigned d) const override;
     void domainStallCredit(unsigned d, Tick slots) override;
@@ -240,7 +253,7 @@ class Chip : private SchedModel
     void forEachStatGroup(Fn &&fn) const;
 
     ChipConfig cfg_;
-    std::unique_ptr<Scheduler> sched_;
+    std::unique_ptr<SchedulerFor<Chip>> sched_;
     std::vector<std::unique_ptr<Column>> columns_;
     BusFabric fabric_;
 
@@ -262,6 +275,12 @@ class Chip : private SchedModel
     BusTimeline::Cursor cursor_;
     bool following_ = false;
     Tick cursor_phases_ = 0;
+    /**
+     * The followed timeline's commHorizons() table when this run
+     * follows it on Compiled (domainCommHorizon()); null otherwise.
+     * Set by followTimeline().
+     */
+    const Tick *horizons_ = nullptr;
     std::vector<DouPosition> placed_; //!< DOU positions placeDous() set
 };
 

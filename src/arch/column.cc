@@ -42,9 +42,9 @@ Column::clockEdge()
 }
 
 Tick
-Column::clockEdgeBlock(Tick max_slots)
+Column::clockEdgeBlock(Tick max_slots, Tick comm_slots)
 {
-    Tick k = ctrl_.cycleBlock(active_tiles_, max_slots);
+    Tick k = ctrl_.cycleBlock(active_tiles_, max_slots, comm_slots);
     cycles_seen_ += k;
     return k;
 }

@@ -79,10 +79,11 @@ class Column
 
     /**
      * Up to @p max_slots consecutive issue slots executed as one
-     * compiled block (SimdController::cycleBlock). Returns the slots
-     * consumed; 0 means the caller must fall back to clockEdge().
+     * compiled block (SimdController::cycleBlock), comm ops only in
+     * the first @p comm_slots. Returns the slots consumed; 0 means
+     * the caller must fall back to clockEdge().
      */
-    Tick clockEdgeBlock(Tick max_slots);
+    Tick clockEdgeBlock(Tick max_slots, Tick comm_slots);
 
     /** The next slot stalls on a comm hazard (SimdController). */
     bool commStalled() const { return ctrl_.commStalled(active_tiles_); }

@@ -246,18 +246,47 @@ SimdController::zormWindow(uint64_t want_issues, Tick avail,
     zorm_acc_ = uint32_t(acc0 + S * rate - Z * period);
 }
 
+bool
+SimdController::blockSlot(const std::vector<Tile *> &tiles,
+                           bool comm_ok) const
+{
+    if (stall_ > 0)
+        return true;
+    if (pc_ >= prog_->uops.size())
+        return false;
+    const MicroOp &uop = prog_->uops[pc_];
+    switch (uop.kind) {
+      case UopKind::Halt:
+        return false;
+      case UopKind::CommRead:
+      case UopKind::CommWrite:
+        return comm_ok && !commHazard(uop, tiles);
+      default:
+        return true;
+    }
+}
+
 Tick
 SimdController::cycleBlock(const std::vector<Tile *> &tiles,
-                           Tick max_slots)
+                           Tick max_slots, Tick comm_slots)
 {
-    if (halted_ || stall_ > 0 || !prog_)
+    if (halted_ || !prog_)
         return 0;
 
     const auto &run_len = prog_->run_len;
     const size_t psize = prog_->uops.size();
     Tick slots = 0;
 
-    while (slots < max_slots && pc_ < psize && run_len[pc_] != 0) {
+    while (slots < max_slots) {
+        if (stall_ > 0 || pc_ >= psize || run_len[pc_] == 0) {
+            // Not a straight run: one slot by the per-slot rule,
+            // while it stays inside the column.
+            if (!blockSlot(tiles, slots < comm_slots))
+                break;
+            cycle(tiles);
+            ++slots;
+            continue;
+        }
         const uint64_t run = run_len[pc_];
         const Tick avail = max_slots - slots;
 

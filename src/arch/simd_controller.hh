@@ -81,19 +81,26 @@ class SimdController
     void cycle(const std::vector<Tile *> &tiles);
 
     /**
-     * Execute up to @p max_slots issue slots as pre-analyzed
-     * straight-line blocks (isa::DecodedProgram::run_len) — the
-     * Compiled scheduler backend's edge path. Consumes only slots
-     * whose behavior is statically known: broadcast compute ops,
-     * controller nops, and ZORM-paced nops (folded in closed form).
-     * Stops before any branch, halt, lsetup or comm op, so those —
-     * and their hazard checks — run through cycle() at their exact
-     * slot. Returns the number of slots consumed; 0 means the current
-     * slot needs the per-slot path (caller falls back to cycle()).
-     * State, statistics and tile effects are bit-identical to the
-     * same number of cycle() calls.
+     * Execute up to @p max_slots issue slots as one block — the
+     * Compiled scheduler backend's edge path. Straight-line runs
+     * (isa::DecodedProgram::run_len) execute as pre-analyzed blocks,
+     * whole zero-overhead loops in bulk and ZORM-paced nops in closed
+     * form. Every other slot whose effect stays inside the column
+     * runs in place by cycle()'s per-slot rule: branch-stall slots,
+     * jump, jcc/jncc (on the column's own CC), lsetup (with its
+     * fatal checks) and the ZORM nops before them. So does a
+     * crd/cwr whose hazard is clear within the first @p comm_slots
+     * slots, where the caller proved no bus cycle touches the
+     * column's buffers. The block ends before halt (its slot decides
+     * when the chip halts), a comm op past @p comm_slots or with its
+     * hazard holding (the caller's sleep path takes it), and a pc
+     * past the program end. Returns the number of slots consumed;
+     * 0 means the current slot needs the per-slot path (caller
+     * falls back to cycle()). State, statistics and tile effects
+     * are bit-identical to the same number of cycle() calls.
      */
-    Tick cycleBlock(const std::vector<Tile *> &tiles, Tick max_slots);
+    Tick cycleBlock(const std::vector<Tile *> &tiles, Tick max_slots,
+                    Tick comm_slots);
 
     /**
      * True when the next slot is a CommRead with an empty buffer or a
@@ -141,6 +148,12 @@ class SimdController
     };
 
     bool readCc(const std::vector<Tile *> &tiles) const;
+
+    /**
+     * The next slot, which is not part of a straight run, may issue
+     * inside a block (see cycleBlock()); @p comm_ok: comm ops may.
+     */
+    bool blockSlot(const std::vector<Tile *> &tiles, bool comm_ok) const;
     void advancePc();
 
     /** @p uop is a comm op some active tile cannot complete yet. */

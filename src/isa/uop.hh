@@ -155,8 +155,8 @@ MicroOp decodeInst(const Inst &inst);
  * straight-line block without consulting the per-slot machinery:
  * every broadcast compute kind except the communication buffers
  * (whose hazard checks are time-sensitive), plus the controller-local
- * `nop` (issued without a tile broadcast). Branches, `halt` and
- * `lsetup` stay on the slot-at-a-time path.
+ * `nop` (issued without a tile broadcast). Branches, `halt`, `lsetup`
+ * and comm ops go through the per-slot rule, one slot at a time.
  */
 inline bool
 isBlockStraight(UopKind k)

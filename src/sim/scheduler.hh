@@ -28,11 +28,15 @@
  *    one at a time.
  *
  *  - SchedulerKind::Compiled — the default: the same walk, plus
- *    issue-slot blocks: straight-line runs of a domain's steady-state
- *    firing loops execute as one pre-analyzed block
- *    (domainEdgeBlock). Any slot with a branch, halt, lsetup or comm
- *    op still runs slot-exact. A domain whose next slot is a stalled
- *    crd/cwr (domainCommStalled) sleeps: it leaves the walk until a
+ *    issue-slot blocks (domainEdgeBlock): a domain runs ahead as far
+ *    as nothing else can disturb it. Compute ops and controller-
+ *    private slots (jump, jcc/jncc and their stall slot, lsetup,
+ *    nops, ZORM nops) run inside a block; so does a crd/cwr whose
+ *    hazard is clear, up to the domain's bus horizon
+ *    (domainCommHorizon: the next reference phase that may change
+ *    its buffers). halt, and comm ops past the horizon, run
+ *    slot-exact. A domain whose next slot is a stalled crd/cwr
+ *    (domainCommStalled) sleeps: it leaves the walk until a
  *    reference phase fills or drains its own buffers
  *    (refPhaseTouched), and its skipped stall slots are credited in
  *    one call (domainStallCredit).
@@ -49,9 +53,13 @@
  *    delivery slot serially. Bit-identical to the serial backends
  *    for any team size by construction.
  *
- * All backends drive the model through the same narrow interface and
- * must produce identical architectural state and statistics; the
- * scheduler_test suite enforces this.
+ * All backends drive the model through the same narrow interface
+ * and must produce identical architectural state and statistics;
+ * the scheduler_test suite enforces this. The walks themselves are
+ * templates over the model (sim/walks.hh): makeScheduler() runs them
+ * on any SchedModel through its virtual hooks, and a model that
+ * instantiates them for its own final type (the chip) has every
+ * per-edge and per-phase hook call resolved statically.
  */
 
 #ifndef SYNC_SIM_SCHEDULER_HH
@@ -151,16 +159,37 @@ class SchedModel
      * the block stands for the edge at tick t + i * divider; the
      * block may only contain work that commutes with every reference
      * phase and other-domain edge in that window (for the chip:
-     * compute ops touching tile-private state, never the comm
-     * buffers). Returns the slots consumed; 0 means no block applies
-     * and the caller must issue a single domainEdge(). The default
-     * keeps non-compiled models on the slot-at-a-time path.
+     * compute and controller-private slots on tile-private state).
+     * The first @p comm_slots slots may also issue comm ops whose
+     * hazard is clear: the caller proved that no reference phase
+     * before their ticks changes the domain's comm buffers
+     * (domainCommHorizon). Returns the slots consumed; 0 means no
+     * block applies and the caller must issue a single domainEdge().
+     * The default keeps non-compiled models on the slot-at-a-time
+     * path.
      */
     virtual Tick
-    domainEdgeBlock(unsigned d, Tick max_slots)
+    domainEdgeBlock(unsigned d, Tick max_slots, Tick comm_slots)
     {
         (void)d;
         (void)max_slots;
+        (void)comm_slots;
+        return 0;
+    }
+
+    /**
+     * Compiled-backend hook, asked while the reference phase of the
+     * walked tick t is still pending: the reference phases from t on
+     * that pass through the first one that may change domain @p d's
+     * comm buffers. Edges of a tick run before its phase, so @p d's
+     * comm ops at ticks before t + the returned count see only its
+     * own writes. MaxTick: no later phase touches them. 0 (the
+     * default): nothing is proven, and comm ops stay slot-exact.
+     */
+    virtual Tick
+    domainCommHorizon(unsigned d) const
+    {
+        (void)d;
         return 0;
     }
 
@@ -262,10 +291,17 @@ enum class SchedStop
     Idle,      //!< nothing left to schedule but not halted
 };
 
-class Scheduler
+/**
+ * A backend driving models of type @p Model. Scheduler, on the
+ * abstract SchedModel, is the one makeScheduler() builds; a model
+ * instantiates the walks for itself through makeSchedulerFor()
+ * (sim/walks.hh).
+ */
+template <class Model>
+class SchedulerFor
 {
   public:
-    virtual ~Scheduler() = default;
+    virtual ~SchedulerFor() = default;
 
     /**
      * Drive @p model until it halts or @p max_ticks reference cycles
@@ -273,7 +309,7 @@ class Scheduler
      * work carries across calls, so run(1) in a loop is equivalent to
      * one large run() (robustness_test relies on this).
      */
-    virtual SchedStop run(SchedModel &model, Tick max_ticks) = 0;
+    virtual SchedStop run(Model &model, Tick max_ticks) = 0;
 
     virtual Tick curTick() const = 0;
 
@@ -281,6 +317,21 @@ class Scheduler
 
     const char *name() const { return schedulerName(kind()); }
 };
+
+using Scheduler = SchedulerFor<SchedModel>;
+
+/**
+ * The walks (sim/walks.hh), declared so that a model can befriend
+ * them and keep its hooks private.
+ */
+template <class Model>
+class ReferenceStepper;
+template <class Model, class Walk>
+class EdgeWalk;
+template <class Model>
+class EdgeScheduler;
+template <class Model>
+class ParallelColumnsScheduler;
 
 /**
  * Construct a scheduler backend. @p team_threads only matters for

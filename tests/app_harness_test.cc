@@ -1,10 +1,13 @@
 /** @file The shared mapped-app harness: reject paths (empty graphs,
  * unset run budgets), golden-mismatch reporting, the serving feed
- * against a fresh build of each item, and a regression pin that the
- * refactored runners still produce exactly the pre-refactor cycle
- * traces. */
+ * against a fresh build of each item, the seeded-draw cache, and a
+ * regression pin that the refactored runners still produce exactly
+ * the pre-refactor cycle traces. */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "apps/app_harness.hh"
 #include "apps/app_registry.hh"
@@ -196,4 +199,62 @@ TEST(AppHarness, FeedOnACloneEqualsAFreshBuildOfTheItem)
             EXPECT_EQ(wl.read_output(*live), wl.read_output(*fresh));
         }
     }
+}
+
+TEST(DrawCached, ReusesTheOwnSeedAndTheLatestDraws)
+{
+    // A golden after its feed reuses the feed's draw; the own seed
+    // stays; anything older than RecentDraws other seeds is drawn
+    // again, so the memory stays bounded.
+    std::atomic<unsigned> draws{0};
+    auto draw = drawCached(7, [&draws](uint32_t seed) {
+        ++draws;
+        return std::vector<uint32_t>(4, seed * 3);
+    });
+    EXPECT_EQ(draws, 1u);
+    EXPECT_EQ(*draw(7), std::vector<uint32_t>(4, 21));
+    const auto first = draw(100);
+    EXPECT_EQ(draw(100), first);
+    EXPECT_EQ(draws, 2u);
+    for (uint32_t s = 0; s < RecentDraws; ++s)
+        draw(200 + s);
+    EXPECT_EQ(draws, 2u + RecentDraws);
+    EXPECT_EQ(*draw(100), *first);
+    EXPECT_EQ(draws, 3u + RecentDraws);
+    EXPECT_EQ(*draw(7), std::vector<uint32_t>(4, 21));
+    EXPECT_EQ(draws, 3u + RecentDraws);
+
+    // A second cache of the same draw shares nothing with the first.
+    auto other = drawCached(7, [](uint32_t seed) {
+        return std::vector<uint32_t>(4, seed * 5);
+    });
+    EXPECT_EQ(*other(100), std::vector<uint32_t>(4, 500));
+    EXPECT_EQ(*draw(100), std::vector<uint32_t>(4, 300));
+}
+
+TEST(DrawCached, ConcurrentWorkersGetTheirOwnSeedsDraw)
+{
+    // Fleet workers feed and check items of one spec at once: each
+    // call returns its own seed's draw, whichever worker filled the
+    // entry or pushed it out.
+    auto draw = drawCached(0, [](uint32_t seed) {
+        return std::vector<uint32_t>(64, seed ^ 0x5a5a);
+    });
+    std::atomic<unsigned> wrong{0};
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < 4; ++t) {
+        pool.emplace_back([&, t] {
+            for (uint32_t i = 0; i < 400; ++i) {
+                const uint32_t seed = (i * 7 + t) % 23;
+                auto in = draw(seed);
+                auto again = draw(seed);
+                if (*in != std::vector<uint32_t>(64, seed ^ 0x5a5a) ||
+                    *again != *in)
+                    ++wrong;
+            }
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+    EXPECT_EQ(wrong, 0u);
 }

@@ -2,7 +2,8 @@
  * follow each chip's DOU schedule resolved once, while EventQueue
  * steps the DOUs literally. Seeded differential fuzz of the two
  * against each other (one run, run(97) loops, restart() reuse, DOU
- * reloads, the node-bound fallback, strict-mode fatals), and the
+ * reloads, the node-bound fallback, strict-mode fatals), the bus
+ * horizons Compiled reads against literal stepping, and the
  * timeline's sharing across concurrent clones. */
 
 #include <gtest/gtest.h>
@@ -558,6 +559,111 @@ TEST(BusTimeline, ParkedDousMakeOneEndlessGap)
     EXPECT_EQ(timeline->node(0).gap, MaxTick);
     EXPECT_EQ(chip.column(1).dou().stats().value("steps"),
               chip.curTick() + 1);
+}
+
+TEST(BusTimelineHorizons, MatchLiteralSteppingOnRandomMachines)
+{
+    // From each node's first gap phase, step every DOU literally and
+    // plan each phase: column c's horizon is the count of phases
+    // through the first whose plan names c, or MaxTick when none in
+    // two laps of the schedule does.
+    Rng rng(0x7116);
+    unsigned checked = 0, never = 0;
+    for (unsigned i = 0; i < 150 && !HasFailure(); ++i) {
+        const Case k = fuzzCase(rng, i);
+        std::vector<std::shared_ptr<const DouProgram>> programs;
+        for (const DouProgram &p : k.dous)
+            programs.push_back(std::make_shared<const DouProgram>(p));
+        const BusTimeline tl(programs);
+        if (!tl.ready())
+            continue;
+        const size_t n = programs.size();
+        Tick lap = 0;
+        for (uint32_t node = 0; node < tl.numNodes(); ++node) {
+            const Tick gap = tl.node(node).gap;
+            lap = gap == MaxTick || lap > 100'000 ? MaxTick
+                                                  : lap + gap + 1;
+        }
+        const Tick bound = lap == MaxTick ? 2'000 : 2 * lap;
+        const Tick *horizons = tl.commHorizons();
+        const uint32_t stride =
+            std::max<uint32_t>(1, uint32_t(tl.numNodes() / 24));
+        for (uint32_t node = 0; node < tl.numNodes(); node += stride) {
+            std::vector<DouPosition> pos;
+            tl.positionAt({node, 0}, pos);
+            std::vector<Tick> want(n, MaxTick);
+            std::vector<ColumnBusView> views(n);
+            for (Tick phase = 0; phase < bound; ++phase) {
+                for (size_t c = 0; c < n; ++c)
+                    views[c].state = &programs[c]->step(pos[c]);
+                for (const LanePlan &lp : planCycle(views)) {
+                    for (const auto *slots : {&lp.drivers, &lp.captures}) {
+                        for (const LanePlan::Slot &sl : *slots) {
+                            if (want[sl.col] == MaxTick)
+                                want[sl.col] = phase + 1;
+                        }
+                    }
+                }
+            }
+            for (size_t c = 0; c < n; ++c) {
+                EXPECT_EQ(horizons[node * n + c], want[c])
+                    << "case " << i << " node " << node << " column "
+                    << c;
+                ++checked;
+                never += want[c] == MaxTick;
+            }
+        }
+    }
+    // Enough horizons of both kinds, or the check proves little.
+    EXPECT_GT(checked, 1000u);
+    EXPECT_GT(never, 20u);
+    EXPECT_GT(checked - never, 500u);
+}
+
+TEST(BusTimelineShare, ConcurrentClonesShareOneHorizonTable)
+{
+    // The template's timeline is already built, so the clones' first
+    // Compiled runs race only to build its horizon table: every
+    // result matches a sequential run, and all of them read the one
+    // table the template's timeline holds.
+    Rng rng(0x7117);
+    Case k = drainingCase(rng);
+    k.cfg.self_timed_bus = true;
+    auto tmpl = build(k, SchedulerKind::Compiled);
+    ASSERT_TRUE(tmpl->busTimeline()->ready());
+
+    auto seq = build(k, SchedulerKind::Compiled);
+    const RunResult want = seq->run(k.limit);
+    ASSERT_EQ(int(want.exit), int(RunExit::AllHalted));
+    const auto want_stats = allStats(*seq);
+    const auto want_regs = allRegs(*seq);
+
+    constexpr unsigned Threads = 4, PerThread = 3;
+    std::vector<std::unique_ptr<Chip>> clones(Threads * PerThread);
+    std::vector<RunResult> results(clones.size());
+    std::vector<const Tick *> tables(clones.size());
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < Threads; ++t) {
+        pool.emplace_back([&, t] {
+            for (unsigned j = 0; j < PerThread; ++j) {
+                const unsigned i = t * PerThread + j;
+                clones[i] = tmpl->clone();
+                results[i] = clones[i]->run(k.limit);
+                tables[i] = clones[i]->busTimeline()->commHorizons();
+            }
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    const Tick *shared = tmpl->busTimeline()->commHorizons();
+    for (unsigned i = 0; i < clones.size(); ++i) {
+        EXPECT_EQ(int(results[i].exit), int(want.exit)) << i;
+        EXPECT_EQ(results[i].ticks, want.ticks) << i;
+        EXPECT_EQ(allStats(*clones[i]), want_stats) << i;
+        EXPECT_EQ(allRegs(*clones[i]), want_regs) << i;
+        EXPECT_EQ(tables[i], shared) << i;
+    }
 }
 
 TEST(BusTimelineShare, ConcurrentClonesBuildOneTimeline)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "arch/column.hh"
 #include "common/log.hh"
 #include "test_util.hh"
 
@@ -275,6 +279,262 @@ TEST(SimdController, LoopReArmWhileActiveIsFatal)
         halt
     )");
     EXPECT_THROW(runToHalt(*chip), FatalError);
+}
+
+// ---------------------------------------------------------------
+// Compiled blocks (SimdController::cycleBlock): every slot a block
+// consumes must leave the column exactly as that many cycle() calls
+// would. Each test loads one program into two columns, runs blocks on
+// one and as many per-slot edges on the other, and compares.
+
+namespace
+{
+
+std::map<std::string, uint64_t>
+statsOf(const StatGroup &g)
+{
+    std::map<std::string, uint64_t> out;
+    for (const auto &kv : g.all())
+        out[kv.first] = kv.second.value();
+    return out;
+}
+
+/** One program in two columns: one runs blocks, one slot by slot. */
+struct ColumnPair
+{
+    Column block{0, 2, ClockDomain(600e6, 1, 0)};
+    Column slots{0, 2, ClockDomain(600e6, 1, 0)};
+
+    explicit ColumnPair(const std::string &src, uint32_t nops = 0,
+                        uint32_t period = 0)
+    {
+        for (Column *c : {&block, &slots}) {
+            c->controller().loadProgram(isa::assemble(src));
+            c->controller().setRateMatch(nops, period);
+        }
+    }
+
+    /** Give both columns' tiles a word in read buffer 0. */
+    void
+    deliver(uint32_t v)
+    {
+        for (Column *c : {&block, &slots}) {
+            for (unsigned t = 0; t < c->numTiles(); ++t)
+                c->tile(t).readBuffer(0).push(v);
+        }
+    }
+
+    /** One block of up to @p max slots; as many edges on the other. */
+    Tick
+    step(Tick max, Tick comm)
+    {
+        const Tick k = block.clockEdgeBlock(max, comm);
+        for (Tick i = 0; i < k; ++i)
+            slots.clockEdge();
+        return k;
+    }
+
+    void
+    expectSame(const std::string &what) const
+    {
+        const SimdController &a = block.controller();
+        const SimdController &b = slots.controller();
+        EXPECT_EQ(a.pc(), b.pc()) << what;
+        EXPECT_EQ(a.halted(), b.halted()) << what;
+        EXPECT_EQ(block.commStalled(), slots.commStalled()) << what;
+        EXPECT_EQ(block.cyclesSeen(), slots.cyclesSeen()) << what;
+        EXPECT_EQ(statsOf(a.stats()), statsOf(b.stats())) << what;
+        for (unsigned t = 0; t < block.numTiles(); ++t) {
+            const Tile &x = block.tile(t);
+            const Tile &y = slots.tile(t);
+            for (unsigned r = 0; r < isa::NumDataRegs; ++r)
+                EXPECT_EQ(x.reg(r), y.reg(r)) << what << " r" << r;
+            EXPECT_EQ(x.cc(), y.cc()) << what;
+            EXPECT_EQ(x.writeBuffer().valid(), y.writeBuffer().valid())
+                << what;
+            EXPECT_EQ(x.anyReadValid(), y.anyReadValid()) << what;
+            EXPECT_EQ(statsOf(x.stats()), statsOf(y.stats())) << what;
+        }
+    }
+};
+
+/**
+ * Branches both ways, a jump and two loop units sharing an end
+ * address: r0 ends at 3 * 2 + 7 = 13 after six conditional branches.
+ */
+const char *const kControlProgram = R"(
+        movi r0, 0
+        movi r1, 4
+        movi r3, 0
+        lsetup lc0, e, 3
+        lsetup lc1, e, 2
+        addi r0, 1
+        nop
+    e:
+    top:
+        addi r1, -1
+        cmpeq r1, r3
+        jncc top
+        cmpeq r1, r3
+        jcc hit
+        addi r0, 100
+    hit:
+        cmplt r1, r3
+        jcc miss
+        jump over
+    miss:
+        addi r0, 1000
+    over:
+        addi r0, 7
+        halt
+)";
+
+} // namespace
+
+TEST(CycleBlock, RunsBranchesJumpsAndLoopSetupsInPlace)
+{
+    // Unpaced and under two ZORM pacings, one block runs every slot
+    // up to the halt, branch-stall slots and paced nops included.
+    const std::pair<uint32_t, uint32_t> pacings[] = {
+        {0, 0}, {1, 3}, {2, 5}};
+    for (auto [nops, period] : pacings) {
+        const std::string what = strprintf("zorm %u/%u", nops, period);
+        ColumnPair p(kControlProgram, nops, period);
+        const Tick k = p.step(100'000, 0);
+        p.expectSame(what);
+        EXPECT_GT(k, 30u) << what;
+        EXPECT_FALSE(p.block.halted()) << what;
+        EXPECT_EQ(p.block.controller().stats().value("branchStalls"), 6u)
+            << what;
+        // The halt is left to the per-slot path.
+        EXPECT_EQ(p.step(100'000, 0), 0u) << what;
+        p.block.clockEdge();
+        p.slots.clockEdge();
+        EXPECT_TRUE(p.block.halted()) << what;
+        EXPECT_EQ(p.block.tile(0).reg(0), 13u) << what;
+        p.expectSame(what);
+    }
+}
+
+TEST(CycleBlock, ChunkedBlocksMatchSlotBySlot)
+{
+    // Blocks of 1-5 slots end anywhere: between a branch and its
+    // stall slot, inside a loop body, on a paced nop.
+    for (Tick chunk = 1; chunk <= 5; ++chunk) {
+        ColumnPair p(kControlProgram, 2, 5);
+        unsigned guard = 0;
+        while (p.step(chunk, 0) > 0 && guard++ < 1000)
+            p.expectSame(strprintf("chunk %llu", (unsigned long long)chunk));
+        EXPECT_EQ(p.block.tile(0).reg(0), 13u);
+        EXPECT_FALSE(p.block.halted());
+    }
+}
+
+TEST(CycleBlock, IssuesCommOpsOnlyInsideItsCommSlots)
+{
+    // cwr at slot 1 and crd at slot 3: a comm op issues when its slot
+    // is inside the first comm_slots (at or before the horizon) and
+    // ends the block one slot after it.
+    const char *src = R"(
+        movi r7, 9
+        cwr r7
+        addi r0, 1
+        crd r2
+        addi r0, 1
+        halt
+    )";
+    const Tick want[] = {1, 1, 3, 3, 5, 5, 5};
+    for (Tick comm = 0; comm < 7; ++comm) {
+        const std::string what =
+            strprintf("comm_slots %llu", (unsigned long long)comm);
+        ColumnPair p(src);
+        p.deliver(42);
+        EXPECT_EQ(p.step(100, comm), want[comm]) << what;
+        p.expectSame(what);
+        EXPECT_EQ(p.block.tile(0).writeBuffer().valid(), comm >= 2)
+            << what;
+        EXPECT_EQ(p.block.tile(1).reg(2), comm >= 4 ? 42u : 0u) << what;
+    }
+}
+
+TEST(CycleBlock, IssuesACommOpBehindAZormNop)
+{
+    // Paced 1 nop in 2 slots: movi, nop, cwr, nop, addi, nop, halt.
+    // The cwr's paced nop runs in the block whenever the nop slot is
+    // a comm slot; the cwr itself needs its own slot to be one. The
+    // halt's paced nop stays with the halt.
+    const char *src = R"(
+        movi r7, 3
+        cwr r7
+        addi r0, 1
+        halt
+    )";
+    const Tick want[] = {1, 1, 2, 5, 5};
+    for (Tick comm = 0; comm < 5; ++comm) {
+        const std::string what =
+            strprintf("comm_slots %llu", (unsigned long long)comm);
+        ColumnPair p(src, 1, 2);
+        EXPECT_EQ(p.step(100, comm), want[comm]) << what;
+        p.expectSame(what);
+    }
+
+    // A full write buffer: the block ends before the paced nop, so
+    // the sleep path credits it with the stall slots.
+    ColumnPair p(src, 1, 2);
+    for (Column *c : {&p.block, &p.slots}) {
+        for (unsigned t = 0; t < c->numTiles(); ++t)
+            c->tile(t).writeBuffer().push(1);
+    }
+    EXPECT_EQ(p.step(100, 100), 1u);
+    p.expectSame("full write buffer");
+    EXPECT_TRUE(p.block.commStalled());
+}
+
+TEST(CycleBlock, EndsWhereACommStallBeginsMidBlock)
+{
+    // A crd on an empty buffer after two compute slots and a taken
+    // branch: the block ends at the crd with the column stalled; once
+    // a word arrives the next block issues it.
+    ColumnPair p(R"(
+        movi r3, 1
+        movi r4, 1
+        cmpeq r3, r4
+        jcc go
+        halt
+    go:
+        crd r2
+        addi r2, 5
+        halt
+    )");
+    EXPECT_EQ(p.step(100, 100), 5u); // 3 ops, jcc and its stall slot
+    p.expectSame("stalled");
+    EXPECT_TRUE(p.block.commStalled());
+    EXPECT_EQ(p.step(100, 100), 0u);
+    p.deliver(37);
+    EXPECT_EQ(p.step(100, 100), 2u);
+    p.expectSame("delivered");
+    EXPECT_EQ(p.block.tile(0).reg(2), 42u);
+}
+
+TEST(CycleBlock, NeverIssuesAHalt)
+{
+    // The halting slot decides when the chip halts, so it is always
+    // slot-exact, even straight after a paced nop or a branch stall.
+    for (auto [nops, period] : {std::pair<uint32_t, uint32_t>{0, 0},
+                                std::pair<uint32_t, uint32_t>{1, 2}}) {
+        ColumnPair p(R"(
+            movi r0, 1
+            cmpeq r0, r0
+            jcc h
+        h:
+            halt
+        )",
+                     nops, period);
+        EXPECT_GT(p.step(100, 100), 0u);
+        EXPECT_FALSE(p.block.halted());
+        EXPECT_EQ(p.step(100, 100), 0u);
+        p.expectSame(strprintf("zorm %u/%u", nops, period));
+    }
 }
 
 TEST(Chip, MultiColumnDividersRunIndependently)

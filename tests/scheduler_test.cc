@@ -188,7 +188,7 @@ class HookCountingModel : public SchedModel
     }
 
     Tick
-    domainEdgeBlock(unsigned, Tick) override
+    domainEdgeBlock(unsigned, Tick, Tick) override
     {
         ++edge_blocks;
         return 0;
@@ -321,6 +321,107 @@ TEST(SchedulerHooks, RunMaxTickStillBatchesQuietPhases)
         EXPECT_EQ(m.phases, last + 1) << schedulerName(kind);
         EXPECT_EQ(m.executed, SparseEdgeModel::kEdges)
             << schedulerName(kind);
+    }
+}
+
+namespace
+{
+
+/**
+ * One domain (divider 3) whose every block consumes one slot, with a
+ * horizon that cycles through kHorizons. Records what each block was
+ * offered and how many reference phases had run by then.
+ */
+class HorizonModel : public SchedModel
+{
+  public:
+    static constexpr Tick kDivider = 3;
+    static constexpr uint64_t kEdges = 40;
+    static constexpr Tick kHorizons[] = {0, 1, 2, 3, 4, 5, 6, 7, 9,
+                                         MaxTick};
+
+    struct Offer
+    {
+        uint64_t edge, phases_done;
+        Tick max_slots, comm_slots, horizon;
+    };
+
+    unsigned numDomains() const override { return 1; }
+    const ClockDomain &domainClock(unsigned) const override
+    {
+        return clock_;
+    }
+    bool domainHalted(unsigned) const override { return edges >= kEdges; }
+    bool allHalted() const override { return edges >= kEdges; }
+    void domainEdge(unsigned) override { ++edges; }
+    void refPhase() override { ++phases; }
+    Tick
+    commFreeAdvance(Tick max) override
+    {
+        phases += max;
+        return max;
+    }
+    Tick
+    domainCommHorizon(unsigned) const override
+    {
+        return kHorizons[asked_++ % std::size(kHorizons)];
+    }
+    Tick
+    domainEdgeBlock(unsigned, Tick max_slots, Tick comm_slots) override
+    {
+        offers.push_back({edges, phases, max_slots, comm_slots,
+                          kHorizons[(asked_ - 1) % std::size(kHorizons)]});
+        ++edges;
+        return 1;
+    }
+
+    uint64_t edges = 0;
+    uint64_t phases = 0;
+    std::vector<Offer> offers;
+
+  private:
+    ClockDomain clock_{600e6, unsigned(kDivider), 0};
+    mutable uint64_t asked_ = 0;
+};
+
+} // namespace
+
+TEST(SchedulerHooks, CompiledOffersCommSlotsUpToTheHorizon)
+{
+    // A horizon of h phases from the pending one lets comm ops issue
+    // at ticks t .. t + h - 1: ceil(h / divider) slots, capped at the
+    // budget's slots; MaxTick means all of them and 0 none. The
+    // horizon is asked with exactly t phases run, the one of t
+    // pending. Stepped runs cap the budget at 1-3 slots.
+    for (Tick chunk : {MaxTick, Tick(7)}) {
+        HorizonModel m;
+        auto s = makeScheduler(SchedulerKind::Compiled);
+        SchedStop stop = SchedStop::TickLimit;
+        unsigned runs = 0;
+        while (stop == SchedStop::TickLimit && runs++ < 1000)
+            stop = s->run(m, chunk);
+        ASSERT_EQ(int(stop), int(SchedStop::AllHalted));
+        ASSERT_EQ(m.offers.size(), HorizonModel::kEdges);
+        for (const HorizonModel::Offer &o : m.offers) {
+            const std::string what = strprintf(
+                "chunk %llu edge %llu horizon %llu",
+                (unsigned long long)chunk, (unsigned long long)o.edge,
+                (unsigned long long)o.horizon);
+            EXPECT_EQ(o.phases_done, o.edge * HorizonModel::kDivider)
+                << what;
+            const Tick want =
+                o.horizon == MaxTick
+                    ? o.max_slots
+                    : std::min(o.max_slots,
+                               (o.horizon + HorizonModel::kDivider - 1) /
+                                   HorizonModel::kDivider);
+            EXPECT_EQ(o.comm_slots, want) << what;
+        }
+        if (chunk != MaxTick) {
+            EXPECT_TRUE(std::any_of(
+                m.offers.begin(), m.offers.end(),
+                [](const auto &o) { return o.max_slots == 1; }));
+        }
     }
 }
 
@@ -571,6 +672,213 @@ crossCheck(ChipConfig cfg, const std::function<void(Chip &)> &configure,
 }
 
 } // namespace
+
+// ---------------------------------------------------------------
+// Compiled blocks run control slots in place and comm ops up to the
+// column's bus horizon. Planted programs put those slots where a
+// wrong horizon, a comm op past it or a halt inside a block would
+// show: each must match EventQueue in one run and in run(1) chunks.
+
+namespace
+{
+
+/** Every tile's SRAM, read through Tile::readMem. */
+std::vector<int32_t>
+allSram(const Chip &chip)
+{
+    std::vector<int32_t> out;
+    for (unsigned c = 0; c < chip.numColumns(); ++c) {
+        for (unsigned t = 0; t < chip.column(c).numTiles(); ++t) {
+            auto w = chip.column(c).tile(t).readMemWords(
+                0, Tile::MemBytes / 4);
+            out.insert(out.end(), w.begin(), w.end());
+        }
+    }
+    return out;
+}
+
+/**
+ * Compiled against the EventQueue reference on the chip @p configure
+ * builds: one run and run(1) chunks give the same exit, ticks,
+ * statistics, registers and SRAM.
+ */
+void
+expectCompiledExact(ChipConfig cfg,
+                    const std::function<void(Chip &)> &configure,
+                    Tick limit, const std::string &what)
+{
+    cfg.scheduler = SchedulerKind::EventQueue;
+    Chip ref(cfg);
+    configure(ref);
+    const RunResult rr = ref.run(limit);
+    const auto ref_stats = allStats(ref);
+    const auto ref_regs = synchro::test::allRegs(ref);
+    const auto ref_sram = allSram(ref);
+
+    cfg.scheduler = SchedulerKind::Compiled;
+    for (bool stepped : {false, true}) {
+        const std::string how = what + (stepped ? " run(1)" : " run");
+        Chip chip(cfg);
+        configure(chip);
+        RunResult rc{};
+        if (stepped) {
+            do {
+                rc = chip.run(1);
+            } while (rc.exit == RunExit::TickLimit && rc.ticks < limit);
+        } else {
+            rc = chip.run(limit);
+        }
+        EXPECT_EQ(int(rc.exit), int(rr.exit)) << how;
+        EXPECT_EQ(rc.ticks, rr.ticks) << how;
+        EXPECT_EQ(allStats(chip), ref_stats) << how;
+        EXPECT_EQ(synchro::test::allRegs(chip), ref_regs) << how;
+        EXPECT_EQ(allSram(chip), ref_sram) << how;
+    }
+}
+
+/** @p n copies of @p line. */
+std::string
+repeatLine(const char *line, unsigned n)
+{
+    std::string out;
+    for (unsigned i = 0; i < n; ++i)
+        out += line;
+    return out;
+}
+
+} // namespace
+
+TEST(CompiledBlocks, CommOpsAroundTheBusHorizon)
+{
+    // Column 0 writes two words, column 1 reads them, over a drive
+    // and capture slot at offset 3 of every 8 bus cycles. The leads
+    // sweep each cwr and crd across its horizon phase: one slot
+    // before it, at it and after it, on both sides of the bus, with
+    // the producer's second cwr and the consumer's crds stalling
+    // mid-block, and behind ZORM nops on odd sweeps. A cwr issued
+    // early past its horizon is driven a period too soon; a crd
+    // issued early past its horizon makes room for a capture that
+    // should overrun or defer.
+    const std::pair<unsigned, unsigned> dividers[] = {
+        {1, 1}, {2, 3}, {3, 1}};
+    mapping::CommSchedule prod;
+    prod.period = 8;
+    prod.transfers = {{3, 0, 0, {}, true}};
+    const DouProgram prod_dou = mapping::compileSchedule(prod);
+    mapping::CommSchedule cons;
+    cons.period = 8;
+    cons.transfers = {{3, 0, -1, {0}, false}};
+    const DouProgram cons_dou = mapping::compileSchedule(cons);
+    for (unsigned lp = 0; lp < 9; ++lp) {
+        const isa::Program producer =
+            assemble("movi r7, 5\n" + repeatLine("addi r1, 1\n", lp) +
+                     "cwr r7\naddi r7, 1\ncwr r7\nhalt\n");
+        for (unsigned lc = 0; lc < 9; ++lc) {
+            const isa::Program consumer =
+                assemble("movi r2, 0\n" + repeatLine("addi r3, 1\n", lc) +
+                         "crd r0\ncrd r2\nadd r0, r0, r2\nhalt\n");
+            const bool paced = (lp + lc) % 2 == 1;
+            auto configure = [&](Chip &chip) {
+                chip.column(0).controller().loadProgram(producer);
+                chip.column(1).controller().loadProgram(consumer);
+                if (paced)
+                    chip.column(0).controller().setRateMatch(1, 3);
+                chip.column(0).dou().load(prod_dou);
+                chip.column(1).dou().load(cons_dou);
+            };
+            for (auto [dp, dc] : dividers) {
+                for (bool self_timed : {false, true}) {
+                    ChipConfig cfg;
+                    cfg.dividers = {dp, dc};
+                    cfg.tiles_per_column = 1;
+                    cfg.self_timed_bus = self_timed;
+                    expectCompiledExact(
+                        cfg, configure, 300,
+                        strprintf("div %u/%u %s lead %u/%u%s", dp, dc,
+                                  self_timed ? "self-timed" : "legacy",
+                                  lp, lc, paced ? " paced" : ""));
+                    if (HasFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TEST(CompiledBlocks, BranchesAndSharedLoopEndsUnderZormWithComm)
+{
+    // The producer sends six words from two loop units sharing an end
+    // address and a seventh behind an untaken jncc; the consumer
+    // loops with jncc (six times taken, once not), leaves with a
+    // taken jcc and stores a running sum to SRAM. Both are paced.
+    for (auto [dp, dc] : {std::pair<unsigned, unsigned>{2, 3},
+                          std::pair<unsigned, unsigned>{1, 2},
+                          std::pair<unsigned, unsigned>{3, 3}}) {
+        ChipConfig cfg;
+        cfg.dividers = {dp, dc};
+        cfg.tiles_per_column = 1;
+        cfg.self_timed_bus = true;
+        auto configure = [](Chip &chip) {
+            chip.column(0).controller().loadProgram(assemble(R"(
+                movi r7, 0
+                movi r1, 2
+                movi r3, 0
+                lsetup lc0, e, 2
+                lsetup lc1, e, 3
+                addi r7, 1
+                cwr r7
+            e:
+                cmplt r3, r1
+                jncc skip
+                addi r7, 10
+                cwr r7
+            skip:
+                halt
+            )"));
+            chip.column(0).controller().setRateMatch(2, 5);
+            chip.column(1).controller().loadProgram(assemble(R"(
+                movi r1, 7
+                movi r3, 0
+                movi r4, 0
+                movpi p1, 0x100
+            top:
+                crd r0
+                add r4, r4, r0
+                st.w r4, [p1]+4
+                addi r1, -1
+                cmpeq r1, r3
+                jncc top
+                cmpeq r1, r3
+                jcc done
+                addi r4, 1000
+            done:
+                halt
+            )"));
+            chip.column(1).controller().setRateMatch(1, 4);
+            mapping::CommSchedule prod;
+            prod.period = 6;
+            prod.transfers = {{1, 0, 0, {}, true}};
+            chip.column(0).dou().load(mapping::compileSchedule(prod));
+            mapping::CommSchedule cons;
+            cons.period = 6;
+            cons.transfers = {{1, 0, -1, {0}, false}};
+            chip.column(1).dou().load(mapping::compileSchedule(cons));
+        };
+        const std::string what = strprintf("div %u/%u", dp, dc);
+        expectCompiledExact(cfg, configure, 5'000, what);
+
+        cfg.scheduler = SchedulerKind::Compiled;
+        Chip chip(cfg);
+        configure(chip);
+        EXPECT_EQ(int(chip.run(5'000).exit), int(RunExit::AllHalted))
+            << what;
+        // 1+2+...+6 + 16, stored after every word.
+        EXPECT_EQ(chip.column(1).tile(0).reg(4), 37u) << what;
+        EXPECT_EQ(chip.column(1).tile(0).readMemWords(0x100 + 6 * 4, 1),
+                  std::vector<int32_t>{37})
+            << what;
+    }
+}
 
 TEST(SchedulerEquivalence, MultiDividerComputeLoops)
 {

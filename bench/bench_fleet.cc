@@ -7,15 +7,16 @@
  * plan + codegen + program load. At the 256-stream scale every served item
  * is additionally re-run solo on the calling thread on a clone of
  * the same template and compared byte for byte. Appends
- * chips/sec, aggregate ticks/sec, the warm-start speedup and the
- * per-stream stat-harvest cost to BENCH_fleet.json so the
- * trajectory is tracked across PRs.
+ * chips/sec (per wall second and per process CPU second), aggregate
+ * ticks/sec, the warm-start speedup and the per-stream stat-harvest
+ * cost to BENCH_fleet.json so the trajectory is tracked across PRs.
  */
 
 #include <algorithm>
 #include <any>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,6 +44,15 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** CPU seconds used by every thread of this process so far. */
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
 /** Per-call wall time of @p n back-to-back calls of @p fn, in ms. */
 template <typename Fn>
 double
@@ -57,12 +67,14 @@ blockMs(int n, Fn &&fn)
 /**
  * Serve @p streams mixed DDC/wifi streams of @p items work items
  * each; returns the drained report with per-item outputs kept when
- * @p keep_outputs.
+ * @p keep_outputs. @p cpu_seconds: the process CPU time from the
+ * first admission to the drain.
  */
 sim::FleetReport
 serveFleet(const std::vector<sim::FleetWorkload> &workloads,
            SchedulerKind backend, unsigned streams, unsigned items,
-           bool keep_outputs, std::unique_ptr<sim::FleetExecutor> *out)
+           bool keep_outputs, std::unique_ptr<sim::FleetExecutor> *out,
+           double &cpu_seconds)
 {
     sim::FleetConfig fc;
     fc.scheduler = backend;
@@ -71,10 +83,12 @@ serveFleet(const std::vector<sim::FleetWorkload> &workloads,
     std::vector<unsigned> ids;
     for (const auto &wl : workloads)
         ids.push_back(fleet->addWorkload(wl));
+    const double cpu0 = processCpuSeconds();
     for (unsigned s = 0; s < streams; ++s)
         fleet->admitStream(ids[s % ids.size()], items,
                            uint64_t(s) * items);
     sim::FleetReport rep = fleet->drain();
+    cpu_seconds = processCpuSeconds() - cpu0;
     if (out)
         *out = std::move(fleet);
     return rep;
@@ -138,18 +152,22 @@ main(int argc, char **argv)
     for (const Scale &sc : scales) {
         const bool cross_check = sc.streams == 256;
         std::unique_ptr<sim::FleetExecutor> fleet;
+        double cpu_s = 0;
         sim::FleetReport rep =
             serveFleet(workloads, backend, sc.streams, sc.items,
-                       cross_check, &fleet);
+                       cross_check, &fleet, cpu_s);
+        // Chips per CPU second: the host's other load moves it less
+        // than the wall rate.
+        const double chips_cpu = cpu_s > 0 ? double(rep.items) / cpu_s : 0;
 
         bool bit_exact = rep.all_verified;
         if (cross_check)
             bit_exact = bit_exact && soloCrossCheck(*fleet, rep);
 
-        std::printf("  %5u streams x %u items: %8.1f chips/s, "
-                    "%7.2f Mticks/s aggregate, %llu steals, "
-                    "%llu clones (%s%s)\n",
-                    sc.streams, sc.items, rep.chips_per_sec,
+        std::printf("  %5u streams x %u items: %8.1f chips/s "
+                    "(%8.1f per CPU s), %7.2f Mticks/s aggregate, "
+                    "%llu steals, %llu clones (%s%s)\n",
+                    sc.streams, sc.items, rep.chips_per_sec, chips_cpu,
                     rep.ticks_per_sec / 1e6,
                     (unsigned long long)rep.steals,
                     (unsigned long long)rep.clones,
@@ -163,6 +181,7 @@ main(int argc, char **argv)
         std::string sec = "fleet_" + std::to_string(sc.streams);
         report.set(sec, "streams", sc.streams);
         report.set(sec, "chips_s", rep.chips_per_sec);
+        report.set(sec, "chips_per_cpu_s", chips_cpu);
         report.set(sec, "ticks_s", rep.ticks_per_sec);
         report.set(sec, "bit_exact", bit_exact ? 1 : 0);
     }

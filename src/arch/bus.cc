@@ -27,8 +27,7 @@ Tile *
 slotTile(const std::vector<ColumnBusView> &views,
          const LanePlan::Slot &s)
 {
-    const std::vector<Tile *> &tiles = views[s.col].tiles;
-    return s.tile < tiles.size() ? tiles[s.tile] : nullptr;
+    return views[s.col].tiles[s.tile];
 }
 
 } // namespace
@@ -156,6 +155,19 @@ planCycle(const std::vector<ColumnBusView> &views)
         plan.push_back(std::move(lp));
     }
     return plan;
+}
+
+std::optional<PointTransfer>
+pointTransfer(const CyclePlan &plan)
+{
+    if (plan.size() != 1)
+        return std::nullopt;
+    const LanePlan &lp = plan.front();
+    if (lp.drivers.size() != 1 || lp.captures.size() != 1 ||
+        lp.drivers[0].group != lp.captures[0].group)
+        return std::nullopt;
+    return PointTransfer{lp.lane, lp.drivers[0], lp.captures[0],
+                         lp.group_nodes[lp.drivers[0].group]};
 }
 
 const CyclePlan &
@@ -352,6 +364,55 @@ BusFabric::runPlan(const CyclePlan &plan,
             ++captures_;
         }
     }
+}
+
+void
+BusFabric::runTransfer(const PointTransfer &x, Tile *driver,
+                       Tile *capture)
+{
+    // runPlan()'s steps for one driver and one capture in one group,
+    // in the same order, so counts and fatals come out the same.
+    touched_.clear();
+    if (!driver)
+        return; // no activity on the lane
+    const unsigned lane = x.lane;
+    CommBuffer &wbuf = driver->writeBuffer();
+    bool word = false;
+    if (!wbuf.valid()) {
+        ++underruns_;
+        if (strict_ && !self_timed_)
+            fatal("bus: tile (%u,%u) scheduled to drive "
+                  "lane %u with empty write buffer",
+                  x.driver.col, x.driver.tile, lane);
+    } else if (wbuf.laneTag() >= 0 && unsigned(wbuf.laneTag()) != lane) {
+        ++deferrals_;
+    } else {
+        word = true;
+    }
+    if (!word) {
+        if (capture)
+            captureUnderrun(x.capture, lane);
+        return;
+    }
+    if (self_timed_ && capture && capture->readBuffer(lane).valid()) {
+        ++deferrals_;
+        return;
+    }
+    const uint32_t value = wbuf.pop();
+    touched_.push_back(x.driver.col);
+    ++transfers_;
+    wire_span_ += x.span;
+    if (!capture)
+        return;
+    if (!capture->readBuffer(lane).push(value, int(lane))) {
+        ++overruns_;
+        if (strict_)
+            fatal("bus: tile (%u,%u) read buffer overrun on lane %u",
+                  x.capture.col, x.capture.tile, lane);
+    } else {
+        touched_.push_back(x.capture.col);
+    }
+    ++captures_;
 }
 
 } // namespace synchro::arch

@@ -27,8 +27,10 @@
 #ifndef SYNC_ARCH_BUS_HH
 #define SYNC_ARCH_BUS_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "arch/dou.hh"
@@ -42,7 +44,8 @@ namespace synchro::arch
 struct ColumnBusView
 {
     const DouState *state = nullptr;
-    std::vector<Tile *> tiles; //!< up to TilesPerColumn, by position
+    //! By position; nullptr where the tile is absent or supply-gated.
+    std::array<Tile *, TilesPerColumn> tiles{};
 };
 
 /**
@@ -68,6 +71,23 @@ struct LanePlan
 
 /** A resolved bus cycle: one plan per lane with a scheduled drive. */
 using CyclePlan = std::vector<LanePlan>;
+
+/**
+ * A plan that is one point-to-point transfer: a single lane with one
+ * driver and one capture, both in one segment group. Every active
+ * phase lowerDag emits is one; BusFabric::runTransfer runs it without
+ * the per-group scratch of runPlan.
+ */
+struct PointTransfer
+{
+    uint8_t lane = 0;
+    LanePlan::Slot driver;  //!< (col, tile); group unused
+    LanePlan::Slot capture; //!< (col, tile); group unused
+    uint32_t span = 0;      //!< the group's node count (wire span)
+};
+
+/** @p plan as one point-to-point transfer, if it is one. */
+std::optional<PointTransfer> pointTransfer(const CyclePlan &plan);
 
 /**
  * The bus-visible outputs of @p st — buf bytes and seg nibbles —
@@ -124,6 +144,15 @@ class BusFabric
      */
     void runPlan(const CyclePlan &plan,
                  const std::vector<ColumnBusView> &views);
+
+    /**
+     * runPlan() of the one-lane plan @p x stands for, with its tiles
+     * resolved: @p driver and @p capture (nullptr where the position
+     * is absent or supply-gated). Same valid-bit, tag and deferral
+     * rules, same counters, touched list and strict-mode fatals.
+     */
+    void runTransfer(const PointTransfer &x, Tile *driver,
+                     Tile *capture);
 
     /**
      * A bus cycle in which no DOU drives or captures: nothing moves

@@ -97,8 +97,10 @@ BusTimeline::build() const
         }
         auto [plan, new_plan] =
             plan_of.try_emplace(outputs, uint32_t(plans_.size()));
-        if (new_plan)
+        if (new_plan) {
             plans_.push_back(planCycle(views));
+            transfers_.push_back(pointTransfer(plans_.back()));
+        }
         node.plan = plan->second;
         for (size_t c = 0; c < n; ++c)
             programs_[c]->step(pos[c]);

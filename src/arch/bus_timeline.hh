@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "arch/bus.hh"
@@ -97,6 +98,16 @@ class BusTimeline
     const CyclePlan &plan(const Node &n) const { return plans_[n.plan]; }
     size_t numNodes() const { return nodes_.size(); }
 
+    /** Distinct active-phase plans; Node::plan indexes them. */
+    size_t numPlans() const { return plans_.size(); }
+
+    /** Plan @p p as one point-to-point transfer, if it is one. */
+    const std::optional<PointTransfer> &
+    transfer(uint32_t p) const
+    {
+        return transfers_[p];
+    }
+
     /**
      * The cursor of joint DOU position @p pos (one per column) when
      * a node's gap starts there; false if no node does.
@@ -128,13 +139,15 @@ class BusTimeline
 
     // Filled once by build(), under once_; read-only afterwards:
     // the nodes, each node's start position (one per column), the
-    // plans of the distinct active phases, and the node index of
+    // plans of the distinct active phases and the point-to-point
+    // transfer each one is (if it is one), and the node index of
     // every start position.
     mutable std::once_flag once_;
     mutable bool ok_ = false;
     mutable std::vector<Node> nodes_;
     mutable std::vector<DouPosition> starts_;
     mutable std::vector<CyclePlan> plans_;
+    mutable std::vector<std::optional<PointTransfer>> transfers_;
     mutable std::map<std::vector<uint32_t>, uint32_t> index_;
 
     // Filled once by buildHorizons(), under horizons_once_.

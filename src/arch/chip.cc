@@ -51,39 +51,62 @@ Chip::domainEdge(unsigned d)
 void
 Chip::refPhase()
 {
-    if (!following_) {
-        // All DOU outputs belong to the same cycle: resolve the
-        // fabric against every column's current state, then step
-        // every DOU. Stepping notes whether any DOU's next state
-        // drives or captures; on most cycles none does, and then
-        // nothing moves.
-        if (dou_active_) {
-            for (unsigned c = 0; c < columns_.size(); ++c)
-                views_[c].state = &columns_[c]->dou().current();
-            fabric_.cycle(views_);
-        } else {
-            fabric_.quietCycle();
-        }
-        bool active = false;
-        for (auto &col : columns_) {
-            col->dou().step();
-            active |= col->dou().current().drivesOrCaptures();
-        }
-        dou_active_ = active;
+    if (following_) {
+        refPhaseRun(1);
         return;
     }
-    const BusTimeline::Node &node = cursor_timeline_->node(cursor_.node);
-    if (cursor_.used < node.gap) {
-        ++cursor_.used;
-        fabric_.quietCycle();
+    // All DOU outputs belong to the same cycle: resolve the fabric
+    // against every column's current state, then step every DOU.
+    // Stepping notes whether any DOU's next state drives or
+    // captures; on most cycles none does, and then nothing moves.
+    if (dou_active_) {
+        for (unsigned c = 0; c < columns_.size(); ++c)
+            views_[c].state = &columns_[c]->dou().current();
+        fabric_.cycle(views_);
     } else {
-        // The cursor moves only once the cycle ran: a strict-mode
-        // fatal leaves the DOUs before the active phase, as stepping
-        // them would.
-        fabric_.runPlan(cursor_timeline_->plan(node), views_);
-        cursor_ = {node.next, 0};
+        fabric_.quietCycle();
     }
-    ++cursor_phases_;
+    bool active = false;
+    for (auto &col : columns_) {
+        col->dou().step();
+        active |= col->dou().current().drivesOrCaptures();
+    }
+    dou_active_ = active;
+}
+
+Tick
+Chip::refPhaseRun(Tick max)
+{
+    if (!following_)
+        return SchedModel::refPhaseRun(max);
+    Tick k = 0;
+    while (true) {
+        // The node's gap left, in closed form...
+        const BusTimeline::Node &node =
+            cursor_timeline_->node(cursor_.node);
+        const Tick quiet = std::min(max - k, node.gap - cursor_.used);
+        if (quiet > 0) {
+            cursor_.used += quiet;
+            cursor_phases_ += quiet;
+            k += quiet;
+            fabric_.quietCycle();
+            if (k == max)
+                return k;
+        }
+        // ...then the active phase ending it: one scalar transfer
+        // when its plan is point-to-point. The cursor moves only once
+        // the phase ran: a strict-mode fatal leaves the DOUs before
+        // it, as stepping them would.
+        const TransferTiles &x = transfer_tiles_[node.plan];
+        if (x.single)
+            fabric_.runTransfer(x.transfer, x.driver, x.capture);
+        else
+            fabric_.runPlan(cursor_timeline_->plan(node), views_);
+        cursor_ = {node.next, 0};
+        ++cursor_phases_;
+        if (++k == max || !fabric_.touchedColumns().empty())
+            return k;
+    }
 }
 
 Tick
@@ -101,15 +124,6 @@ Chip::domainCommHorizon(unsigned d) const
         return 0;
     const Tick h = horizons_[cursor_.node * columns_.size() + d];
     return h == MaxTick ? MaxTick : h - cursor_.used;
-}
-
-Tick
-Chip::commFreeAdvance(Tick max)
-{
-    const Tick k = commQuiet(max);
-    cursor_.used += k;
-    cursor_phases_ += k;
-    return k;
 }
 
 bool
@@ -192,6 +206,19 @@ Chip::followTimeline()
     cursor_phases_ = 0;
     if (cfg_.scheduler == SchedulerKind::Compiled)
         horizons_ = cursor_timeline_->commHorizons();
+
+    // Resolve every point-to-point phase's tiles for this run.
+    const BusTimeline &timeline = *cursor_timeline_;
+    transfer_tiles_.assign(timeline.numPlans(), TransferTiles{});
+    for (uint32_t p = 0; p < timeline.numPlans(); ++p) {
+        const std::optional<PointTransfer> &x = timeline.transfer(p);
+        if (!x)
+            continue;
+        const auto &drivers = views_[x->driver.col].tiles;
+        const auto &captures = views_[x->capture.col].tiles;
+        transfer_tiles_[p] = {true, *x, drivers[x->driver.tile],
+                              captures[x->capture.tile]};
+    }
 }
 
 void
@@ -275,7 +302,8 @@ Chip::run(Tick max_ticks)
         return {RunExit::AllHalted, sched_->curTick()};
 
     // Tile population only changes between runs; refresh the bus
-    // views once here instead of re-allocating them every tick.
+    // views once here (followTimeline() resolves its transfers'
+    // tiles from them).
     views_.resize(columns_.size());
     for (unsigned c = 0; c < columns_.size(); ++c)
         views_[c].tiles = columns_[c]->busTiles();

@@ -227,7 +227,7 @@ class Chip final : private SchedModel
     Tick domainEdgeBlock(unsigned d, Tick max_slots,
                          Tick comm_slots) override;
     Tick domainCommHorizon(unsigned d) const override;
-    Tick commFreeAdvance(Tick max) override;
+    Tick refPhaseRun(Tick max) override;
     bool domainCommStalled(unsigned d) const override;
     void domainStallCredit(unsigned d, Tick slots) override;
     const std::vector<unsigned> &refPhaseTouched() const override;
@@ -282,6 +282,17 @@ class Chip final : private SchedModel
      */
     const Tick *horizons_ = nullptr;
     std::vector<DouPosition> placed_; //!< DOU positions placeDous() set
+
+    /** A point-to-point plan with its tiles, resolved once per run. */
+    struct TransferTiles
+    {
+        bool single = false; //!< false: the plan goes to runPlan()
+        PointTransfer transfer;
+        Tile *driver = nullptr;
+        Tile *capture = nullptr;
+    };
+    /** By plan of the followed timeline; set by followTimeline(). */
+    std::vector<TransferTiles> transfer_tiles_;
 };
 
 } // namespace synchro::arch

@@ -56,10 +56,10 @@ Column::stallCredit(Tick slots)
     cycles_seen_ += slots;
 }
 
-std::vector<Tile *>
+std::array<Tile *, TilesPerColumn>
 Column::busTiles()
 {
-    std::vector<Tile *> out(TilesPerColumn, nullptr);
+    std::array<Tile *, TilesPerColumn> out{};
     for (unsigned i = 0; i < tiles_.size(); ++i) {
         if (active_[i])
             out[i] = tiles_[i].get();

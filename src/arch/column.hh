@@ -10,6 +10,7 @@
 #ifndef SYNC_ARCH_COLUMN_HH
 #define SYNC_ARCH_COLUMN_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -96,7 +97,7 @@ class Column
     void stallCredit(Tick slots);
 
     /** Pointers for the bus fabric, by position (nullptr if absent). */
-    std::vector<Tile *> busTiles();
+    std::array<Tile *, TilesPerColumn> busTiles();
 
     bool halted() const { return ctrl_.halted(); }
 

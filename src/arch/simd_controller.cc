@@ -215,6 +215,20 @@ SimdController::cycle(const std::vector<Tile *> &tiles)
     advancePc();
 }
 
+uint64_t
+SimdController::zormSlots(uint64_t want_issues, uint64_t acc,
+                          uint64_t nops, uint64_t period)
+{
+    // acc stays in [0, period), so after S slots exactly
+    //   Z(S) = (acc + S * nops) / period
+    // were nops and issues(S) = S - Z(S), which grows by 0 or 1 per
+    // slot. For W >= 1: issues(S) >= W iff Z(S) <= S - W iff
+    // acc + S * nops < (S - W + 1) * period iff
+    // S * (period - nops) > (W - 1) * period + acc.
+    const uint64_t W = want_issues;
+    return W == 0 ? 0 : ((W - 1) * period + acc) / (period - nops) + 1;
+}
+
 void
 SimdController::zormWindow(uint64_t want_issues, Tick avail,
                            uint64_t &issues, uint64_t &nops)
@@ -222,25 +236,9 @@ SimdController::zormWindow(uint64_t want_issues, Tick avail,
     const uint64_t acc0 = zorm_acc_;
     const uint64_t rate = zorm_nops_;
     const uint64_t period = zorm_period_;
-
-    // Per slot the Bresenham rule is: acc += rate; nop if acc >=
-    // period (then acc -= period), else issue. acc stays in
-    // [0, period), so after S slots exactly
-    //   Z(S) = (acc0 + S * rate) / period
-    // slots were nops and issues(S) = S - Z(S). issues(S) is
-    // monotone, so the least S with issues(S) == want_issues is the
-    // least fixed point of S = want_issues + Z(S), reached by
-    // iterating from below.
-    uint64_t S = want_issues;
-    while (true) {
-        uint64_t next = want_issues + (acc0 + S * rate) / period;
-        if (next == S)
-            break;
-        S = next;
-    }
-    if (S > uint64_t(avail))
-        S = uint64_t(avail);
-    uint64_t Z = (acc0 + S * rate) / period;
+    const uint64_t S = std::min<uint64_t>(
+        zormSlots(want_issues, acc0, rate, period), uint64_t(avail));
+    const uint64_t Z = (acc0 + S * rate) / period;
     issues = S - Z;
     nops = Z;
     zorm_acc_ = uint32_t(acc0 + S * rate - Z * period);

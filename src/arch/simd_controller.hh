@@ -71,6 +71,16 @@ class SimdController
      */
     void setRateMatch(uint32_t nops, uint32_t period);
 
+    /**
+     * The least slot count in which rate matching issues
+     * @p want_issues slots, starting from accumulator @p acc (the
+     * per-slot rule: acc += nops, and the slot is a nop when
+     * acc >= period, which then subtracts period). One division;
+     * needs nops < period and acc < period.
+     */
+    static uint64_t zormSlots(uint64_t want_issues, uint64_t acc,
+                              uint64_t nops, uint64_t period);
+
     void setCcMode(CcMode mode) { cc_mode_ = mode; }
 
     /**
@@ -162,9 +172,10 @@ class SimdController
 
     /**
      * Fold a window of ZORM pacing in closed form: the least slot
-     * count S that yields @p want_issues issue slots (capped at
-     * @p avail total slots), split into issues + paced nops, with
-     * zorm_acc_ advanced exactly as S per-slot Bresenham steps would.
+     * count S that yields @p want_issues issue slots (zormSlots(),
+     * capped at @p avail total slots), split into issues + paced
+     * nops, with zorm_acc_ advanced exactly as S per-slot Bresenham
+     * steps would.
      */
     void zormWindow(uint64_t want_issues, Tick avail,
                     uint64_t &issues, uint64_t &nops);

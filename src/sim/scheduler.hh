@@ -22,10 +22,10 @@
  *    each domain's next edge from its (divider, phase) pair and jumps
  *    straight to the next edge tick, issuing one slot-exact
  *    domainEdge() per edge. The reference phases between edges are
- *    fast-forwarded wherever no DOU can drive or capture
- *    (commFreeAdvance — for the chip, a cursor over its bus timeline,
- *    the DOU schedule resolved once); phases that may move data run
- *    one at a time.
+ *    handed to the model in one call per stretch (refPhaseRun — for
+ *    the chip, a cursor over its bus timeline, the DOU schedule
+ *    resolved once: quiet gaps cost O(1), and a point-to-point
+ *    active phase is one scalar transfer).
  *
  *  - SchedulerKind::Compiled — the default: the same walk, plus
  *    issue-slot blocks (domainEdgeBlock): a domain runs ahead as far
@@ -49,7 +49,7 @@
  *    window (commQuiet), lets every column free-run its issue
  *    slots through the window on its own team thread (column state
  *    is private while the fabric is quiet), advances the window's
- *    reference phases with one commFreeAdvance(), and runs the next
+ *    reference phases with one refPhaseRun(), and runs the next
  *    delivery slot serially. Bit-identical to the serial backends
  *    for any team size by construction.
  *
@@ -194,19 +194,27 @@ class SchedModel
     }
 
     /**
-     * Edge-walk hook: advance up to @p max reference phases that are
-     * provably comm-free (no DOU drives or captures in any of them),
-     * crediting statistics exactly as max refPhase() calls would.
-     * Returns the phases consumed (0 = the next phase may move data
-     * and must run via refPhase()). The chip answers from its bus
-     * timeline in O(1), so it covers idle chips and active schedules
-     * between their bus slots alike. The default batches nothing.
+     * Edge-walk hook: run up to @p max (>= 1) reference phases in
+     * order, exactly as that many refPhase() calls would, and stop
+     * right after the first one that lists a domain in
+     * refPhaseTouched(). Returns the phases run, at least 1;
+     * refPhaseTouched() then describes the last of them. No domain
+     * edge falls inside the run, and a phase never halts a domain,
+     * so the caller asks nothing in between. A proven comm-quiet
+     * window (commQuiet()) touches nothing and always runs to
+     * @p max. The chip credits its bus timeline's quiet gaps in
+     * closed form and runs a point-to-point active phase as one
+     * scalar transfer. The default calls refPhase() once per phase.
      */
     virtual Tick
-    commFreeAdvance(Tick max)
+    refPhaseRun(Tick max)
     {
-        (void)max;
-        return 0;
+        Tick k = 0;
+        do {
+            refPhase();
+            ++k;
+        } while (k < max && refPhaseTouched().empty());
+        return k;
     }
 
     /**
@@ -255,8 +263,8 @@ class SchedModel
     /**
      * ParallelColumns hook: how many upcoming reference phases
      * (starting with the next one) are provably comm-free, up to
-     * @p max — a pure probe, nothing advances; commFreeAdvance()
-     * must then consume them. Bounds the window in which columns
+     * @p max — a pure probe, nothing advances; refPhaseRun() must
+     * then consume them. Bounds the window in which columns
      * free-run on the team: a stalled comm op cannot unblock before
      * the next bus activity.
      */
@@ -273,7 +281,7 @@ class SchedModel
      * state exclusively, so inside a window where every refPhase() is
      * provably a no-op (commQuiet), different domains may execute
      * concurrently on different threads; the scheduler's leader then
-     * closes the window with one commFreeAdvance(). The chip
+     * closes the window with one refPhaseRun(). The chip
      * satisfies this: issue slots touch only the column's own tiles
      * and comm buffers, and the bus fabric — the one piece of shared
      * state — moves nothing while no DOU drives or captures. Models

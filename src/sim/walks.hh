@@ -213,28 +213,27 @@ class EdgeWalk : public SchedulerFor<Model>
     }
 
     /**
-     * The reference phase of tick @p t, then wake the sleepers it
-     * touched; true if the model halted.
+     * Wake the sleepers the reference phase of tick @p t touched (the
+     * last one the model ran); true if one rejoined the walk.
      */
     bool
-    refPhaseAt(Model &model, Tick t)
+    wakeTouched(Model &model, Tick t)
     {
-        model.refPhase();
-        cur_ = t;
-        if (sleepers_ > 0) {
-            // A touched sleeper's edges up to t saw the old buffers;
-            // its next edge sees the new ones.
-            for (unsigned d : model.refPhaseTouched()) {
-                if (sleep_next_[d] == MaxTick)
-                    continue;
-                creditSleeper(model, d, t);
-                if (!model.domainCommStalled(d))
-                    rejoin(d);
+        if (sleepers_ == 0)
+            return false;
+        // A touched sleeper's edges up to t saw the old buffers; its
+        // next edge sees the new ones.
+        bool rejoined = false;
+        for (unsigned d : model.refPhaseTouched()) {
+            if (sleep_next_[d] == MaxTick)
+                continue;
+            creditSleeper(model, d, t);
+            if (!model.domainCommStalled(d)) {
+                rejoin(d);
+                rejoined = true;
             }
         }
-        const bool halted = model.allHalted();
-        ref_next_ = halted ? MaxTick : t + 1;
-        return halted;
+        return rejoined;
     }
 
     const bool blocks_;                 //!< try issue-slot blocks
@@ -313,7 +312,13 @@ class EdgeWalk : public SchedulerFor<Model>
             }
         }
         cur_ = t;
-        return ref_next_ == t ? refPhaseAt(model, t) : model.allHalted();
+        if (ref_next_ != t)
+            return model.allHalted();
+        model.refPhase();
+        wakeTouched(model, t);
+        const bool halted = model.allHalted();
+        ref_next_ = halted ? MaxTick : t + 1;
+        return halted;
     }
 
     /** Credit sleeper @p d's edges up to tick @p t as stall slots. */
@@ -356,14 +361,15 @@ class EdgeWalk : public SchedulerFor<Model>
 };
 
 /**
- * The FastEdge and Compiled backends: the edge walk with every
- * reference phase between edges batched through commFreeAdvance().
- * Comm-free stretches (every DOU in all-zero buffer states, walking
- * through state transitions and idle self-loops alike) fast-forward
- * wholesale; phases that may move data run one at a time via
- * refPhase(), exactly in order. Compiled also issues slots in
- * blocks and puts comm-stalled domains to sleep; FastEdge is the
- * slot-exact path.
+ * The FastEdge and Compiled backends: the edge walk with the
+ * reference phases between edges handed to the model in one
+ * refPhaseRun() call per stretch. The model runs them in order (the
+ * chip credits its timeline's quiet gaps in closed form) and returns
+ * early only after a phase that touched a domain's buffers; only
+ * then can a sleeper wake and the stretch's end move. A reference
+ * phase cannot halt a domain, so no phase asks allHalted(). Compiled
+ * also issues slots in blocks and puts comm-stalled domains to
+ * sleep; FastEdge is the slot-exact path.
  */
 template <class Model>
 class EdgeScheduler : public EdgeWalk<Model, EdgeScheduler<Model>>
@@ -386,22 +392,18 @@ class EdgeScheduler : public EdgeWalk<Model, EdgeScheduler<Model>>
     bool
     betweenEdges(Model &model, Tick, Tick limit)
     {
+        // The serial tick before left the model running, and no
+        // phase halts a domain. The target moves only when a phase
+        // wakes a sleeper whose next edge comes before it.
         Tick &ref_next = this->ref_next_;
-        while (true) {
-            // Re-read every round: a phase may wake a sleeper whose
-            // next edge comes before the current target.
-            const Tick target = std::min(this->nextEdge(), limit + 1);
-            if (ref_next >= target)
-                return false;
-            const Tick want = target - ref_next;
-            const Tick k = model.commFreeAdvance(want);
-            ref_next += k;
+        Tick target = std::min(this->nextEdge(), limit + 1);
+        while (ref_next < target) {
+            ref_next += model.refPhaseRun(target - ref_next);
             this->cur_ = ref_next - 1;
-            if (k == want)
-                return false;
-            if (this->refPhaseAt(model, ref_next))
-                return true;
+            if (this->wakeTouched(model, this->cur_))
+                target = std::min(this->nextEdge(), limit + 1);
         }
+        return false;
     }
 };
 
@@ -534,8 +536,8 @@ class ColumnTeam
  * only domain-private state (domainsIndependent()). Columns
  * therefore free-run through the window on team threads and
  * rendezvous at the epoch barrier; the leader advances the window's
- * reference phases in one commFreeAdvance(), and the next delivery
- * slot runs serially.
+ * reference phases in one refPhaseRun(), and the next delivery slot
+ * runs serially.
  *
  * Bit-exactness for any team size is by construction: each domain's
  * in-window slot decomposition depends only on that domain's own
@@ -547,7 +549,7 @@ class ColumnTeam
  * Halt accounting matches the serial contract (refPhase runs through
  * the tick on which allHalted() becomes true, inclusive): members
  * record each domain's halting slot tick, and after the rendezvous
- * the leader advances the reference phases (commFreeAdvance) to
+ * the leader advances the reference phases (refPhaseRun) to
  * max(halt ticks) when the whole model halted inside the window, or
  * to the window end otherwise.
  */
@@ -630,7 +632,8 @@ class ParallelColumnsScheduler
             steps_end = h;
         }
         if (steps_end > t) {
-            const Tick k = model.commFreeAdvance(steps_end - t);
+            // Quiet phases touch nothing, so the run is never cut.
+            const Tick k = model.refPhaseRun(steps_end - t);
             sync_assert(k == steps_end - t,
                         "comm-quiet window of %llu phases advanced %llu",
                         (unsigned long long)(steps_end - t),

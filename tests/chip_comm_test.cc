@@ -5,6 +5,7 @@
 
 #include "arch/chip.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "isa/assembler.hh"
 
 using namespace synchro;
@@ -619,4 +620,160 @@ TEST(ChipComm, SlotsWithoutAWordCountUnderrunsAndDeferrals)
         EXPECT_EQ(bus.value("captures"), 0u);
         EXPECT_EQ(chip.column(0).tile(0).writeBuffer().valid(), tagged);
     }
+}
+
+namespace
+{
+
+/** A random buffer word: empty, untagged, or tagged for a lane. */
+void
+randomWord(Rng &rng, CommBuffer &buf, unsigned lane)
+{
+    buf.clear();
+    switch (rng.below(4)) {
+      case 0:
+        return;
+      case 1:
+        buf.push(uint32_t(rng.next()), -1);
+        return;
+      case 2:
+        buf.push(uint32_t(rng.next()), int(lane));
+        return;
+      default:
+        buf.push(uint32_t(rng.next()), int(rng.below(BusLanes)));
+    }
+}
+
+/** Every comm buffer of @p tiles: valid bit, word and tag. */
+std::vector<int64_t>
+bufferState(const std::vector<std::unique_ptr<Tile>> &tiles)
+{
+    std::vector<int64_t> out;
+    auto add = [&out](const CommBuffer &b) {
+        out.push_back(b.valid());
+        out.push_back(b.peek());
+        out.push_back(b.laneTag());
+    };
+    for (const auto &t : tiles) {
+        add(t->writeBuffer());
+        for (unsigned l = 0; l < BusLanes; ++l)
+            add(t->readBuffer(l));
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(BusTransfer, MatchesRunPlanOnRandomBuffers)
+{
+    // The scalar transfer path against the general resolver, on two
+    // columns of tiles with random write and read buffers: words with
+    // matching, mismatched and no lane tags, full and empty capture
+    // buffers, missing driver and capture tiles, self-timed and
+    // legacy buses, strict and not. Counters, buffers, touched lists
+    // and strict-mode fatal messages must all agree.
+    Rng rng(0x7a11);
+    unsigned singles = 0, split = 0, moved = 0, fatals = 0;
+    for (unsigned mode = 0; mode < 4; ++mode) {
+        const bool strict = mode & 1, self_timed = mode & 2;
+        BusFabric ref(2, strict, self_timed), fast(2, strict, self_timed);
+        std::vector<std::unique_ptr<Tile>> ref_tiles, fast_tiles;
+        for (unsigned i = 0; i < 2 * TilesPerColumn; ++i) {
+            ref_tiles.push_back(
+                std::make_unique<Tile>(i / TilesPerColumn,
+                                       i % TilesPerColumn));
+            fast_tiles.push_back(
+                std::make_unique<Tile>(i / TilesPerColumn,
+                                       i % TilesPerColumn));
+        }
+        for (unsigned i = 0; i < 3000 && !HasFailure(); ++i) {
+            // One drive and one capture on lane L, segment switches
+            // mostly closed so that most plans are one group.
+            const unsigned lane = unsigned(rng.below(BusLanes));
+            const unsigned dcol = unsigned(rng.below(2));
+            const unsigned dtile = unsigned(rng.below(TilesPerColumn));
+            const unsigned ccol = unsigned(rng.below(2));
+            const unsigned ctile = unsigned(rng.below(TilesPerColumn));
+            DouState st[2];
+            for (DouState &s : st) {
+                for (uint8_t &seg : s.seg)
+                    seg = rng.chance(0.85) ? 0xf : uint8_t(rng.below(16));
+            }
+            BufferCtl drive = driveOn(lane);
+            st[dcol].buf[dtile] = drive.byte();
+            BufferCtl cap = BufferCtl::fromByte(st[ccol].buf[ctile]);
+            cap.capture = true;
+            cap.capture_lane = uint8_t(lane);
+            st[ccol].buf[ctile] = cap.byte();
+            std::vector<ColumnBusView> views(2);
+            for (unsigned c = 0; c < 2; ++c) {
+                views[c].state = &st[c];
+                for (unsigned t = 0; t < TilesPerColumn; ++t) {
+                    if (!rng.chance(0.1))
+                        views[c].tiles[t] =
+                            ref_tiles[c * TilesPerColumn + t].get();
+                }
+            }
+            const CyclePlan plan = planCycle(views);
+            const std::optional<PointTransfer> single = pointTransfer(plan);
+            if (!single) {
+                // The drive and the capture sit in different groups.
+                ASSERT_EQ(plan.size(), 1u);
+                ASSERT_NE(plan[0].drivers[0].group,
+                          plan[0].captures[0].group);
+                ++split;
+                continue;
+            }
+            ++singles;
+            const PointTransfer &x = *single;
+            ASSERT_EQ(x.lane, lane);
+            ASSERT_EQ(x.driver.col, dcol);
+            ASSERT_EQ(x.capture.tile, ctile);
+
+            for (unsigned t = 0; t < ref_tiles.size(); ++t) {
+                randomWord(rng, ref_tiles[t]->writeBuffer(), lane);
+                for (unsigned l = 0; l < BusLanes; ++l)
+                    randomWord(rng, ref_tiles[t]->readBuffer(l), l);
+                fast_tiles[t]->copyStateFrom(*ref_tiles[t]);
+            }
+            auto fastTile = [&](unsigned col, unsigned tile) -> Tile * {
+                return views[col].tiles[tile]
+                           ? fast_tiles[col * TilesPerColumn + tile].get()
+                           : nullptr;
+            };
+            std::string ref_fatal, fast_fatal;
+            try {
+                ref.runPlan(plan, views);
+            } catch (const FatalError &e) {
+                ref_fatal = e.what();
+            }
+            try {
+                fast.runTransfer(x, fastTile(dcol, dtile),
+                                 fastTile(ccol, ctile));
+            } catch (const FatalError &e) {
+                fast_fatal = e.what();
+            }
+            const std::string what = strprintf(
+                "mode %u case %u lane %u (%u,%u)->(%u,%u)", mode, i, lane,
+                dcol, dtile, ccol, ctile);
+            fatals += !ref_fatal.empty();
+            EXPECT_EQ(fast_fatal, ref_fatal) << what;
+            EXPECT_EQ(bufferState(fast_tiles), bufferState(ref_tiles))
+                << what;
+            for (const auto &kv : ref.stats().all()) {
+                EXPECT_EQ(fast.stats().value(kv.first), kv.second.value())
+                    << what << " " << kv.first;
+            }
+            if (ref_fatal.empty()) {
+                EXPECT_EQ(fast.touchedColumns(), ref.touchedColumns())
+                    << what;
+                moved += !ref.touchedColumns().empty();
+            }
+        }
+    }
+    // Enough of every outcome to mean something.
+    EXPECT_GT(singles, 8000u);
+    EXPECT_GT(split, 1000u);
+    EXPECT_GT(moved, 1000u);
+    EXPECT_GT(fatals, 500u);
 }

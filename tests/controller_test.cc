@@ -7,6 +7,7 @@
 
 #include "arch/column.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "test_util.hh"
 
 using namespace synchro;
@@ -192,6 +193,47 @@ TEST(SimdController, ZormRateIsExactOverLongRuns)
     uint64_t nops = st.value("zormNops");
     // nops/(real+nops) must equal 3/7 within rounding.
     EXPECT_NEAR(double(nops) / double(real + nops), 3.0 / 7.0, 0.01);
+}
+
+TEST(SimdController, ZormSlotsMatchTheIterativeRule)
+{
+    // Property: the closed form is the least fixed point of
+    // S = W + (acc + S * nops) / period, iterated from below, and for
+    // short windows the slot at which the per-slot Bresenham rule
+    // issues its W-th slot.
+    Rng rng(0x2014);
+    const uint64_t scales[] = {8, 64, 1024, uint64_t(1) << 20};
+    for (unsigned i = 0; i < 100'000 && !HasFailure(); ++i) {
+        const uint64_t period = 1 + rng.below(scales[i % 4]);
+        const uint64_t nops = rng.below(period);
+        const uint64_t acc = rng.below(period);
+        const uint64_t want = i % 8 == 0 ? rng.below(4) : rng.below(5000);
+        uint64_t iter = want;
+        while (true) {
+            const uint64_t next = want + (acc + iter * nops) / period;
+            if (next == iter)
+                break;
+            iter = next;
+        }
+        const std::string what = strprintf(
+            "W %llu acc %llu nops %llu period %llu",
+            (unsigned long long)want, (unsigned long long)acc,
+            (unsigned long long)nops, (unsigned long long)period);
+        ASSERT_EQ(SimdController::zormSlots(want, acc, nops, period), iter)
+            << what;
+        if (want > 200)
+            continue;
+        uint64_t slots = 0, issued = 0, a = acc;
+        while (issued < want) {
+            ++slots;
+            a += nops;
+            if (a >= period)
+                a -= period;
+            else
+                ++issued;
+        }
+        ASSERT_EQ(iter, slots) << what;
+    }
 }
 
 TEST(SimdController, ZormValidation)

@@ -204,7 +204,7 @@ class SkewStressModel : public SchedModel
     bool domainsIndependent() const override { return true; }
 
     Tick
-    commFreeAdvance(Tick max) override
+    refPhaseRun(Tick max) override
     {
         for (auto &p : phases_)
             p += max;

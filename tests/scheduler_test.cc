@@ -289,7 +289,7 @@ class SparseEdgeModel : public SchedModel
         ++executed;
     }
     Tick
-    commFreeAdvance(Tick max) override
+    refPhaseRun(Tick max) override
     {
         phases += max;
         return max;
@@ -356,7 +356,7 @@ class HorizonModel : public SchedModel
     void domainEdge(unsigned) override { ++edges; }
     void refPhase() override { ++phases; }
     Tick
-    commFreeAdvance(Tick max) override
+    refPhaseRun(Tick max) override
     {
         phases += max;
         return max;
@@ -421,6 +421,127 @@ TEST(SchedulerHooks, CompiledOffersCommSlotsUpToTheHorizon)
             EXPECT_TRUE(std::any_of(
                 m.offers.begin(), m.offers.end(),
                 [](const auto &o) { return o.max_slots == 1; }));
+        }
+    }
+}
+
+namespace
+{
+
+/**
+ * Domain 0 (divider 10) edges on ticks 0, 10, 20, ...; domain 1
+ * (divider 1) blocks on its 1st, 5th, 9th ... productive edge. The
+ * reference phase of every tick 10k + 9 releases it: the last phase
+ * before domain 0's next edge, so on Compiled the last phase of a
+ * run wakes the sleeper. Logs whether any run ended on a waking
+ * phase.
+ */
+class LastPhaseWakeModel : public SchedModel
+{
+  public:
+    unsigned numDomains() const override { return 2; }
+    const ClockDomain &
+    domainClock(unsigned d) const override
+    {
+        return clocks_[d];
+    }
+    bool
+    domainHalted(unsigned d) const override
+    {
+        return edges[d] >= kQuota[d];
+    }
+    bool allHalted() const override
+    {
+        return domainHalted(0) && domainHalted(1);
+    }
+    void
+    domainEdge(unsigned d) override
+    {
+        if (d == 1 && blocked_)
+            ++stalls;
+        else if (++edges[d] % 4 == 1 && d == 1)
+            blocked_ = true;
+    }
+    void
+    refPhase() override
+    {
+        touched_.clear();
+        if (phases++ % 10 == 9 && blocked_) {
+            blocked_ = false;
+            touched_.push_back(1);
+        }
+    }
+    Tick
+    refPhaseRun(Tick max) override
+    {
+        const Tick k = SchedModel::refPhaseRun(max);
+        woke_last += k == max && !touched_.empty();
+        return k;
+    }
+    bool
+    domainCommStalled(unsigned d) const override
+    {
+        return d == 1 && blocked_;
+    }
+    void
+    domainStallCredit(unsigned, Tick slots) override
+    {
+        stalls += slots;
+    }
+    const std::vector<unsigned> &
+    refPhaseTouched() const override
+    {
+        return touched_;
+    }
+
+    uint64_t phases = 0;
+    uint64_t edges[2] = {};
+    uint64_t stalls = 0;
+    uint64_t woke_last = 0; //!< runs whose last phase touched
+
+  private:
+    static constexpr uint64_t kQuota[2] = {8, 12};
+    std::vector<ClockDomain> clocks_ = {ClockDomain(600e6, 10, 0),
+                                        ClockDomain(600e6, 1, 0)};
+    bool blocked_ = false;
+    std::vector<unsigned> touched_;
+};
+
+} // namespace
+
+TEST(SchedulerHooks, SleeperWokenByTheLastPhaseOfARunIsCredited)
+{
+    // A run that ends on the phase waking a sleeper returns all the
+    // phases it was asked for; the walk must still credit the
+    // sleeper's stall slots through that phase and let it rejoin at
+    // its next edge. Stepped runs also end runs at the budget.
+    LastPhaseWakeModel ref;
+    auto rs = makeScheduler(SchedulerKind::EventQueue);
+    ASSERT_EQ(int(rs->run(ref, 1'000)), int(SchedStop::AllHalted));
+    ASSERT_GT(ref.stalls, 0u);
+
+    for (SchedulerKind kind :
+         {SchedulerKind::FastEdge, SchedulerKind::Compiled}) {
+        for (Tick chunk : {Tick(0), Tick(1), Tick(2), Tick(3), Tick(5),
+                           Tick(7)}) {
+            const std::string what = strprintf(
+                "%s chunk %llu", schedulerName(kind),
+                (unsigned long long)chunk);
+            LastPhaseWakeModel m;
+            auto s = makeScheduler(kind);
+            SchedStop stop = SchedStop::TickLimit;
+            for (unsigned runs = 0;
+                 stop == SchedStop::TickLimit && runs < 1'000; ++runs)
+                stop = s->run(m, chunk ? chunk : 1'000);
+            EXPECT_EQ(int(stop), int(SchedStop::AllHalted)) << what;
+            EXPECT_EQ(s->curTick(), rs->curTick()) << what;
+            EXPECT_EQ(m.phases, ref.phases) << what;
+            EXPECT_EQ(m.edges[0], ref.edges[0]) << what;
+            EXPECT_EQ(m.edges[1], ref.edges[1]) << what;
+            EXPECT_EQ(m.stalls, ref.stalls) << what;
+            if (kind == SchedulerKind::Compiled && chunk == 0) {
+                EXPECT_GT(m.woke_last, 0u) << what;
+            }
         }
     }
 }
@@ -698,14 +819,17 @@ allSram(const Chip &chip)
 }
 
 /**
- * Compiled against the EventQueue reference on the chip @p configure
- * builds: one run and run(1) chunks give the same exit, ticks,
- * statistics, registers and SRAM.
+ * Each of @p kinds against the EventQueue reference on the chip
+ * @p configure builds: one run and run(k) chunks for every k in
+ * @p chunks give the same exit, ticks, statistics, registers and
+ * SRAM.
  */
 void
-expectCompiledExact(ChipConfig cfg,
-                    const std::function<void(Chip &)> &configure,
-                    Tick limit, const std::string &what)
+expectMatchesReference(
+    ChipConfig cfg, const std::function<void(Chip &)> &configure,
+    Tick limit, const std::string &what,
+    std::initializer_list<SchedulerKind> kinds = {SchedulerKind::Compiled},
+    std::initializer_list<Tick> chunks = {1})
 {
     cfg.scheduler = SchedulerKind::EventQueue;
     Chip ref(cfg);
@@ -715,24 +839,31 @@ expectCompiledExact(ChipConfig cfg,
     const auto ref_regs = synchro::test::allRegs(ref);
     const auto ref_sram = allSram(ref);
 
-    cfg.scheduler = SchedulerKind::Compiled;
-    for (bool stepped : {false, true}) {
-        const std::string how = what + (stepped ? " run(1)" : " run");
-        Chip chip(cfg);
-        configure(chip);
-        RunResult rc{};
-        if (stepped) {
-            do {
-                rc = chip.run(1);
-            } while (rc.exit == RunExit::TickLimit && rc.ticks < limit);
-        } else {
-            rc = chip.run(limit);
+    std::vector<Tick> runs = {0}; // 0: one run
+    runs.insert(runs.end(), chunks.begin(), chunks.end());
+    for (SchedulerKind kind : kinds) {
+        cfg.scheduler = kind;
+        for (Tick chunk : runs) {
+            const std::string how =
+                what + " " + schedulerName(kind) +
+                (chunk ? strprintf(" run(%llu)", (unsigned long long)chunk)
+                       : std::string(" run"));
+            Chip chip(cfg);
+            configure(chip);
+            RunResult rc{};
+            if (chunk) {
+                do {
+                    rc = chip.run(std::min(chunk, limit - rc.ticks));
+                } while (rc.exit == RunExit::TickLimit && rc.ticks < limit);
+            } else {
+                rc = chip.run(limit);
+            }
+            EXPECT_EQ(int(rc.exit), int(rr.exit)) << how;
+            EXPECT_EQ(rc.ticks, rr.ticks) << how;
+            EXPECT_EQ(allStats(chip), ref_stats) << how;
+            EXPECT_EQ(synchro::test::allRegs(chip), ref_regs) << how;
+            EXPECT_EQ(allSram(chip), ref_sram) << how;
         }
-        EXPECT_EQ(int(rc.exit), int(rr.exit)) << how;
-        EXPECT_EQ(rc.ticks, rr.ticks) << how;
-        EXPECT_EQ(allStats(chip), ref_stats) << how;
-        EXPECT_EQ(synchro::test::allRegs(chip), ref_regs) << how;
-        EXPECT_EQ(allSram(chip), ref_sram) << how;
     }
 }
 
@@ -792,7 +923,7 @@ TEST(CompiledBlocks, CommOpsAroundTheBusHorizon)
                     cfg.dividers = {dp, dc};
                     cfg.tiles_per_column = 1;
                     cfg.self_timed_bus = self_timed;
-                    expectCompiledExact(
+                    expectMatchesReference(
                         cfg, configure, 300,
                         strprintf("div %u/%u %s lead %u/%u%s", dp, dc,
                                   self_timed ? "self-timed" : "legacy",
@@ -865,7 +996,7 @@ TEST(CompiledBlocks, BranchesAndSharedLoopEndsUnderZormWithComm)
             chip.column(1).dou().load(mapping::compileSchedule(cons));
         };
         const std::string what = strprintf("div %u/%u", dp, dc);
-        expectCompiledExact(cfg, configure, 5'000, what);
+        expectMatchesReference(cfg, configure, 5'000, what);
 
         cfg.scheduler = SchedulerKind::Compiled;
         Chip chip(cfg);
@@ -1110,6 +1241,114 @@ TEST(SchedulerEquivalence, SleeperWhoseHazardClearedBetweenRunsRejoins)
         EXPECT_EQ(allStats(*chip), allStats(*ref)) << name;
         EXPECT_EQ(chip->column(0).tile(0).reg(1), 42u) << name;
     }
+}
+
+namespace
+{
+
+/** Two one-tile columns on a self-timed bus. */
+ChipConfig
+streamConfig(unsigned dp, unsigned dc)
+{
+    ChipConfig cfg;
+    cfg.dividers = {dp, dc};
+    cfg.tiles_per_column = 1;
+    cfg.self_timed_bus = true;
+    return cfg;
+}
+
+/**
+ * Column 0 sends @p words words to column 1 over lane 0 of the
+ * horizontal bus: its DOU drives at every even offset of a period of
+ * @p prod_period cycles, and column 1's captures at every
+ * @p cons_stride-th offset of @p cons_period. Equal schedules give
+ * point-to-point active phases only; a capture on every cycle also
+ * gives captures with no drive, and coprime periods a joint period
+ * too long for a timeline.
+ */
+std::function<void(Chip &)>
+streamChip(unsigned words, unsigned prod_period, unsigned cons_period,
+           unsigned cons_stride)
+{
+    return [=](Chip &chip) {
+        chip.column(0).controller().loadProgram(assemble(strprintf(R"(
+            movi r7, 0
+            lsetup lc0, e, %u
+            addi r7, 3
+            cwr r7, 0
+        e:
+            halt
+        )", words)));
+        chip.column(1).controller().loadProgram(assemble(strprintf(R"(
+            movi r1, 0
+            lsetup lc0, e, %u
+            crd r0, 0
+            add r1, r1, r0
+        e:
+            halt
+        )", words)));
+        chip.column(1).controller().setRateMatch(1, 5);
+        for (unsigned c = 0; c < 2; ++c) {
+            mapping::Transfer t;
+            t.lane = 0;
+            t.src_tile = c == 0 ? 0 : -1;
+            t.to_horizontal = c == 0;
+            if (c == 1)
+                t.dst_tiles = {0};
+            mapping::CommSchedule sched;
+            sched.period = c == 0 ? prod_period : cons_period;
+            for (t.offset = 0; t.offset < sched.period;
+                 t.offset += c == 0 ? 2 : cons_stride)
+                sched.transfers.push_back(t);
+            chip.column(c).dou().load(mapping::compileSchedule(sched));
+        }
+    };
+}
+
+} // namespace
+
+TEST(SchedulerEquivalence, ChunksEndingInsidePhaseRunsMatchOneRun)
+{
+    // Slow columns and a bus slot every other cycle: every stretch
+    // between edges is a run of reference phases with transfers,
+    // deferrals and underruns in it, and the consumer sleeps on its
+    // crd. Budgets of 1, 2, 3, 5 and 7 ticks end chunks inside those
+    // runs; each chunked run equals one run and the reference.
+    auto configure = streamChip(40, 6, 6, 2);
+    Chip probe(streamConfig(5, 7));
+    configure(probe);
+    ASSERT_TRUE(probe.busTimeline()->ready());
+    ASSERT_EQ(int(probe.run(50'000).exit), int(RunExit::AllHalted));
+    EXPECT_EQ(probe.column(1).tile(0).reg(1), 3u * 40 * 41 / 2);
+    EXPECT_EQ(probe.fabric().transfers(), 40u);
+    EXPECT_GT(probe.fabric().stats().value("deferrals"), 0u);
+    EXPECT_GT(probe.fabric().stats().value("underruns"), 0u);
+    expectMatchesReference(
+        streamConfig(5, 7), configure, 50'000, "5/7",
+        {SchedulerKind::FastEdge, SchedulerKind::Compiled,
+         SchedulerKind::ParallelColumns},
+        {1, 2, 3, 5, 7});
+    expectMatchesReference(
+        streamConfig(3, 11), streamChip(40, 6, 3, 1), 50'000, "3/11",
+        {SchedulerKind::FastEdge, SchedulerKind::Compiled}, {1, 2, 3, 5, 7});
+}
+
+TEST(SchedulerEquivalence, LiteralSteppingFallbackMatchesEventQueue)
+{
+    // Coprime DOU periods of 97 and 89 cycles: the joint schedule
+    // holds more than BusTimeline::MaxNodes active phases, so the
+    // chip steps its DOUs literally and each phase of a run goes
+    // through refPhase(). FastEdge and Compiled still match the
+    // reference, in one run and in chunks.
+    auto configure = streamChip(60, 97, 89, 1);
+    Chip probe(streamConfig(2, 3));
+    configure(probe);
+    ASSERT_FALSE(probe.busTimeline()->ready());
+    ASSERT_EQ(int(probe.run(200'000).exit), int(RunExit::AllHalted));
+    EXPECT_EQ(probe.column(1).tile(0).reg(1), 3u * 60 * 61 / 2);
+    expectMatchesReference(
+        streamConfig(2, 3), configure, 200'000, "97/89",
+        {SchedulerKind::FastEdge, SchedulerKind::Compiled}, {1, 3, 7});
 }
 
 TEST(SchedulerEquivalence, TickLimitAndResume)
